@@ -17,6 +17,7 @@ from .expr import (
     Expr,
     FnAtom,
     Term,
+    _merge_fns,
 )
 from .poly import F_ONE, Poly
 
@@ -71,15 +72,9 @@ def diff(e: Expr, var: str) -> Expr:
             else:
                 rest[i] = FnAtom(a.name, a.dt, a.dx, a.dV, a.power - 1, a.deps)
             coeff = t.coeff * CoeffFrac.const(a.power)
-            new_fns = _sorted_merge(tuple(rest), da)
+            new_fns = _merge_fns(tuple(rest), (da,))
             out.append(Term(coeff, t.vpow, t.expc, new_fns))
     return Expr.from_terms(out)
-
-
-def _sorted_merge(fns: tuple, extra: FnAtom) -> tuple:
-    from .expr import _merge_fns
-
-    return _merge_fns(fns, (extra,))
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +267,9 @@ class Constraint:
                 return name, self.rhs
         form = self.form()
         for name in ("k", "p", "n"):
-            c = form.coeff_of(name)
-            if c:
-                kw = {"cp": form.cp, "ck": form.ck, "cn": form.cn, "c0": form.c0}
-                kw[{"p": "cp", "k": "ck", "n": "cn"}[name]] = Fraction(0)
-                rest = AffineExponent(kw["cp"], kw["ck"], kw["cn"], kw["c0"])
-                return name, rest.scale(Fraction(-1) / c)
+            value = form.solve_for(name)
+            if value is not None:
+                return name, value
         raise ValueError("constraint involves no exponent parameter")
 
     def __str__(self) -> str:

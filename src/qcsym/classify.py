@@ -24,11 +24,12 @@ from .calculus import (
     equal_up_to_unit,
     euler_ode_solve,
     excluded_by,
+    _proportional,
     solve_linear_for,
     split,
     substitute,
 )
-from .errors import AmbiguousGradingError, TableError, VerificationError
+from .errors import TableError, VerificationError
 from .expr import AFF_ZERO, AffineExponent, Expr
 from .determining import EvolutionEq, SymOperator, check_operator, generate_determining_system, normalize_operator
 from .parser import parse, parse_affine
@@ -58,7 +59,6 @@ CASE_B_ASSUMPTIONS = (
 )
 
 
-@lru_cache(maxsize=None)
 def power_system():
     return generate_determining_system(EvolutionEq.power())
 
@@ -145,16 +145,9 @@ def constancy_constraints(Fexpr: Expr, assumptions=()) -> list:
     One requirement per key whose coefficient still depends on t or x;
     constant-only input yields an empty list.
     """
-    groups = collect(Fexpr)
-    keys = list(groups)
-    for i, k1 in enumerate(keys):
-        for k2 in keys[i + 1:]:
-            from .calculus import _keys_distinct
-
-            if not _keys_distinct(k1, k2, assumptions):
-                raise AmbiguousGradingError(str(k1), str(k2))
+    system = split(Fexpr, assumptions)
     out = []
-    for key, coeff in groups.items():
+    for key, coeff in zip(system.grading, system.equations):
         req = ConstancyRequirement(key, coeff, diff(coeff, "t"), diff(coeff, "x"))
         if not req.already_constant():
             out.append(req)
@@ -168,27 +161,14 @@ def pairwise_distinct_assumptions(exponents) -> tuple:
     coincidence cases holds.
     """
     exps = [_as_aff(e) for e in exponents]
-    seen = set()
     out = []
     for i, e1 in enumerate(exps):
         for e2 in exps[i + 1:]:
             delta = e1 - e2
-            if delta.is_const():
+            if delta.is_const() or any(_proportional(delta, c.form()) for c in out):
                 continue
-            key = _direction_key(delta)
-            if key in seen:
-                continue
-            seen.add(key)
             out.append(Constraint(e1, e2, "forbidden"))
     return tuple(out)
-
-
-def _direction_key(delta: AffineExponent) -> tuple:
-    for c in delta.key():
-        if c:
-            scaled = delta.scale(Fraction(1) / c)
-            return scaled.key()
-    return delta.key()
 
 
 def constants_forced(Fexpr: Expr, assumptions=()) -> list:
@@ -229,7 +209,7 @@ def _forced_name(deriv: Expr, assumptions) -> str | None:
     restriction = _pkn_restriction(t.coeff.num)
     if restriction.is_zero():
         return None
-    aff = _poly_as_affine(restriction)
+    aff = AffineExponent.from_poly(restriction)
     if aff is None:
         return None
     if not aff.is_const() and not excluded_by(aff, assumptions):
@@ -245,23 +225,6 @@ def _pkn_restriction(p):
         sub = tuple((g, e) for g, e in mono if g in ("p", "k", "n"))
         out[sub] = out.get(sub, 0) + c
     return Poly(out)
-
-
-def _poly_as_affine(p) -> AffineExponent | None:
-    out = AFF_ZERO
-    for mono, c in p.terms.items():
-        if not mono:
-            out = out + AffineExponent.const(c)
-        elif len(mono) == 1 and mono[0][1] == 1 and mono[0][0] in ("p", "k", "n"):
-            name = mono[0][0]
-            out = out + AffineExponent.of(
-                cp=c if name == "p" else 0,
-                ck=c if name == "k" else 0,
-                cn=c if name == "n" else 0,
-            )
-        else:
-            return None
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +245,9 @@ class SpecialCase:
 def _normal_constraint(delta: AffineExponent) -> Constraint | None:
     """Normal form of the relation delta = 0: k = ..., p = value, or n = ...."""
     for name in ("k", "p", "n"):
-        c = delta.coeff_of(name)
-        if c:
-            kw = {"cp": delta.cp, "ck": delta.ck, "cn": delta.cn, "c0": delta.c0}
-            kw[{"p": "cp", "k": "ck", "n": "cn"}[name]] = Fraction(0)
-            rest = AffineExponent(kw["cp"], kw["ck"], kw["cn"], kw["c0"])
-            value = rest.scale(Fraction(-1) / c)
-            lhs = AffineExponent.of(
-                cp=1 if name == "p" else 0,
-                ck=1 if name == "k" else 0,
-                cn=1 if name == "n" else 0,
-            )
-            return Constraint(lhs, value, "equal")
+        value = delta.solve_for(name)
+        if value is not None:
+            return Constraint(AffineExponent.of(**{"c" + name: 1}), value, "equal")
     return None
 
 
@@ -331,7 +285,7 @@ def enumerate_special_cases(
         if delta.is_const():
             continue
         if any(
-            c.kind == "forbidden" and _proportional_forms(delta, c.form())
+            c.kind == "forbidden" and _proportional(delta, c.form())
             for c in forbidden
         ):
             continue
@@ -344,7 +298,7 @@ def enumerate_special_cases(
     for target, root in vanishing:
         constraint = root if isinstance(root, Constraint) else Constraint.parse(root)
         if any(
-            c.kind == "forbidden" and _proportional_forms(constraint.form(), c.form())
+            c.kind == "forbidden" and _proportional(constraint.form(), c.form())
             for c in forbidden
         ):
             continue
@@ -354,12 +308,6 @@ def enumerate_special_cases(
                 constraint, ("vanishing", str(_as_aff(target)), str(constraint))
             )
     return sorted(found.values(), key=lambda sc: _case_order_key(sc.constraint))
-
-
-def _proportional_forms(a: AffineExponent, b: AffineExponent) -> bool:
-    from .calculus import _proportional
-
-    return _proportional(a, b)
 
 
 def _as_aff(v) -> AffineExponent:
@@ -470,13 +418,12 @@ def _value_excluded(value: Fraction, equalities, forbidden) -> bool:
     return False
 
 
-def _source_keys_in_catalogue_order(subs: dict | None) -> tuple:
+def _source_keys_in_catalogue_order(source: Expr, subs: dict | None) -> tuple:
     """Collect keys of the case-B source term after substitutions.
 
     Returns (ordered distinct keys, coefficient map); the order follows the
     catalogued fifteen-power list (first occurrence wins).
     """
-    source = extract_F()
     if subs:
         source = substitute(source, subs)
     groups = collect(source)
@@ -510,15 +457,15 @@ def coincidence_tables_k_eq_p_minus_1() -> tuple:
     subleading table is built with a replaced by a constant.
     """
     case = Constraint.parse("k=p-1")
-    shift = parse_affine("p-1")
     forbidden = CASE_B_ASSUMPTIONS
+    source = extract_F()
     tables = []
     for target_text, subs in (
         ("2*p+3", {"k": Expr.generator("p") - Expr.one()}),
         ("2*p+1", {"k": Expr.generator("p") - Expr.one(), "a": Expr.generator("a0")}),
     ):
         target = parse_affine(target_text)
-        ordered, coeffs = _source_keys_in_catalogue_order(subs)
+        ordered, coeffs = _source_keys_in_catalogue_order(source, subs)
         columns = [
             aff
             for aff in ordered
@@ -617,7 +564,7 @@ def _euler_form(e: Expr) -> tuple:
     st = s_expr.terms[0]
     if st.fns or not st.expc.is_zero() or not st.vpow.is_zero():
         raise VerificationError("euler-form", "equation is not of Euler type")
-    s = _poly_as_affine(st.coeff.num)
+    s = AffineExponent.from_poly(st.coeff.num)
     if s is None or not st.coeff.den.is_const():
         raise VerificationError("euler-form", "homogeneous exponent not affine")
     rhs = -(R / A)
@@ -759,14 +706,13 @@ def case_c_chain_k1_p2(keep_going: bool = False) -> ChainReport:
 
     cubic = substitute(parse(fx["source_equation"]), {"F": parse(fx["cubic_source"])})
     cubic_system = split(cubic)
-    first_literal = cubic_system.equations[0] == parse(fx["cubic_split"][0])
     all_exact = len(cubic_system) == 4 and all(
         eq == parse(text) for eq, text in zip(cubic_system.equations, fx["cubic_split"])
     )
     b.check(
         "cubic-split",
         "cubic source splits the equation into four exact relations",
-        first_literal and all_exact,
+        all_exact,
     )
 
     g_binding = {"g": parse(fx["g_ansatz"])}

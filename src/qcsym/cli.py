@@ -308,33 +308,34 @@ def _suite_steps(seed: int, corrupt: str | None):
                 return False, f"{name}: value mismatch"
         return True, "both tables reproduced cell for cell"
 
-    def chain_p0():
-        report = classify.case_c_chain_p0(keep_going=True)
-        return report.all_passed, f"{len(report.steps)} steps"
+    # Each derivation chain runs once per suite. Its own step reports the
+    # whole chain; a later step reports the verdict of one check inside it.
+    # A chain that raised leaves its error as the verdict of both.
+    reports = {}
 
-    def chain_k1_p2():
-        report = classify.case_c_chain_k1_p2(keep_going=True)
-        return report.all_passed, f"{len(report.steps)} steps"
+    def chain_report(chain):
+        if chain not in reports:
+            try:
+                reports[chain] = chain(keep_going=True)
+            except (TermLanguageError, NumericError) as exc:
+                reports[chain] = exc
+        return reports[chain]
 
-    def cubic_split():
-        fx = classify.fixture_json("chain_k1_p2.json")
-        e = substitute(
-            parse(fx["source_equation"]), {"F": parse(fx["cubic_source"])}
-        )
-        system = split(e)
-        ok = len(system) == 4 and all(
-            got == parse(text)
-            for got, text in zip(system.equations, fx["cubic_split"])
-        )
-        return ok, "four exact equations, leading one literal"
+    def whole_chain(chain):
+        def step():
+            report = chain_report(chain)
+            if isinstance(report, Exception):
+                return False, str(report)
+            return report.all_passed, f"{len(report.steps)} steps"
+        return step
 
-    def scaling_symbolic():
-        fx = classify.fixture_json("chain_p0.json")
-        ops = classify.fixture_json("operators.json")
-        op = normalize_operator(SymOperator.of(**ops["scaling"]))
-        eq = EvolutionEq.power(p=0, F2=parse(fx["source_term"]))
-        residuals = check_operator(eq, op)
-        return all(r.is_zero() for r in residuals), "all four residuals vanish"
+    def chain_check(chain, check_id, detail):
+        def step():
+            report = chain_report(chain)
+            if isinstance(report, Exception):
+                return False, str(report)
+            return any(s.id == check_id and s.passed for s in report.steps), detail
+        return step
 
     def numeric_sampled():
         inst = numeric.Instance.from_json(
@@ -375,6 +376,7 @@ def _suite_steps(seed: int, corrupt: str | None):
             worst = max(worst, float(np.max(np.abs(U2 - U))))
         return worst < 1e-12, f"max round-trip deviation {worst:.2e}"
 
+    p0, k1_p2 = classify.case_c_chain_p0, classify.case_c_chain_k1_p2
     return [
         ("determining-systems", "regenerate both determining systems", regeneration),
         ("eta-general-solution", "general eta for V-linear xi", eta_solution),
@@ -383,10 +385,12 @@ def _suite_steps(seed: int, corrupt: str | None):
         ("coincidence-fifteen-powers", "thirteen coincidence cases of the full analysis", fifteen_cases),
         ("fifteen-powers-shifted", "fifteen powers under k = p-1", fifteen_list),
         ("coincidence-tables", "leading and subleading coincidence tables", tables),
-        ("chain-p0", "derivation chain for p = 0", chain_p0),
-        ("chain-k1-p2", "derivation chain for k = 1, p = 2", chain_k1_p2),
-        ("cubic-source-split", "cubic source splits into the four relations", cubic_split),
-        ("scaling-operator-symbolic", "scaling-translation operator check", scaling_symbolic),
+        ("chain-p0", "derivation chain for p = 0", whole_chain(p0)),
+        ("chain-k1-p2", "derivation chain for k = 1, p = 2", whole_chain(k1_p2)),
+        ("cubic-source-split", "cubic source splits into the four relations",
+         chain_check(k1_p2, "cubic-split", "four exact equations, leading one literal")),
+        ("scaling-operator-symbolic", "scaling-translation operator check",
+         chain_check(p0, "scaling-operator", "all four residuals vanish")),
         ("sampled-residuals", "numeric determining residuals", numeric_sampled),
         ("group-flow-invariance", "group flow maps solutions to solutions", numeric_group),
         ("substitution-roundtrip", "state-substitution round trip", substitution_roundtrip),
@@ -408,14 +412,7 @@ def verify_paper(seed: int = 0, keep_going: bool = False, corrupt: str | None = 
             ok, detail = fn()
         except (TermLanguageError, NumericError) as exc:
             ok, detail = False, str(exc)
-        report.append(
-            {
-                "id": step_id,
-                "description": description,
-                "status": "pass" if ok else "fail",
-                "detail": detail,
-            }
-        )
+        report.append(classify.StepResult(step_id, description, ok, detail).to_json())
         all_ok = all_ok and ok
     return report, all_ok
 

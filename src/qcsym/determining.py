@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .calculus import Constraint, diff, eq_normalize, substitute
 from .errors import DivisionError, OperatorFormError
@@ -246,11 +247,16 @@ class DeterminingSystem:
         }
 
 
+# A verify-paper replay derives three distinct equations; a sweep over
+# concrete (p, k) never repeats one, so the bound is what keeps a long sweep
+# from growing memory.
+@lru_cache(maxsize=16)
 def generate_determining_system(eq: EvolutionEq) -> DeterminingSystem:
     """Derive the determining system for the generic unit-time operator.
 
     Each equation is normalized so its leading canonical term has unit
-    coefficient, which makes systems directly comparable.
+    coefficient, which makes systems directly comparable.  The result is
+    memoised on the (frozen, hashable) equation and shared by every caller.
     """
     ctx = DEFAULT_CONTEXT
     xi = Expr.atom(ctx.fn_atom("xi"))

@@ -67,15 +67,35 @@ class AffineExponent:
     def coeff_of(self, name: str) -> Fraction:
         return {"p": self.cp, "k": self.ck, "n": self.cn}[name]
 
-    def subst(self, name: str, value: "AffineExponent") -> "AffineExponent":
-        """Replace an exponent parameter by an affine value."""
+    def solve_for(self, name: str) -> "AffineExponent | None":
+        """The value v such that self = 0 reads name = v; None when the form
+        does not involve the parameter."""
         c = self.coeff_of(name)
         if not c:
+            return None
+        rest = self - AffineExponent.of(**{"c" + name: c})
+        return rest.scale(Fraction(-1) / c)
+
+    def subst(self, name: str, value: "AffineExponent") -> "AffineExponent":
+        """Replace an exponent parameter by an affine value."""
+        solved = self.solve_for(name)
+        if solved is None:
             return self
-        kw = {"cp": self.cp, "ck": self.ck, "cn": self.cn, "c0": self.c0}
-        kw[{"p": "cp", "k": "ck", "n": "cn"}[name]] = Fraction(0)
-        stripped = AffineExponent(kw["cp"], kw["ck"], kw["cn"], kw["c0"])
-        return stripped + value.scale(c)
+        return (value - solved).scale(self.coeff_of(name))
+
+    @classmethod
+    def from_poly(cls, poly: Poly) -> "AffineExponent | None":
+        """The affine form a polynomial spells, or None when it has a monomial
+        other than a constant or a first power of p, k or n."""
+        coeffs = dict.fromkeys(("cp", "ck", "cn", "c0"), Fraction(0))
+        for mono, c in poly.terms.items():
+            if not mono:
+                coeffs["c0"] += c
+            elif len(mono) == 1 and mono[0][1] == 1 and mono[0][0] in EXPONENT_PARAMS:
+                coeffs["c" + mono[0][0]] += c
+            else:
+                return None
+        return cls(**coeffs)
 
     def to_poly(self) -> Poly:
         out = Poly.const(self.c0)

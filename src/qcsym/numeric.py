@@ -93,7 +93,8 @@ class Field:
     @staticmethod
     def from_csv(text: str) -> "Field":
         rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["t", "x", "V"]
+        if len(rows) < 2 or rows[0] != ["t", "x", "V"]:
+            raise ValueError("a field CSV needs the header t,x,V and at least one row")
         ts = sorted({float(r[0]) for r in rows[1:]})
         xs = sorted({float(r[1]) for r in rows[1:]})
         values = np.empty((len(ts), len(xs)))
@@ -106,6 +107,13 @@ class Field:
             xs[0], (xs[-1] - xs[0]) / max(len(xs) - 1, 1),
             values,
         )
+
+
+def _entry(doc, key: str, where: str = ""):
+    """doc[key] of an instance document; a NumericError names a missing key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise NumericError(f"instance has no {where + key!r} entry")
+    return doc[key]
 
 
 @dataclass(frozen=True)
@@ -124,15 +132,19 @@ class Instance:
 
     @staticmethod
     def from_json(data: dict) -> "Instance":
+        g = _entry(data, "grid")
+        for key in ("x0", "x1", "nx", "t0", "dt", "steps"):
+            _entry(g, key, "grid.")
         op = data.get("operator", {"tau": "1", "xi": "0", "eta": "0"})
-        g = data["grid"]
         return Instance(
             family=data.get("family", "power"),
             p=Fraction(str(data.get("p", data.get("m", 0)))),
             k=Fraction(str(data.get("k", data.get("n", 1)))),
-            lam=Fraction(str(data["lambda"])),
+            lam=Fraction(str(_entry(data, "lambda"))),
             F=parse(str(data.get("F", "0"))),
-            operator=SymOperator.of(op["tau"], op["xi"], op["eta"]),
+            operator=SymOperator.of(
+                *(_entry(op, name, "operator.") for name in ("tau", "xi", "eta"))
+            ),
             grid=Grid(
                 x0=float(g["x0"]), x1=float(g["x1"]), nx=int(g["nx"]),
                 t0=float(g["t0"]), dt=float(g["dt"]), steps=int(g["steps"]),
@@ -442,10 +454,15 @@ class ScalingFlow:
     A2: float = 0.0
     v_weight: float = 1.0
 
+    # at k = 0 the generator is the translation A1 d/dt + A2 d/dx
     def map_t(self, t, k: float, eps: float):
+        if k == 0:
+            return t + self.A1 * eps
         return (math.exp(2 * k * eps) * (2 * k * t + self.A1) - self.A1) / (2 * k)
 
     def map_x(self, x, k: float, eps: float):
+        if k == 0:
+            return x + self.A2 * eps
         return (math.exp(k * eps) * (k * x + self.A2) - self.A2) / k
 
     def inverse_t(self, t, k: float, eps: float):

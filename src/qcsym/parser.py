@@ -18,6 +18,7 @@ from .expr import (
     Context,
     DEFAULT_CONTEXT,
     Expr,
+    coeff_text,
 )
 
 _TOKEN_RE = re.compile(
@@ -181,7 +182,7 @@ class _Parser:
         total = AFF_ZERO
         for t in inner.terms:
             try:
-                total = total + _coeff_to_affine(t)
+                total = total + _as_affine(Expr.from_coeff(t.coeff))
             except ValueError as exc:
                 raise ParseError(f"bad exp argument: {exc}", pos) from None
         if total.is_zero():
@@ -202,26 +203,6 @@ def _is_plain_v(e: Expr) -> bool:
     )
 
 
-def _coeff_to_affine(t) -> AffineExponent:
-    c = t.coeff
-    if not c.den.is_const():
-        raise ValueError("exponent coefficients must be polynomial")
-    out = AFF_ZERO
-    for mono, coef in c.num.terms.items():
-        if not mono:
-            out = out + AffineExponent.const(coef)
-        elif len(mono) == 1 and mono[0][1] == 1 and mono[0][0] in ("p", "k", "n"):
-            name = mono[0][0]
-            out = out + AffineExponent.of(
-                cp=coef if name == "p" else 0,
-                ck=coef if name == "k" else 0,
-                cn=coef if name == "n" else 0,
-            )
-        else:
-            raise ValueError(f"non-affine exponent part {mono}")
-    return out
-
-
 def _as_affine(e: Expr) -> AffineExponent:
     if e.is_zero():
         return AFF_ZERO
@@ -232,7 +213,10 @@ def _as_affine(e: Expr) -> AffineExponent:
     t = e.terms[0]
     if not t.vpow.is_zero() or not t.expc.is_zero() or t.fns:
         raise ValueError("exponent must be an affine coefficient expression")
-    return _coeff_to_affine(t)
+    aff = AffineExponent.from_poly(t.coeff.num) if t.coeff.den.is_const() else None
+    if aff is None:
+        raise ValueError(f"exponent {coeff_text(t.coeff)} is not affine in p, k, n")
+    return aff
 
 
 def _as_integer(e: Expr, pos: int) -> int:

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+from qcsym import classify
 from qcsym.calculus import eq_normalize
 from qcsym.classify import fixture_json
-from qcsym.cli import main
+from qcsym.cli import main, verify_paper
+from qcsym.errors import VerificationError
 from qcsym.parser import parse
 
 
@@ -195,15 +197,85 @@ def test_output_deterministic_across_processes():
     import sys
 
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    outs = []
-    for seed in ("0", "12345"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "qcsym.cli", "derive", "--family", "power",
-             "--json"],
-            capture_output=True,
-            env={"PYTHONPATH": src, "PYTHONHASHSEED": seed,
-                 "PATH": "/usr/bin:/bin"},
-        )
-        assert proc.returncode == 0
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    for argv in (["derive", "--family", "power", "--json"], ["verify-paper", "--json"]):
+        outs = []
+        for seed in ("0", "12345"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "qcsym.cli", *argv],
+                capture_output=True,
+                env={"PYTHONPATH": src, "PYTHONHASHSEED": seed,
+                     "PATH": "/usr/bin:/bin"},
+            )
+            assert proc.returncode == 0
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "chain, check, chain_step, dependent_step",
+    [
+        ("case_c_chain_k1_p2", "cubic-split", "chain-k1-p2", "cubic-source-split"),
+        ("case_c_chain_p0", "scaling-operator", "chain-p0", "scaling-operator-symbolic"),
+    ],
+)
+def test_suite_reuses_chain_verdicts(monkeypatch, chain, check, chain_step, dependent_step):
+    calls = []
+
+    def stub(keep_going=False):
+        calls.append(keep_going)
+        return classify.ChainReport("stub", (classify.StepResult(check, "stubbed", False),))
+
+    monkeypatch.setattr(classify, chain, stub)
+    report, ok = verify_paper(keep_going=True)
+    assert not ok
+    assert calls == [True]
+    failed = [step["id"] for step in report if step["status"] != "pass"]
+    assert failed == [chain_step, dependent_step]
+
+
+def test_suite_step_fails_when_its_chain_raises(monkeypatch):
+    def stub(keep_going=False):
+        raise VerificationError("reduce-eq3", "stubbed")
+
+    monkeypatch.setattr(classify, "case_c_chain_k1_p2", stub)
+    report, ok = verify_paper(keep_going=True)
+    assert not ok
+    by_id = {step["id"]: step for step in report}
+    for step_id in ("chain-k1-p2", "cubic-source-split"):
+        assert by_id[step_id]["status"] == "fail"
+        assert by_id[step_id]["detail"] == "step 'reduce-eq3' failed: stubbed"
+
+
+def test_transform_at_k_zero(tmp_path, capsys):
+    data = fixture_json("instance_scaling.json")
+    data["k"] = 0
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "transform", "--equation", str(path), "--json")
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["epsilon"] == 0.1
+
+
+@pytest.mark.parametrize("missing", ["grid", "lambda", "grid.nx"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["transform"],
+        ["check-op-numeric"],
+        ["check-op", "--xi", "A", "--eta", "0"],
+    ],
+)
+def test_instance_missing_key_is_usage_error(tmp_path, capsys, missing, command):
+    data = fixture_json("instance_scaling.json")
+    if missing == "grid.nx":
+        del data["grid"]["nx"]
+    else:
+        del data[missing]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *command, "--equation", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(missing) in err

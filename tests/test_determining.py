@@ -125,6 +125,15 @@ def test_residual_zero_set_invariant_under_rescaling():
     assert all(r.is_zero() for r in res2)
 
 
+def test_derivation_is_shared_per_equation():
+    assert generate_determining_system(EvolutionEq.power()) is generate_determining_system(
+        EvolutionEq.power()
+    )
+    cubic = generate_determining_system(EvolutionEq.power(p=0, k=1, F2=parse("lambda1*V^3")))
+    quintic = generate_determining_system(EvolutionEq.power(p=0, k=2, F2=parse("lambda1*V^5")))
+    assert cubic.equations != quintic.equations
+
+
 def test_system_serialization(power_system):
     data = power_system.to_json()
     assert data["family"] == "power"

@@ -360,6 +360,20 @@ def test_flow_inverse_consistency_with_offsets():
                 assert abs(flow.inverse_x(flow.map_x(v, k, eps), k, eps) - v) < 1e-12
 
 
+def test_flow_at_k_zero_is_the_translation():
+    flow = ScalingFlow(A1=2.0, A2=1.5)
+    for eps in (0.05, -0.3):
+        for v in (0.0, 0.7, 3.2):
+            assert flow.map_t(v, 0.0, eps) == v + 2.0 * eps
+            assert flow.map_x(v, 0.0, eps) == v + 1.5 * eps
+
+
+@pytest.mark.parametrize("text", ["a,b,c\n0,0,1\n", ""])
+def test_csv_read_rejects_text_without_the_header(text):
+    with pytest.raises(ValueError):
+        Field.from_csv(text)
+
+
 def test_blowup_detected():
     # V_t = V_xx + V V_x + 2 V^3 from a large uniform state blows up in
     # finite time and must be caught by the magnitude guard
