@@ -298,19 +298,17 @@ def _apply_equalities(form: AffineExponent, equalities) -> AffineExponent:
 
 
 def _proportional(a: AffineExponent, b: AffineExponent) -> bool:
-    """True when a = c*b for a nonzero rational c."""
-    av, bv = a.key(), b.key()
-    ratio = None
-    for x, y in zip(av, bv):
-        if (x == 0) != (y == 0):
-            return False
-        if y != 0:
-            r = x / y
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-    return ratio is not None and ratio != 0
+    """True when a = c*b for a nonzero rational c.
+
+    Compared by cross-multiplication against one pivot coefficient: the key
+    entries may be ints, and int / int would be float division.
+    """
+    pairs = tuple(zip(a.key(), b.key()))
+    pivot = next(((x, y) for x, y in pairs if y), None)
+    if pivot is None or not pivot[0]:
+        return False
+    px, py = pivot
+    return all(x * py == px * y for x, y in pairs)
 
 
 def excluded_by(form: AffineExponent, assumptions) -> bool:

@@ -10,7 +10,7 @@ is immutable; all operations return new canonical values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DivisionError
@@ -21,12 +21,25 @@ EXPONENT_PARAMS = ("p", "k", "n")
 
 @dataclass(frozen=True, slots=True)
 class AffineExponent:
-    """Exponent of the form cp*p + ck*k + cn*n + c0 with rational coefficients."""
+    """Exponent of the form cp*p + ck*k + cn*n + c0 with rational coefficients.
+
+    key() is the canonical form: the coefficients with the integral ones as
+    ints. An int compares, orders and hashes like the equal Fraction, so key
+    order is value order, but hashing it costs a fraction of Fraction.__hash__.
+    """
 
     cp: Fraction = Fraction(0)
     ck: Fraction = Fraction(0)
     cn: Fraction = Fraction(0)
     c0: Fraction = Fraction(0)
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a list display: on this hot path it builds faster than a generator
+        object.__setattr__(self, "_key", tuple([
+            c.numerator if c.denominator == 1 else c
+            for c in (self.cp, self.ck, self.cn, self.c0)
+        ]))
 
     @classmethod
     def const(cls, c) -> "AffineExponent":
@@ -62,7 +75,7 @@ class AffineExponent:
         return not (self.cp or self.ck or self.cn)
 
     def key(self) -> tuple:
-        return (self.cp, self.ck, self.cn, self.c0)
+        return self._key
 
     def coeff_of(self, name: str) -> Fraction:
         return {"p": self.cp, "k": self.ck, "n": self.cn}[name]

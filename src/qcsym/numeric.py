@@ -116,6 +116,21 @@ def _entry(doc, key: str, where: str = ""):
     return doc[key]
 
 
+def _rational(doc: dict, key: str, alias: str | None = None, default=None) -> Fraction:
+    """doc[key], or doc[alias], of an instance document as an exact rational;
+    a NumericError names the key when it is missing and has no default, or
+    when its value is not a finite rational."""
+    if key not in doc and alias in doc:
+        key = alias
+    value = _entry(doc, key) if default is None else doc.get(key, default)
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise NumericError(
+            f"instance entry {key!r} is not a finite rational: {value!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class Instance:
     """A fully concrete equation instance plus a candidate operator."""
@@ -135,20 +150,23 @@ class Instance:
         g = _entry(data, "grid")
         for key in ("x0", "x1", "nx", "t0", "dt", "steps"):
             _entry(g, key, "grid.")
+        grid = Grid(
+            x0=float(g["x0"]), x1=float(g["x1"]), nx=int(g["nx"]),
+            t0=float(g["t0"]), dt=float(g["dt"]), steps=int(g["steps"]),
+        )
+        if grid.nx < 2:
+            raise NumericError("instance entry 'grid.nx' must be at least 2")
         op = data.get("operator", {"tau": "1", "xi": "0", "eta": "0"})
         return Instance(
             family=data.get("family", "power"),
-            p=Fraction(str(data.get("p", data.get("m", 0)))),
-            k=Fraction(str(data.get("k", data.get("n", 1)))),
-            lam=Fraction(str(_entry(data, "lambda"))),
+            p=_rational(data, "p", "m", 0),
+            k=_rational(data, "k", "n", 1),
+            lam=_rational(data, "lambda"),
             F=parse(str(data.get("F", "0"))),
             operator=SymOperator.of(
                 *(_entry(op, name, "operator.") for name in ("tau", "xi", "eta"))
             ),
-            grid=Grid(
-                x0=float(g["x0"]), x1=float(g["x1"]), nx=int(g["nx"]),
-                t0=float(g["t0"]), dt=float(g["dt"]), steps=int(g["steps"]),
-            ),
+            grid=grid,
             seed=int(data.get("seed", 0)),
             initial=data.get("initial"),
         )

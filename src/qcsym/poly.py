@@ -79,7 +79,7 @@ class Poly:
                     t[m] = c if isinstance(c, Fraction) else Fraction(c)
         self.terms = t
         self.key = tuple(sorted(t.items()))
-        self._hash = hash(self.key)
+        self._hash = None  # most polynomials are never hashed
 
     @classmethod
     def const(cls, c) -> "Poly":
@@ -116,6 +116,8 @@ class Poly:
         return isinstance(other, Poly) and self.key == other.key
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.key)
         return self._hash
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -538,7 +540,7 @@ class CoeffFrac:
                 den = den.scale(inv)
         self.num = num
         self.den = den
-        self._hash = hash((num.key, den.key))
+        self._hash = None
 
     @classmethod
     def const(cls, c) -> "CoeffFrac":
@@ -568,6 +570,8 @@ class CoeffFrac:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.num.key, self.den.key))
         return self._hash
 
     def __add__(self, other: "CoeffFrac") -> "CoeffFrac":

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from qcsym.expr import AffineExponent, Expr, FnAtom, Term
 from qcsym.poly import CoeffFrac, Poly
@@ -42,6 +43,12 @@ def random_affine(rng: random.Random, allow_params: bool = True) -> AffineExpone
             c0=rng.choice((-2, -1, 0, 1, 2, 3)),
         )
     return AffineExponent.const(rng.choice((-2, -1, 0, 1, 2, 3)))
+
+
+# rationals with denominators 1-3, the range of the sweep's exponents, so
+# integral and non-integral coefficients mix
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+AFFINE_FORMS = st.builds(AffineExponent, RATIONALS, RATIONALS, RATIONALS, RATIONALS)
 
 
 def random_poly(rng: random.Random, gens=("t", "x", "p"), max_monos: int = 2) -> Poly:

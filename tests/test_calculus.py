@@ -2,9 +2,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcsym.calculus import (
     Constraint,
+    _proportional,
     collect,
     collect_in,
     diff,
@@ -15,11 +17,11 @@ from qcsym.calculus import (
     substitute,
 )
 from qcsym.errors import AmbiguousGradingError, PoleError, ResonanceError
-from qcsym.expr import Expr
+from qcsym.expr import AffineExponent, Expr
 from qcsym.parser import parse, parse_affine
 from qcsym.poly import CoeffFrac
 
-from conftest import random_expr
+from conftest import AFFINE_FORMS, RATIONALS, random_expr
 
 
 def test_diff_examples():
@@ -251,3 +253,20 @@ def test_euler_rejects_non_power_right_side():
         euler_ode_solve(parse_affine("2*k+1"), parse("g*exp(V)"))
     with pytest.raises(TermLanguageError):
         euler_ode_solve(parse_affine("2*k+1"), parse("F*V"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(AFFINE_FORMS, RATIONALS.filter(bool), st.integers(0, 3), RATIONALS.filter(bool))
+@example(
+    AffineExponent.of(cp=1, ck=Fraction(1, 2)), Fraction(3), 0, Fraction(1)
+)  # p + k/2 against 3p + 3k/2: a ratio of 1/3 from an integral and a half pair
+def test_proportional_is_exact(a, c, index, delta):
+    b = a.scale(c)
+    assert _proportional(a, b) == (not a.is_zero())
+    # moving one coefficient of b breaks the proportion, unless a is a
+    # multiple of that coefficient's unit form
+    coeffs = [b.cp, b.ck, b.cn, b.c0]
+    if [i for i, v in enumerate(a.key()) if v] == [index]:
+        index = (index + 1) % 4
+    coeffs[index] += delta
+    assert not _proportional(a, AffineExponent(*coeffs))

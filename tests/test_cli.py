@@ -197,7 +197,13 @@ def test_output_deterministic_across_processes():
     import sys
 
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    for argv in (["derive", "--family", "power", "--json"], ["verify-paper", "--json"]):
+    mixed = ("a*V^(1/2) + f*V^(1/3) + g*V^2 + h*V^(5/2) + a_x*V^(-1/2)"
+             " + f*exp((1/2)*V) + g*exp(V)")
+    for argv in (
+        ["derive", "--family", "power", "--json"],
+        ["verify-paper", "--json"],
+        ["split", mixed, "--json"],  # integral and non-integral exponent keys
+    ):
         outs = []
         for seed in ("0", "12345"):
             proc = subprocess.run(
@@ -257,7 +263,17 @@ def test_transform_at_k_zero(tmp_path, capsys):
     assert json.loads(out)["epsilon"] == 0.1
 
 
-@pytest.mark.parametrize("missing", ["grid", "lambda", "grid.nx"])
+@pytest.mark.parametrize(
+    "entry",
+    # a bare key is deleted; a (key, value) pair sets a bad value
+    ["grid", "lambda", "grid.nx"] + [
+        pytest.param((key, value), id=f"{key}={value}")
+        for key, value in (
+            ("grid.nx", 1), ("p", "1/0"), ("m", "1/0"), ("k", "1/0"),
+            ("lambda", "1/0"), ("lambda", "inf"),
+        )
+    ],
+)
 @pytest.mark.parametrize(
     "command",
     [
@@ -266,16 +282,20 @@ def test_transform_at_k_zero(tmp_path, capsys):
         ["check-op", "--xi", "A", "--eta", "0"],
     ],
 )
-def test_instance_missing_key_is_usage_error(tmp_path, capsys, missing, command):
+def test_instance_missing_key_is_usage_error(tmp_path, capsys, entry, command):
     data = fixture_json("instance_scaling.json")
-    if missing == "grid.nx":
-        del data["grid"]["nx"]
+    key, value = entry if isinstance(entry, tuple) else (entry, None)
+    doc, name = (data["grid"], "nx") if key == "grid.nx" else (data, key)
+    if value is None:
+        del doc[name]
     else:
-        del data[missing]
+        if key == "m":  # "m" is read only where "p" is absent
+            del data["p"]
+        doc[name] = value
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, *command, "--equation", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert repr(missing) in err
+    assert repr(key) in err

@@ -1,12 +1,15 @@
 """Canonical expression algebra, parser and printer."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcsym.errors import ParseError, UnknownSymbolError
-from qcsym.expr import DEFAULT_CONTEXT, Expr, expr_text
+from qcsym.expr import AFF_ONE, DEFAULT_CONTEXT, AffineExponent, Expr, Term, expr_text
 from qcsym.parser import parse, parse_affine
+from qcsym.poly import F_ONE
 
-from conftest import random_expr
+from conftest import AFFINE_FORMS, random_expr
 import random
 
 
@@ -128,3 +131,28 @@ def test_affine_text_round_trip():
         a = parse_affine(text)
         assert parse_affine(str(a)) == a
     assert parse_affine("2p+3") == parse_affine("2*p+3")
+
+
+def _fields(a: AffineExponent) -> tuple:
+    return (a.cp, a.ck, a.cn, a.c0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(AFFINE_FORMS, AFFINE_FORMS, st.lists(AFFINE_FORMS, max_size=8))
+def test_exponent_key_is_canonical(a, b, forms):
+    for entry, value in zip(a.key(), _fields(a)):
+        assert (type(entry) is int) == (value.denominator == 1)
+        assert entry == value
+    assert (a == b) == (a.key() == b.key())
+    same = a.scale(3).scale(Fraction(1, 3)) + AffineExponent()
+    assert same == a and same.key() == a.key()
+    assert hash(same) == hash(a) == hash(a.key()) == hash(_fields(a))
+    assert sorted(forms, key=AffineExponent.key) == sorted(forms, key=_fields)
+
+
+def test_integral_sum_of_halves_merges_with_integer_power():
+    half = AffineExponent.const(Fraction(1, 2))
+    e = Expr.from_terms([Term(F_ONE, vpow=half + half), Term(F_ONE, vpow=AFF_ONE)])
+    assert len(e.terms) == 1
+    assert e.terms[0].coeff.const_value() == 2
+    assert str(e) == "2*V"

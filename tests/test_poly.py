@@ -24,6 +24,10 @@ def test_arithmetic_basics():
     p, t = P("p"), P("t")
     q = (p + t) * (p - t)
     assert q == p * p - t * t
+    x, one = P("x"), Poly.const(1)
+    for a, b in ((q, p * p - t * t), ((x + one) * (x - one), x * x - one)):
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
     assert (p + t) ** 2 == p * p + p * t.scale(2) + t * t
 
 
@@ -62,6 +66,8 @@ def test_coeff_frac_reduction():
     p = P("p")
     f = CoeffFrac((p + Poly.const(1)) * (p + Poly.const(2)), (p + Poly.const(2)))
     assert f == CoeffFrac(p + Poly.const(1))
+    assert hash(f) == hash(CoeffFrac(p + Poly.const(1)))
+    assert len({f, CoeffFrac(p + Poly.const(1))}) == 1
     assert f.den == Poly.const(1)
 
 
