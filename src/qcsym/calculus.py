@@ -12,14 +12,17 @@ from .errors import (
 )
 from .expr import (
     AFF_ZERO,
+    DEFAULT_CONTEXT,
     AffineExponent,
     CoeffFrac,
     Expr,
     FnAtom,
     Term,
-    _merge_fns,
+    affine_text,
+    merge_fns,
 )
-from .poly import F_ONE, Poly
+from .parser import parse_affine
+from .poly import Poly
 
 # ---------------------------------------------------------------------------
 # differentiation
@@ -72,7 +75,7 @@ def diff(e: Expr, var: str) -> Expr:
             else:
                 rest[i] = FnAtom(a.name, a.dt, a.dx, a.dV, a.power - 1, a.deps)
             coeff = t.coeff * CoeffFrac.const(a.power)
-            new_fns = _merge_fns(tuple(rest), (da,))
+            new_fns = merge_fns(tuple(rest), (da,))
             out.append(Term(coeff, t.vpow, t.expc, new_fns))
     return Expr.from_terms(out)
 
@@ -110,8 +113,6 @@ def substitute(e: Expr, bindings: dict, ctx=None) -> Expr:
     are substituted through the whole result, so numeric instantiations see
     concrete functions.
     """
-    from .expr import DEFAULT_CONTEXT
-
     ctx = ctx or DEFAULT_CONTEXT
     fn_bindings: dict = {}
     param_bindings: dict = {}
@@ -210,9 +211,7 @@ def _coerce_affine(name: str, value) -> tuple:
     if isinstance(value, AffineExponent):
         return value, value.to_poly()
     if isinstance(value, Expr):
-        from .parser import _as_affine
-
-        aff = _as_affine(value)
+        aff = AffineExponent.from_expr(value)
         return aff, aff.to_poly()
     aff = AffineExponent.const(Fraction(value))
     return aff, Poly.const(Fraction(value))
@@ -234,17 +233,7 @@ class Constraint:
         return self.lhs - self.rhs
 
     @staticmethod
-    def equal(lhs, rhs) -> "Constraint":
-        return Constraint(_aff(lhs), _aff(rhs), "equal")
-
-    @staticmethod
-    def forbidden(lhs, rhs) -> "Constraint":
-        return Constraint(_aff(lhs), _aff(rhs), "forbidden")
-
-    @staticmethod
     def parse(text: str, kind: str = "equal") -> "Constraint":
-        from .parser import parse_affine
-
         if "!=" in text:
             lhs, rhs = text.split("!=", 1)
             kind = "forbidden"
@@ -273,59 +262,37 @@ class Constraint:
         raise ValueError("constraint involves no exponent parameter")
 
     def __str__(self) -> str:
-        from .expr import affine_text
-
         op = "=" if self.kind == "equal" else "!="
         name, value = self.solved_for()
         return f"{name}{op}{affine_text(value)}"
 
 
-def _aff(v) -> AffineExponent:
-    if isinstance(v, AffineExponent):
-        return v
-    if isinstance(v, str):
-        from .parser import parse_affine
-
-        return parse_affine(v)
-    return AffineExponent.const(Fraction(v))
-
-
-def _apply_equalities(form: AffineExponent, equalities) -> AffineExponent:
-    for c in equalities:
-        name, value = c.solved_for()
-        form = form.subst(name, value)
+def _apply_equalities(form: AffineExponent, assumptions) -> AffineExponent:
+    """The form with every equality among the assumptions substituted in."""
+    for c in assumptions:
+        if c.kind == "equal":
+            name, value = c.solved_for()
+            form = form.subst(name, value)
     return form
 
 
-def _proportional(a: AffineExponent, b: AffineExponent) -> bool:
-    """True when a = c*b for a nonzero rational c.
-
-    Compared by cross-multiplication against one pivot coefficient: the key
-    entries may be ints, and int / int would be float division.
-    """
-    pairs = tuple(zip(a.key(), b.key()))
-    pivot = next(((x, y) for x, y in pairs if y), None)
-    if pivot is None or not pivot[0]:
-        return False
-    px, py = pivot
-    return all(x * py == px * y for x, y in pairs)
-
-
 def excluded_by(form: AffineExponent, assumptions) -> bool:
-    """True when the relation form = 0 is ruled out by the assumptions."""
-    equalities = [c for c in assumptions if c.kind == "equal"]
-    reduced = _apply_equalities(form, equalities)
+    """True when the relation form = 0 is ruled out by the assumptions.
+
+    The one test of exclusion: the equalities are substituted into the form
+    and into every forbidden relation; the relation is ruled out when what
+    is left is a nonzero constant or a multiple of a forbidden one.
+    """
+    reduced = _apply_equalities(form, assumptions)
     if reduced.is_zero():
         return False
     if reduced.is_const():
         return True
-    for c in assumptions:
-        if c.kind != "forbidden":
-            continue
-        other = _apply_equalities(c.form(), equalities)
-        if _proportional(reduced, other):
-            return True
-    return False
+    return any(
+        c.kind == "forbidden"
+        and reduced.proportional_to(_apply_equalities(c.form(), assumptions))
+        for c in assumptions
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -377,19 +344,13 @@ def collect(e: Expr) -> dict:
 def _keys_distinct(k1: CollectKey, k2: CollectKey, assumptions) -> bool:
     if k1.fpart != k2.fpart:
         return True
-    equalities = [c for c in assumptions if c.kind == "equal"]
-    dc = _apply_equalities(k1.expc - k2.expc, equalities)
-    dv = _apply_equalities(k1.vpow - k2.vpow, equalities)
-    if dc.is_const() and not dc.is_zero():
+    dc = k1.expc - k2.expc
+    if excluded_by(dc, assumptions):
         return True
-    if dc.is_zero():
-        if dv.is_zero():
-            return False
-        if dv.is_const():
-            return True
-        return excluded_by(dv, assumptions)
-    # exponential parts may or may not merge; require them ruled out
-    return excluded_by(k1.expc - k2.expc, assumptions)
+    # exponentials that merge under the equalities leave the V-powers to differ
+    return _apply_equalities(dc, assumptions).is_zero() and excluded_by(
+        k1.vpow - k2.vpow, assumptions
+    )
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .calculus import (
     equal_up_to_unit,
     euler_ode_solve,
     excluded_by,
-    _proportional,
     solve_linear_for,
     split,
     substitute,
@@ -33,6 +32,7 @@ from .errors import TableError, VerificationError
 from .expr import AFF_ZERO, AffineExponent, Expr
 from .determining import EvolutionEq, SymOperator, check_operator, generate_determining_system, normalize_operator
 from .parser import parse, parse_affine
+from .poly import CoeffFrac, Poly
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -88,8 +88,6 @@ def _integrate_v(e: Expr, assumptions) -> Expr:
 
 
 def _inv_affine(a: AffineExponent):
-    from .poly import CoeffFrac, Poly
-
     return CoeffFrac(Poly.const(1), a.to_poly())
 
 
@@ -165,7 +163,7 @@ def pairwise_distinct_assumptions(exponents) -> tuple:
     for i, e1 in enumerate(exps):
         for e2 in exps[i + 1:]:
             delta = e1 - e2
-            if delta.is_const() or any(_proportional(delta, c.form()) for c in out):
+            if delta.is_const() or excluded_by(delta, out):
                 continue
             out.append(Constraint(e1, e2, "forbidden"))
     return tuple(out)
@@ -218,8 +216,6 @@ def _forced_name(deriv: Expr, assumptions) -> str | None:
 
 
 def _pkn_restriction(p):
-    from .poly import Poly
-
     out: dict = {}
     for mono, c in p.terms.items():
         sub = tuple((g, e) for g, e in mono if g in ("p", "k", "n"))
@@ -282,12 +278,7 @@ def enumerate_special_cases(
     found: dict = {}
     for target, other in pairs:
         delta = target - other
-        if delta.is_const():
-            continue
-        if any(
-            c.kind == "forbidden" and _proportional(delta, c.form())
-            for c in forbidden
-        ):
+        if delta.is_const() or excluded_by(delta, forbidden):
             continue
         constraint = _normal_constraint(delta)
         key = (constraint.lhs.key(), constraint.rhs.key())
@@ -297,10 +288,7 @@ def enumerate_special_cases(
             )
     for target, root in vanishing:
         constraint = root if isinstance(root, Constraint) else Constraint.parse(root)
-        if any(
-            c.kind == "forbidden" and _proportional(constraint.form(), c.form())
-            for c in forbidden
-        ):
+        if excluded_by(constraint.form(), forbidden):
             continue
         key = (constraint.lhs.key(), constraint.rhs.key())
         if key not in found:
@@ -432,7 +420,7 @@ def _source_keys_in_catalogue_order(source: Expr, subs: dict | None) -> tuple:
     ordered = []
     for aff in fifteen_powers():
         if case_shift is not None:
-            aff = aff.subst("k", _as_aff(case_shift))
+            aff = aff.subst("k", AffineExponent.from_expr(case_shift))
         if aff.key() in coeffs and all(aff != o for o in ordered):
             ordered.append(aff)
     return tuple(ordered), coeffs
@@ -508,21 +496,6 @@ class ChainReport:
         return [s.to_json() for s in self.steps]
 
 
-class _ChainBuilder:
-    def __init__(self, name: str, keep_going: bool):
-        self.name = name
-        self.keep_going = keep_going
-        self.steps = []
-
-    def check(self, step_id: str, description: str, ok: bool, detail: str = ""):
-        self.steps.append(StepResult(step_id, description, bool(ok), detail))
-        if not ok and not self.keep_going:
-            raise VerificationError(step_id, detail or description)
-
-    def report(self) -> ChainReport:
-        return ChainReport(self.name, tuple(self.steps))
-
-
 def _match_system(system: EquationSystem, fixture_eqs) -> bool:
     """Each fixture equation must match exactly one split equation up to a unit."""
     remaining = list(system.equations)
@@ -571,72 +544,72 @@ def _euler_form(e: Expr) -> tuple:
     return s, rhs
 
 
-def case_c_chain_p0(keep_going: bool = False) -> ChainReport:
+def case_c_chain_p0() -> ChainReport:
     """The p = 0 derivation chain for xi = f(t,x), eta = g(t,x)V + h(t,x)."""
     fx = fixture_json("chain_p0.json")
-    b = _ChainBuilder("case-c-p0", keep_going)
+    steps = []
     sysd = power_system()
     bindings = {"xi": parse("f"), "eta": parse("g*V + h")}
     assumptions = (Constraint.parse("k!=0"), Constraint.parse("k!=1"))
 
     eq3 = substitute(substitute(sysd.equations[2], bindings), {"p": 0})
-    b.check(
+    steps.append(StepResult(
         "reduce-eq3",
         "third determining equation under xi=f, eta=gV+h, p=0",
         equal_up_to_unit(eq3, parse(fx["eq3_p0"])),
-    )
+    ))
 
     system = split(eq3, assumptions)
-    b.check(
+    steps.append(StepResult(
         "split-eq3",
         "split into three equations by powers of V",
         len(system) == 3 and _match_system(system, fx["system_p0"]),
-    )
+    ))
 
     h_solved = solve_linear_for(parse(fx["system_p0"][0]), "h")
     fx_solved = solve_linear_for(parse(fx["system_p0"][1]), "f_x")
-    b.check(
+    steps.append(StepResult(
         "consequences",
         "h = 0 and f_x = -k g follow",
         h_solved.is_zero() and fx_solved == parse("-k*g"),
-    )
+    ))
 
     eq4 = substitute(substitute(sysd.equations[3], bindings), {"p": 0})
     eq4 = substitute(eq4, {"h": 0, "f_x": parse("-k*g")})
-    b.check(
+    steps.append(StepResult(
         "reduce-eq4",
         "fourth determining equation becomes the linear ODE for F",
         equal_up_to_unit(eq4, parse(fx["ode_for_F"])),
-    )
+    ))
 
     s, rhs = _euler_form(parse(fx["ode_for_F"]))
     F = euler_ode_solve(s, rhs, assumptions)
-    b.check(
+    steps.append(StepResult(
         "solve-ode",
         "general solution of the linear ODE",
         F == parse(fx["F_solution"]),
-    )
+    ))
 
     groups = collect(F)
     k_plus_1 = CollectKey(parse_affine("k+1"), AFF_ZERO, ())
     v_one = CollectKey(parse_affine("1"), AFF_ZERO, ())
     coeff_k1 = groups.get(k_plus_1, Expr.zero())
     coeff_v = groups.get(v_one, Expr.zero())
-    b.check(
+    steps.append(StepResult(
         "constancy",
         "non-constant coefficients give the two constancy relations",
         coeff_k1 == -parse(fx["constancy"][0]) and coeff_v == parse(fx["constancy"][1]),
-    )
+    ))
 
     g_alpha = {"g": parse("alpha")}
-    b.check(
+    steps.append(StepResult(
         "g-depends-on-t",
         "with g = alpha(t) the V^(k+1) coefficient vanishes and f is linear in x",
         substitute(coeff_k1, g_alpha).is_zero()
         and substitute(
             parse("f_x + k*g"), {"f": parse(fx["xi_form"]), **g_alpha}
         ).is_zero(),
-    )
+    ))
 
     eq_remaining = substitute(
         parse(fx["system_p0"][2]),
@@ -649,91 +622,91 @@ def case_c_chain_p0(keep_going: bool = False) -> ChainReport:
         substitute(eq, alpha_beta).is_zero() for eq in two_odes.values()
     )
     source_clean = substitute(coeff_v, {"g": parse(fx["alpha"])}).is_zero()
-    b.check(
+    steps.append(StepResult(
         "alpha-beta",
         "the x-split pair of ODEs is solved by alpha, beta and the V "
         "coefficient of F drops out",
         ode_ok and len(two_odes) == 2 and odes_solved and source_clean,
-    )
+    ))
 
     ops = fixture_json("operators.json")
     op = normalize_operator(SymOperator.of(**ops["scaling"]))
     eq = EvolutionEq.power(p=0, F2=parse(fx["source_term"]))
     residuals = check_operator(eq, op)
-    b.check(
+    steps.append(StepResult(
         "scaling-operator",
         "the scaling-translation operator satisfies all four determining "
         "equations",
         all(r.is_zero() for r in residuals),
-    )
-    return b.report()
+    ))
+    return ChainReport("case-c-p0", tuple(steps))
 
 
-def case_c_chain_k1_p2(keep_going: bool = False) -> ChainReport:
+def case_c_chain_k1_p2() -> ChainReport:
     """The k = 1, p = 2 derivation chain for xi = f, eta = gV + h."""
     fx = fixture_json("chain_k1_p2.json")
-    b = _ChainBuilder("case-c-k1-p2", keep_going)
+    steps = []
     sysd = power_system()
     bindings = {"xi": parse("f"), "eta": parse("g*V + h")}
 
     eq3_k1 = substitute(substitute(sysd.equations[2], bindings), {"k": 1})
-    b.check(
+    steps.append(StepResult(
         "reduce-eq3-k1",
         "third determining equation under k=1",
         equal_up_to_unit(eq3_k1, parse(fx["eq3_k1"])),
-    )
+    ))
 
     eq3 = substitute(eq3_k1, {"p": 2})
-    b.check(
+    steps.append(StepResult(
         "reduce-eq3-p2",
         "specializing p=2 merges the linear-in-V terms",
         equal_up_to_unit(eq3, parse(fx["eq3_k1_p2"])),
-    )
+    ))
 
     system = split(eq3)
-    b.check(
+    steps.append(StepResult(
         "split-eq3",
         "three equations for three unknown functions",
         len(system) == 3 and _match_system(system, fx["system_k1_p2"]),
-    )
+    ))
 
     eq4 = substitute(substitute(sysd.equations[3], bindings), {"k": 1, "p": 2})
-    b.check(
+    steps.append(StepResult(
         "reduce-eq4",
         "fourth determining equation with the source still unknown",
         equal_up_to_unit(eq4, parse(fx["source_equation"])),
-    )
+    ))
 
     cubic = substitute(parse(fx["source_equation"]), {"F": parse(fx["cubic_source"])})
     cubic_system = split(cubic)
     all_exact = len(cubic_system) == 4 and all(
         eq == parse(text) for eq, text in zip(cubic_system.equations, fx["cubic_split"])
     )
-    b.check(
+    steps.append(StepResult(
         "cubic-split",
         "cubic source splits the equation into four exact relations",
         all_exact,
-    )
+    ))
 
     g_binding = {"g": parse(fx["g_ansatz"])}
     h_solved = solve_linear_for(
         substitute(parse(fx["system_k1_p2"][2]), g_binding), "h"
     )
-    b.check(
+    steps.append(StepResult(
         "h-from-f",
         "eliminating g gives h in terms of f_xx",
         h_solved == parse(fx["h_solution"]),
-    )
+    ))
 
     relation = substitute(
         parse(fx["system_k1_p2"][1]), {**g_binding, "h": parse(fx["h_solution"])}
     ) * parse("-lambda")
-    b.check(
+    steps.append(StepResult(
         "f-relation",
         "the remaining equation ties f to f_x and f_xx",
         relation == parse(fx["f_relation"]),
-    )
-    return b.report()
+    ))
+    return ChainReport("case-c-k1-p2", tuple(steps))
 
 
 def residual_check_candidate(f: Expr, g: Expr, h: Expr, lambdas: dict | None = None) -> list:

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from . import classify, numeric
-from .calculus import Constraint, split, substitute
+from .calculus import Constraint, eq_normalize, split, substitute
 from .determining import EvolutionEq, SymOperator, check_operator, generate_determining_system, normalize_operator
 from .errors import NumericError, TermLanguageError
 from .parser import parse, parse_affine
@@ -100,7 +100,7 @@ def _parse_constraints(text: str | None) -> tuple:
 
 def _emit(payload, as_json: bool, lines) -> None:
     if as_json:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
         for line in lines:
             sys.stdout.write(line + "\n")
@@ -215,17 +215,19 @@ def _cmd_transform(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(moved.to_csv())
+    # no ratio to a baseline that is already an exact solution
+    ratio = res / base if base else None
     payload = {
         "epsilon": args.eps,
         "baseline_residual": base,
         "transformed_residual": res,
-        "ratio": res / base if base else float("inf"),
+        "ratio": ratio,
     }
     _emit(
         payload, args.json,
         [f"baseline residual   : {base:.3e}",
          f"transformed residual: {res:.3e} (eps = {args.eps})",
-         f"ratio               : {payload['ratio']:.2f}"],
+         "ratio               : " + ("n/a" if ratio is None else f"{ratio:.2f}")],
     )
     return 0
 
@@ -244,8 +246,6 @@ def _suite_steps(seed: int, corrupt: str | None):
         ):
             eq = EvolutionEq.power() if family == "power" else EvolutionEq.exponential()
             system = generate_determining_system(eq)
-            from .calculus import eq_normalize
-
             fixture = classify.fixture_json(name)["equations"]
             if corrupt == "determining-systems":
                 fixture = list(fixture)
@@ -316,7 +316,7 @@ def _suite_steps(seed: int, corrupt: str | None):
     def chain_report(chain):
         if chain not in reports:
             try:
-                reports[chain] = chain(keep_going=True)
+                reports[chain] = chain()
             except (TermLanguageError, NumericError) as exc:
                 reports[chain] = exc
         return reports[chain]

@@ -150,7 +150,6 @@ class EvolutionEq:
     F1: Expr
     F2: Expr | None = None
     assumptions: tuple = ()
-    nonzero_symbols: tuple = ("lambda",)
 
     @staticmethod
     def power(p=None, k=None, F2: Expr | None = None) -> "EvolutionEq":

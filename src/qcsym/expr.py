@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DivisionError
-from .poly import CoeffFrac, F_ONE, F_ZERO, Poly
+from .poly import CoeffFrac, F_ONE, Poly
 
 EXPONENT_PARAMS = ("p", "k", "n")
 
@@ -110,6 +110,37 @@ class AffineExponent:
                 return None
         return cls(**coeffs)
 
+    @classmethod
+    def from_expr(cls, e: "Expr") -> "AffineExponent":
+        """The affine form a coefficient-only expression spells; ValueError
+        when it carries V powers, atoms, or a non-affine coefficient."""
+        if e.is_zero():
+            return AFF_ZERO
+        if len(e.terms) != 1:
+            # a sum of plain coefficient terms canonicalizes to one term,
+            # so anything else carries atoms or V powers
+            raise ValueError("exponent must be an affine coefficient expression")
+        t = e.terms[0]
+        if not t.vpow.is_zero() or not t.expc.is_zero() or t.fns:
+            raise ValueError("exponent must be an affine coefficient expression")
+        aff = cls.from_poly(t.coeff.num) if t.coeff.den.is_const() else None
+        if aff is None:
+            raise ValueError(f"exponent {coeff_text(t.coeff)} is not affine in p, k, n")
+        return aff
+
+    def proportional_to(self, other: "AffineExponent") -> bool:
+        """True when self = c*other for a nonzero rational c.
+
+        Compared by cross-multiplication against one pivot coefficient: the key
+        entries may be ints, and int / int would be float division.
+        """
+        pairs = tuple(zip(self._key, other._key))
+        pivot = next(((x, y) for x, y in pairs if y), None)
+        if pivot is None or not pivot[0]:
+            return False
+        px, py = pivot
+        return all(x * py == px * y for x, y in pairs)
+
     def to_poly(self) -> Poly:
         out = Poly.const(self.c0)
         for c, name in ((self.cp, "p"), (self.ck, "k"), (self.cn, "n")):
@@ -188,7 +219,7 @@ class FnAtom:
         return f"{self.base_text()}^({self.power})"
 
 
-def _merge_fns(fns1, fns2):
+def merge_fns(fns1, fns2):
     """Merge two sorted atom tuples, summing powers of identical atoms."""
     out = {}
     for a in fns1 + fns2:
@@ -227,7 +258,7 @@ class Term:
             self.coeff * other.coeff,
             self.vpow + other.vpow,
             self.expc + other.expc,
-            _merge_fns(self.fns, other.fns),
+            merge_fns(self.fns, other.fns),
         )
 
     def scale(self, c: CoeffFrac) -> "Term":
@@ -244,7 +275,7 @@ class Term:
         return hash((self._sig, self.coeff))
 
     def __repr__(self) -> str:
-        return f"Term<{term_text(self, lead=True)}>"
+        return f"Term<{Expr((self,))}>"
 
 
 class Expr:
@@ -352,9 +383,6 @@ class Expr:
             return E_ZERO
         return Expr(tuple(t.scale(c) for t in self.terms))
 
-    def is_single_term(self) -> bool:
-        return len(self.terms) == 1
-
     def invert(self) -> "Expr":
         """Invert a single-term expression with no derived atoms."""
         if len(self.terms) != 1:
@@ -385,19 +413,6 @@ class Expr:
 
     def lead(self) -> Term:
         return self.terms[0]
-
-    def fn_names(self) -> set:
-        out = set()
-        for t in self.terms:
-            for a in t.fns:
-                out.add(a.name)
-        return out
-
-    def coeff_gens(self) -> set:
-        out = set()
-        for t in self.terms:
-            out |= t.coeff.gens()
-        return out
 
     def __str__(self) -> str:
         return expr_text(self)
@@ -470,10 +485,6 @@ DEFAULT_CONTEXT = Context(DEFAULT_PARAMS, DEFAULT_FNS)
 # canonical printing
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c)
-
-
 def poly_text(p: Poly) -> str:
     if p.is_zero():
         return "0"
@@ -493,11 +504,11 @@ def poly_text(p: Poly) -> str:
             factors.append(name if e == 1 else f"{name}^{e}")
         mag = abs(c)
         if not factors:
-            body = _frac_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = _frac_str(mag) + "*" + "*".join(factors)
+            body = str(mag) + "*" + "*".join(factors)
         parts.append(("-" if c < 0 else "+", body))
     sign, body = parts[0]
     text = ("-" if sign == "-" else "") + body
@@ -573,7 +584,7 @@ def _exp_text(c: AffineExponent) -> str:
     return f"exp(({affine_text(c)})*V)"
 
 
-def term_text(t: Term, lead: bool) -> tuple:
+def term_text(t: Term) -> tuple:
     """Return (sign, body) for a term; body omits the sign."""
     sign = "-" if t.coeff.sign() < 0 else "+"
     coeff = t.coeff if t.coeff.sign() >= 0 else -t.coeff
@@ -602,9 +613,9 @@ def term_text(t: Term, lead: bool) -> tuple:
 def expr_text(e: Expr) -> str:
     if e.is_zero():
         return "0"
-    sign, body = term_text(e.terms[0], lead=True)
+    sign, body = term_text(e.terms[0])
     text = ("-" if sign == "-" else "") + body
     for t in e.terms[1:]:
-        sign, body = term_text(t, lead=False)
+        sign, body = term_text(t)
         text += f" {sign} {body}"
     return text

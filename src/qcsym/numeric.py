@@ -156,6 +156,10 @@ class Instance:
         )
         if grid.nx < 2:
             raise NumericError("instance entry 'grid.nx' must be at least 2")
+        if not (math.isfinite(grid.dt) and grid.dt > 0):
+            raise NumericError(
+                f"instance entry 'grid.dt' must be finite and positive: {g['dt']!r}"
+            )
         op = data.get("operator", {"tau": "1", "xi": "0", "eta": "0"})
         return Instance(
             family=data.get("family", "power"),

@@ -9,7 +9,6 @@ Division is restricted to invertible single-term expressions.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .errors import DivisionError, ParseError, UnknownSymbolError
 from .expr import (
@@ -18,7 +17,6 @@ from .expr import (
     Context,
     DEFAULT_CONTEXT,
     Expr,
-    coeff_text,
 )
 
 _TOKEN_RE = re.compile(
@@ -165,7 +163,7 @@ class _Parser:
     def apply_power(self, base: Expr, exponent: Expr, pos: int) -> Expr:
         if _is_plain_v(base):
             try:
-                return Expr.vpower(_as_affine(exponent))
+                return Expr.vpower(AffineExponent.from_expr(exponent))
             except ValueError as exc:
                 raise ParseError(f"bad V exponent: {exc}", pos) from None
         n = _as_integer(exponent, pos)
@@ -182,7 +180,7 @@ class _Parser:
         total = AFF_ZERO
         for t in inner.terms:
             try:
-                total = total + _as_affine(Expr.from_coeff(t.coeff))
+                total = total + AffineExponent.from_expr(Expr.from_coeff(t.coeff))
             except ValueError as exc:
                 raise ParseError(f"bad exp argument: {exc}", pos) from None
         if total.is_zero():
@@ -201,22 +199,6 @@ def _is_plain_v(e: Expr) -> bool:
         and t.coeff.is_const()
         and t.coeff.const_value() == 1
     )
-
-
-def _as_affine(e: Expr) -> AffineExponent:
-    if e.is_zero():
-        return AFF_ZERO
-    if len(e.terms) != 1:
-        # a sum of plain coefficient terms canonicalizes to one term,
-        # so anything else carries atoms or V powers
-        raise ValueError("exponent must be an affine coefficient expression")
-    t = e.terms[0]
-    if not t.vpow.is_zero() or not t.expc.is_zero() or t.fns:
-        raise ValueError("exponent must be an affine coefficient expression")
-    aff = AffineExponent.from_poly(t.coeff.num) if t.coeff.den.is_const() else None
-    if aff is None:
-        raise ValueError(f"exponent {coeff_text(t.coeff)} is not affine in p, k, n")
-    return aff
 
 
 def _as_integer(e: Expr, pos: int) -> int:
@@ -248,8 +230,4 @@ def parse_affine(text: str, ctx: Context = DEFAULT_CONTEXT) -> AffineExponent:
     """Parse an affine exponent such as '2p+3' or '2*p+3'."""
     normalized = re.sub(r"(\d)\s*([pkn])\b", r"\1*\2", text)
     e = parse(normalized, ctx)
-    return _as_affine(e)
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    return AffineExponent.from_expr(e)

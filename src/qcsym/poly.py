@@ -212,9 +212,6 @@ class Poly:
                     d = e
         return d
 
-    def max_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
     def lead_mono(self) -> Mono:
         """Leading monomial under graded lexicographic order."""
         gens = sorted(self.gens())
@@ -265,15 +262,6 @@ class Poly:
             v = c
             for name, e in m:
                 v *= Fraction(values[name]) ** e
-            total += v
-        return total
-
-    def eval_float(self, values: dict) -> float:
-        total = 0.0
-        for m, c in self.terms.items():
-            v = float(c)
-            for name, e in m:
-                v *= values[name] ** e
             total += v
         return total
 

@@ -6,18 +6,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcsym.calculus import (
     Constraint,
-    _proportional,
     collect,
     collect_in,
     diff,
     equal_up_to_unit,
     euler_ode_solve,
+    excluded_by,
     solve_linear_for,
     split,
     substitute,
 )
 from qcsym.errors import AmbiguousGradingError, PoleError, ResonanceError
-from qcsym.expr import AffineExponent, Expr
+from qcsym.expr import AFF_ZERO, DEFAULT_CONTEXT, AffineExponent, Expr
 from qcsym.parser import parse, parse_affine
 from qcsym.poly import CoeffFrac
 
@@ -262,11 +262,91 @@ def test_euler_rejects_non_power_right_side():
 )  # p + k/2 against 3p + 3k/2: a ratio of 1/3 from an integral and a half pair
 def test_proportional_is_exact(a, c, index, delta):
     b = a.scale(c)
-    assert _proportional(a, b) == (not a.is_zero())
+    assert a.proportional_to(b) == (not a.is_zero())
     # moving one coefficient of b breaks the proportion, unless a is a
     # multiple of that coefficient's unit form
     coeffs = [b.cp, b.ck, b.cn, b.c0]
     if [i for i, v in enumerate(a.key()) if v] == [index]:
         index = (index + 1) % 4
     coeffs[index] += delta
-    assert not _proportional(a, AffineExponent(*coeffs))
+    assert not a.proportional_to(AffineExponent(*coeffs))
+
+
+def _at(a: AffineExponent, point) -> Fraction:
+    p, k, n = point
+    return a.cp * p + a.ck * k + a.cn * n + a.c0
+
+
+# relations as the case analysis writes them (k = p - 1, p = 0, k != 1)
+# involve one or two parameters; AFFINE_FORMS mostly involve all three
+FORMS = AFFINE_FORMS | st.builds(
+    AffineExponent, *[st.just(Fraction(0)) | RATIONALS] * 3, RATIONALS
+)
+
+
+@st.composite
+def exclusion_problems(draw):
+    """A rational point (p, k, n), assumptions that hold there, and a form.
+
+    The equalities are shifted to hold at the point. The form is often moved
+    by multiples of the equalities, and it vanishes at the point half of the
+    time. One forbidden relation is a multiple of the form, moved by
+    multiples of the equalities and sometimes by a constant, so that the
+    equality reduction and the proportion test both decide verdicts.
+    Forbidden relations that vanish at the point are dropped.
+    """
+    point = draw(st.tuples(RATIONALS, RATIONALS, RATIONALS))
+    equal = []
+    for e in draw(st.lists(FORMS, max_size=2)):
+        e = e - AffineExponent.const(_at(e, point))
+        if not e.is_const():
+            equal.append(Constraint(e, AFF_ZERO, "equal"))
+
+    def through_equalities(a):
+        for c in equal:
+            a = a + c.lhs.scale(draw(RATIONALS))
+        return a
+
+    form = draw(FORMS)
+    if draw(st.booleans()):
+        form = through_equalities(form)
+    if draw(st.booleans()):
+        form = form - AffineExponent.const(_at(form, point))
+    witness = through_equalities(form.scale(draw(RATIONALS.filter(bool))))
+    if draw(st.booleans()):
+        witness = witness + AffineExponent.const(draw(RATIONALS.filter(bool)))
+    forbidden = [
+        Constraint(f, AFF_ZERO, "forbidden")
+        for f in draw(st.lists(FORMS, max_size=2)) + [witness]
+        if _at(f, point)
+    ]
+    order = draw(st.permutations(equal + forbidden))
+    return point, tuple(order), form
+
+
+@settings(max_examples=500, deadline=None)
+@given(exclusion_problems())
+def test_excluded_by_is_sound(problem):
+    # a relation that holds at a point satisfying every assumption is
+    # never ruled out
+    point, assumptions, form = problem
+    if excluded_by(form, assumptions):
+        assert _at(form, point) != 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(exclusion_problems(), st.integers(0, 3))
+def test_split_separates_only_excluded_keys(problem, shape):
+    # split keeps a*V^v*exp(c*V) apart from f only when (v, c) cannot be
+    # (0, 0) under the assumptions
+    point, assumptions, form = problem
+    merged = sum((c.lhs for c in assumptions if c.kind == "equal"), AFF_ZERO)
+    vpow, expc = [(form, AFF_ZERO), (AFF_ZERO, form), (form, form), (form, merged)][shape]
+    a, f = DEFAULT_CONTEXT.fn_atom("a"), DEFAULT_CONTEXT.fn_atom("f")
+    e = Expr.atom(a) * Expr.vpower(vpow) * Expr.exp_atom(expc) + Expr.atom(f)
+    try:
+        system = split(e, assumptions)
+    except AmbiguousGradingError:
+        return
+    if len(system) == 2:
+        assert (_at(vpow, point), _at(expc, point)) != (0, 0)

@@ -184,9 +184,7 @@ def test_special_cases_respect_forbidden():
     for case in fifteen_power_cases():
         form = case.constraint.form()
         for c in forbidden:
-            from qcsym.calculus import _proportional
-
-            assert not _proportional(form, c.form())
+            assert not form.proportional_to(c.form())
 
 
 def test_empty_exponent_list():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qcsym import classify
+from qcsym import classify, numeric
 from qcsym.calculus import eq_normalize
 from qcsym.classify import fixture_json
 from qcsym.cli import main, verify_paper
@@ -227,20 +227,20 @@ def test_output_deterministic_across_processes():
 def test_suite_reuses_chain_verdicts(monkeypatch, chain, check, chain_step, dependent_step):
     calls = []
 
-    def stub(keep_going=False):
-        calls.append(keep_going)
+    def stub():
+        calls.append(chain)
         return classify.ChainReport("stub", (classify.StepResult(check, "stubbed", False),))
 
     monkeypatch.setattr(classify, chain, stub)
     report, ok = verify_paper(keep_going=True)
     assert not ok
-    assert calls == [True]
+    assert calls == [chain]
     failed = [step["id"] for step in report if step["status"] != "pass"]
     assert failed == [chain_step, dependent_step]
 
 
 def test_suite_step_fails_when_its_chain_raises(monkeypatch):
-    def stub(keep_going=False):
+    def stub():
         raise VerificationError("reduce-eq3", "stubbed")
 
     monkeypatch.setattr(classify, "case_c_chain_k1_p2", stub)
@@ -263,6 +263,32 @@ def test_transform_at_k_zero(tmp_path, capsys):
     assert json.loads(out)["epsilon"] == 0.1
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_transform_exact_baseline_has_no_ratio(tmp_path, capsys, monkeypatch):
+    # a constant field solves the source-free equation exactly
+    data = fixture_json("instance_scaling.json")
+    data["F"] = "0"
+    data["initial"] = {"type": "constant", "value": 1.0}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "transform", "--equation", str(path), "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["baseline_residual"] == 0.0
+    assert payload["ratio"] is None
+    code, out, _ = run(capsys, "transform", "--equation", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "ratio               : n/a"
+    # a non-finite value is refused instead of printed as invalid JSON
+    monkeypatch.setattr(numeric, "invariance_residual", lambda *args: float("nan"))
+    code, out, err = run(capsys, "transform", "--equation", str(path), "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "entry",
     # a bare key is deleted; a (key, value) pair sets a bad value
@@ -271,6 +297,7 @@ def test_transform_at_k_zero(tmp_path, capsys):
         for key, value in (
             ("grid.nx", 1), ("p", "1/0"), ("m", "1/0"), ("k", "1/0"),
             ("lambda", "1/0"), ("lambda", "inf"),
+            ("grid.dt", 0), ("grid.dt", -0.001), ("grid.dt", float("nan")),
         )
     ],
 )
@@ -285,7 +312,7 @@ def test_transform_at_k_zero(tmp_path, capsys):
 def test_instance_missing_key_is_usage_error(tmp_path, capsys, entry, command):
     data = fixture_json("instance_scaling.json")
     key, value = entry if isinstance(entry, tuple) else (entry, None)
-    doc, name = (data["grid"], "nx") if key == "grid.nx" else (data, key)
+    doc, name = (data["grid"], key[5:]) if key.startswith("grid.") else (data, key)
     if value is None:
         del doc[name]
     else:

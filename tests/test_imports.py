@@ -1,0 +1,52 @@
+"""The package's import rule: no qcsym module imports a private name of
+another, and every import from within the package sits at module level."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import qcsym
+
+MODULES = sorted(Path(qcsym.__file__).parent.glob("*.py"))
+
+
+def _violations(source: str) -> list:
+    tree = ast.parse(source)
+    local = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+    }
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "qcsym":
+            continue
+        if id(node) in local:
+            out.append(f"line {node.lineno}: import inside a function")
+        out += [
+            f"line {node.lineno}: private name {alias.name}"
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_keeps_the_import_rule(path):
+    assert _violations(path.read_text()) == []
+
+
+def test_rule_catches_both_kinds():
+    source = (
+        "from .expr import Expr, _hidden\n"
+        "from fractions import _private_is_not_ours\n"
+        "def f():\n"
+        "    from qcsym.parser import parse\n"
+    )
+    assert _violations(source) == [
+        "line 1: private name _hidden",
+        "line 4: import inside a function",
+    ]
