@@ -235,10 +235,12 @@ class Constraint:
     @staticmethod
     def parse(text: str, kind: str = "equal") -> "Constraint":
         if "!=" in text:
-            lhs, rhs = text.split("!=", 1)
+            lhs, _, rhs = text.partition("!=")
             kind = "forbidden"
         else:
-            lhs, rhs = text.split("=", 1)
+            lhs, eq, rhs = text.partition("=")
+            if not eq:
+                raise ValueError(f"relation {text!r} needs '=' or '!='")
         return Constraint(parse_affine(lhs), parse_affine(rhs), kind)
 
     def solved_for(self) -> tuple:
@@ -342,14 +344,11 @@ def collect(e: Expr) -> dict:
 
 
 def _keys_distinct(k1: CollectKey, k2: CollectKey, assumptions) -> bool:
-    if k1.fpart != k2.fpart:
-        return True
-    dc = k1.expc - k2.expc
-    if excluded_by(dc, assumptions):
-        return True
-    # exponentials that merge under the equalities leave the V-powers to differ
-    return _apply_equalities(dc, assumptions).is_zero() and excluded_by(
-        k1.vpow - k2.vpow, assumptions
+    # the keys coincide only where both exponent differences vanish
+    return (
+        k1.fpart != k2.fpart
+        or excluded_by(k1.expc - k2.expc, assumptions)
+        or excluded_by(k1.vpow - k2.vpow, assumptions)
     )
 
 

@@ -7,8 +7,6 @@ results into floating-point evaluations on lattices.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -58,6 +56,7 @@ class Field:
     x0: float
     dx: float
     values: np.ndarray  # shape (nt, nx), row index is time
+    coverage: float = 1.0  # share of the requested lattice a resampling kept
 
     @property
     def nt(self) -> int:
@@ -74,38 +73,57 @@ class Field:
         return self.x0 + self.dx * np.arange(self.nx)
 
     def copy(self) -> "Field":
-        return Field(self.t0, self.dt, self.x0, self.dx, self.values.copy())
+        return Field(self.t0, self.dt, self.x0, self.dx, self.values.copy(), self.coverage)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["t", "x", "V"])
-        ts = self.times()
-        xs = self.xs()
-        for i in range(self.nt):
-            for j in range(self.nx):
-                writer.writerow(
-                    [format(ts[i], ".17g"), format(xs[j], ".17g"),
-                     format(self.values[i, j], ".17g")]
-                )
-        return out.getvalue()
+        """The field as ``t,x,V`` rows, time-major, every number in ``.17g``.
+
+        A ``.17g`` number holds no comma, quote or newline, so no cell
+        needs CSV quoting; each of the nt times and nx positions is
+        formatted once.
+        """
+        ts = [format(t, ".17g") + "," for t in self.times().tolist()]
+        xs = [format(x, ".17g") + "," for x in self.xs().tolist()]
+        blocks = ["t,x,V\n"]
+        for t, row in zip(ts, self.values.tolist()):
+            blocks.append("".join([f"{t}{x}{v:.17g}\n" for x, v in zip(xs, row)]))
+        return "".join(blocks)
 
     @staticmethod
     def from_csv(text: str) -> "Field":
-        rows = list(csv.reader(io.StringIO(text)))
-        if len(rows) < 2 or rows[0] != ["t", "x", "V"]:
+        """Read a field written by ``to_csv``; rows may come in any order.
+
+        Every row holds three numbers and the rows cover each cell of the
+        t x x lattice exactly once; anything else is a ``ValueError``.
+        """
+        lines = text.splitlines()
+        if len(lines) < 2 or lines[0] != "t,x,V":
             raise ValueError("a field CSV needs the header t,x,V and at least one row")
-        ts = sorted({float(r[0]) for r in rows[1:]})
-        xs = sorted({float(r[1]) for r in rows[1:]})
-        values = np.empty((len(ts), len(xs)))
-        t_index = {v: i for i, v in enumerate(ts)}
-        x_index = {v: j for j, v in enumerate(xs)}
-        for r in rows[1:]:
-            values[t_index[float(r[0])], x_index[float(r[1])]] = float(r[2])
+        try:
+            # blank lines are skipped here and caught by the row count below
+            rows = np.loadtxt(lines[1:], delimiter=",", ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"a field CSV row needs three numbers t,x,V: {exc}") from None
+        if rows.shape != (len(lines) - 1, 3):
+            raise ValueError("a field CSV row needs three numbers t,x,V")
+        ts, ti = np.unique(rows[:, 0], return_inverse=True)
+        xs, xi = np.unique(rows[:, 1], return_inverse=True)
+        cell = ti * len(xs) + xi
+        count = np.bincount(cell, minlength=len(ts) * len(xs))
+        bad = np.flatnonzero(count != 1)
+        if bad.size:
+            what = "duplicate" if count[bad[0]] else "missing"
+            i, j = divmod(int(bad[0]), len(xs))
+            raise ValueError(
+                f"a field CSV has a {what} cell at t={float(ts[i])!r}, x={float(xs[j])!r}"
+            )
+        values = np.empty(len(ts) * len(xs))
+        values[cell] = rows[:, 2]
+        t0, t1, x0, x1 = float(ts[0]), float(ts[-1]), float(xs[0]), float(xs[-1])
         return Field(
-            ts[0], (ts[-1] - ts[0]) / max(len(ts) - 1, 1),
-            xs[0], (xs[-1] - xs[0]) / max(len(xs) - 1, 1),
-            values,
+            t0, (t1 - t0) / max(len(ts) - 1, 1),
+            x0, (x1 - x0) / max(len(xs) - 1, 1),
+            values.reshape(len(ts), len(xs)),
         )
 
 
@@ -556,9 +574,7 @@ def group_transform(
                 (1 - wt) * ((1 - wx) * v00 + wx * v01)
                 + wt * ((1 - wx) * v10 + wx * v11)
             )
-    result = Field(ts[ti[0]], onto.dt, xs[xi[0]], onto.dx, out)
-    result.coverage = coverage  # type: ignore[attr-defined]
-    return result
+    return Field(ts[ti[0]], onto.dt, xs[xi[0]], onto.dx, out, coverage)
 
 
 # ---------------------------------------------------------------------------

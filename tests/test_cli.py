@@ -74,6 +74,23 @@ def test_split_command(capsys):
     )
     assert code == 0
     assert len(json.loads(out)["equations"]) == 3
+    # V-powers that differ by a constant keep the keys apart whatever k and p are
+    code, out, _ = run(capsys, "split", "a*V^2*exp(k*V) + f*V^3*exp(p*V)", "--json")
+    assert code == 0
+    assert len(json.loads(out)["equations"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coincide", "--exponents", "p,k", "--forbidden", "k"],
+        ["table", "--case", "k", "--target", "p"],
+    ],
+)
+def test_relation_without_operator_is_usage_error(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: relation 'k' needs '=' or '!='\n"
 
 
 def test_split_ambiguous_is_usage_error(capsys):

@@ -1,5 +1,8 @@
 """Numeric verification: evaluation, sampling, solving, flows, substitution."""
+import csv
+import io
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -241,6 +244,46 @@ def test_csv_round_trip():
     assert back.nt == field.nt and back.nx == field.nx
 
 
+def _reference_csv(field: Field) -> str:
+    # the byte contract: one csv.writer row per cell, every number in .17g
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["t", "x", "V"])
+    ts, xs = field.times(), field.xs()
+    for i in range(field.nt):
+        for j in range(field.nx):
+            writer.writerow([format(ts[i], ".17g"), format(xs[j], ".17g"),
+                             format(field.values[i, j], ".17g")])
+    return out.getvalue()
+
+
+def _random_field() -> Field:
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((13, 11)) * 10.0 ** rng.integers(-8, 9, (13, 11))
+    values.flat[:4] = [1e-300, -1e300, -0.0, 1e300]
+    return Field(-0.3, 1.7e-3, -2.5, 0.0371, values)
+
+
+@pytest.mark.parametrize("which", ["solved", "random"])
+def test_csv_matches_reference_writer_and_reads_back_shuffled(which):
+    if which == "solved":
+        inst = scaling_instance()
+        field = solve_pde(inst, initial_row(inst), 20)
+    else:
+        field = _random_field()
+    text = field.to_csv()
+    assert text == _reference_csv(field)
+    header, *rows = text.splitlines(keepends=True)
+    random.Random(3).shuffle(rows)
+    back = Field.from_csv(header + "".join(rows))
+    assert np.array_equal(back.values, field.values)
+    assert back.values.tobytes() == field.values.tobytes()  # keeps -0.0
+    in_order = Field.from_csv(text)
+    assert (back.t0, back.dt, back.x0, back.dx) == (
+        in_order.t0, in_order.dt, in_order.x0, in_order.dx,
+    )
+
+
 # ---------------------------------------------------------------------------
 # group flow
 
@@ -368,7 +411,20 @@ def test_flow_at_k_zero_is_the_translation():
             assert flow.map_x(v, 0.0, eps) == v + 1.5 * eps
 
 
-@pytest.mark.parametrize("text", ["a,b,c\n0,0,1\n", ""])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a,b,c\n0,0,1\n",
+        "",
+        "t,x,V\n0,0,1\n0,1,2\n1,0,3\n",  # cell (1, 1) missing
+        "t,x,V\n0,0,1\n0,0,2\n",  # cell (0, 0) twice
+        "t,x,V\n0,0,1\n0,1\n",
+        "t,x,V\n0,0\n",
+        "t,x,V\n0,0,1,4\n",
+        "t,x,V\n0,0,1\n\n0,1,2\n",
+        "t,x,V\n0,0,1\n0,1,abc\n",
+    ],
+)
 def test_csv_read_rejects_text_without_the_header(text):
     with pytest.raises(ValueError):
         Field.from_csv(text)
