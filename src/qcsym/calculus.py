@@ -104,7 +104,7 @@ def _diff_many(e: Expr, var: str, count: int) -> Expr:
     return e
 
 
-def substitute(e: Expr, bindings: dict, ctx=None) -> Expr:
+def substitute(e: Expr, bindings: dict) -> Expr:
     """Substitute function atoms and parameter symbols.
 
     Keys are parameter names, function names, or derivative keys such as
@@ -113,13 +113,12 @@ def substitute(e: Expr, bindings: dict, ctx=None) -> Expr:
     are substituted through the whole result, so numeric instantiations see
     concrete functions.
     """
-    ctx = ctx or DEFAULT_CONTEXT
     fn_bindings: dict = {}
     param_bindings: dict = {}
     for key, value in bindings.items():
         name, dt, dx, dV = _parse_binding_key(str(key))
-        is_fn = (dt or dx or dV) or name in ctx.fns or (
-            name not in ctx.params and _mentions_fn(e, name)
+        is_fn = (dt or dx or dV) or name in DEFAULT_CONTEXT.fns or (
+            name not in DEFAULT_CONTEXT.params and _mentions_fn(e, name)
         )
         if is_fn:
             fn_bindings[(name, dt, dx, dV)] = _coerce_expr(value)

@@ -1,9 +1,9 @@
 """Case analysis for the power-family classification.
 
 Covers the xi = a(t,x)V + f(t,x) branch (case B: general eta, source-term
-extraction, constancy consequences, exponent-coincidence enumeration and
-tables) and the xi = f(t,x), eta = g(t,x)V + h(t,x) branch (case C: the
-p = 0 and k = 1, p = 2 derivation chains), with every step checked as a
+extraction, exponent-coincidence enumeration and tables) and the
+xi = f(t,x), eta = g(t,x)V + h(t,x) branch (case C: the p = 0 and
+k = 1, p = 2 derivation chains), with every step checked as a
 zero-residual or canonical-equality assertion.
 """
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .calculus import (
     EquationSystem,
     collect,
     collect_in,
-    diff,
     equal_up_to_unit,
     euler_ode_solve,
     excluded_by,
@@ -122,105 +121,6 @@ def extract_F(subs: dict | None = None) -> Expr:
         raise VerificationError(
             "extract-source-term", f"coefficient of F not invertible: {exc}"
         ) from None
-
-
-@dataclass(frozen=True)
-class ConstancyRequirement:
-    """A collect key whose coefficient must not depend on t or x."""
-
-    key: CollectKey
-    coefficient: Expr
-    dt_zero: Expr
-    dx_zero: Expr
-
-    def already_constant(self) -> bool:
-        return self.dt_zero.is_zero() and self.dx_zero.is_zero()
-
-
-def constancy_constraints(Fexpr: Expr, assumptions=()) -> list:
-    """Constancy requirements for a source term depending on V only.
-
-    One requirement per key whose coefficient still depends on t or x;
-    constant-only input yields an empty list.
-    """
-    system = split(Fexpr, assumptions)
-    out = []
-    for key, coeff in zip(system.grading, system.equations):
-        req = ConstancyRequirement(key, coeff, diff(coeff, "t"), diff(coeff, "x"))
-        if not req.already_constant():
-            out.append(req)
-    return out
-
-
-def pairwise_distinct_assumptions(exponents) -> tuple:
-    """Forbidden constraints making every exponent pair provably distinct.
-
-    This encodes the fully generic parameter point, where none of the
-    coincidence cases holds.
-    """
-    exps = [_as_aff(e) for e in exponents]
-    out = []
-    for i, e1 in enumerate(exps):
-        for e2 in exps[i + 1:]:
-            delta = e1 - e2
-            if delta.is_const() or excluded_by(delta, out):
-                continue
-            out.append(Constraint(e1, e2, "forbidden"))
-    return tuple(out)
-
-
-def constants_forced(Fexpr: Expr, assumptions=()) -> list:
-    """Iteratively derive which unknown functions the constancy forces constant.
-
-    A requirement whose t- and x-derivatives each reduce to a single term
-    carrying one derived atom (with a coefficient that cannot vanish under
-    the assumptions) forces that function constant; forced functions are
-    replaced by fresh constants and the analysis repeats to a fixed point.
-    """
-    forced: list = []
-    current = Fexpr
-    while True:
-        new = []
-        for req in constancy_constraints(current, assumptions):
-            for deriv in (req.dt_zero, req.dx_zero):
-                name = _forced_name(deriv, assumptions)
-                if name and name not in forced and name not in new:
-                    new.append(name)
-        if not new:
-            return forced
-        for name in new:
-            forced.append(name)
-            current = substitute(current, {name: Expr.generator(name + "0")})
-
-
-def _forced_name(deriv: Expr, assumptions) -> str | None:
-    if len(deriv.terms) != 1:
-        return None
-    t = deriv.terms[0]
-    derived = [a for a in t.fns if a.is_derived()]
-    if len(derived) != 1 or derived[0].power != 1:
-        return None
-    # The multiplying coefficient must be certifiably nonzero.  Symbols other
-    # than p, k, n are generic nonzero constants, so only the exponent-
-    # parameter content matters: it must be a nonzero constant or an affine
-    # form whose vanishing the assumptions exclude.
-    restriction = _pkn_restriction(t.coeff.num)
-    if restriction.is_zero():
-        return None
-    aff = AffineExponent.from_poly(restriction)
-    if aff is None:
-        return None
-    if not aff.is_const() and not excluded_by(aff, assumptions):
-        return None
-    return derived[0].name
-
-
-def _pkn_restriction(p):
-    out: dict = {}
-    for mono, c in p.terms.items():
-        sub = tuple((g, e) for g, e in mono if g in ("p", "k", "n"))
-        out[sub] = out.get(sub, 0) + c
-    return Poly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -708,19 +608,3 @@ def case_c_chain_k1_p2() -> ChainReport:
     ))
     return ChainReport("case-c-k1-p2", tuple(steps))
 
-
-def residual_check_candidate(f: Expr, g: Expr, h: Expr, lambdas: dict | None = None) -> list:
-    """Residuals of the seven k=1, p=2 equations for a concrete (f, g, h).
-
-    All-zero residuals certify that the triple generates a conditional
-    symmetry operator d/dt + f d/dx + (gV + h) d/dV of the cubic-source
-    equation.
-    """
-    fx = fixture_json("chain_k1_p2.json")
-    bindings: dict = {"f": f, "g": g, "h": h}
-    if lambdas:
-        bindings.update(lambdas)
-    out = []
-    for text in list(fx["system_k1_p2"]) + list(fx["cubic_split"]):
-        out.append(substitute(parse(text), bindings))
-    return out

@@ -185,10 +185,6 @@ class EvolutionEq:
             assumptions=_standard_exponential_assumptions(),
         )
 
-    @staticmethod
-    def concrete(F0: Expr, F1: Expr, F2: Expr) -> "EvolutionEq":
-        return EvolutionEq(family="concrete", F0=F0, F1=F1, F2=F2, assumptions=())
-
 
 @dataclass(frozen=True)
 class SymOperator:

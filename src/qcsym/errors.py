@@ -72,7 +72,3 @@ class InstabilityError(NumericError):
 
 class PositivityError(NumericError):
     pass
-
-
-class OverlapError(NumericError):
-    pass

@@ -432,26 +432,9 @@ E_ONE = Expr((Term(F_ONE),))
 class Context:
     """Registry of parameter symbols and unknown-function signatures."""
 
-    RESERVED = {"t", "x", "V", "exp"}
-
     def __init__(self, params: frozenset, fns: dict):
         self.params = params
         self.fns = fns
-
-    def with_params(self, *names: str) -> "Context":
-        for n in names:
-            self._check_free(n)
-        return Context(self.params | frozenset(names), dict(self.fns))
-
-    def with_fn(self, name: str, deps: tuple) -> "Context":
-        self._check_free(name)
-        fns = dict(self.fns)
-        fns[name] = tuple(deps)
-        return Context(self.params, fns)
-
-    def _check_free(self, name: str):
-        if name in self.RESERVED or name in self.params or name in self.fns:
-            raise ValueError(f"symbol {name!r} already declared")
 
     def fn_atom(self, name: str, dt=0, dx=0, dV=0, power=1) -> FnAtom:
         return FnAtom(name, dt, dx, dV, power, self.fns[name])

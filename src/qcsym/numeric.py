@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +20,6 @@ from .errors import (
     EvalPoleError,
     InstabilityError,
     NumericError,
-    OverlapError,
     PositivityError,
     UnboundFunctionError,
 )
@@ -28,6 +27,7 @@ from .expr import Expr
 from .parser import parse
 
 _POLE_FLOOR = 1e-300
+_MAX_CELLS = 10**7  # largest nx * (steps + 1) lattice an instance may ask for
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,6 @@ class Field:
     x0: float
     dx: float
     values: np.ndarray  # shape (nt, nx), row index is time
-    coverage: float = 1.0  # share of the requested lattice a resampling kept
 
     @property
     def nt(self) -> int:
@@ -73,7 +72,7 @@ class Field:
         return self.x0 + self.dx * np.arange(self.nx)
 
     def copy(self) -> "Field":
-        return Field(self.t0, self.dt, self.x0, self.dx, self.values.copy(), self.coverage)
+        return Field(self.t0, self.dt, self.x0, self.dx, self.values.copy())
 
     def to_csv(self) -> str:
         """The field as ``t,x,V`` rows, time-major, every number in ``.17g``.
@@ -151,9 +150,8 @@ def _rational(doc: dict, key: str, alias: str | None = None, default=None) -> Fr
 
 @dataclass(frozen=True)
 class Instance:
-    """A fully concrete equation instance plus a candidate operator."""
+    """A fully concrete power-family instance plus a candidate operator."""
 
-    family: str
     p: Fraction
     k: Fraction
     lam: Fraction
@@ -178,9 +176,25 @@ class Instance:
             raise NumericError(
                 f"instance entry 'grid.dt' must be finite and positive: {g['dt']!r}"
             )
+        if grid.steps < 0:
+            raise NumericError("instance entry 'grid.steps' must be at least 0")
+        cells = grid.nx * (grid.steps + 1)
+        if cells > _MAX_CELLS:
+            raise NumericError(
+                f"instance entries 'grid.nx' * ('grid.steps' + 1) = {cells} "
+                f"exceed the {_MAX_CELLS} lattice cells allowed"
+            )
+        if data.get("family", "power") != "power":
+            raise NumericError(
+                f"instance entry 'family' must be 'power': {data['family']!r}"
+            )
+        initial = data.get("initial")
+        if initial is not None and not isinstance(initial, dict):
+            raise NumericError(
+                f"instance entry 'initial' must be an object or null: {initial!r}"
+            )
         op = data.get("operator", {"tau": "1", "xi": "0", "eta": "0"})
         return Instance(
-            family=data.get("family", "power"),
             p=_rational(data, "p", "m", 0),
             k=_rational(data, "k", "n", 1),
             lam=_rational(data, "lambda"),
@@ -190,7 +204,7 @@ class Instance:
             ),
             grid=grid,
             seed=int(data.get("seed", 0)),
-            initial=data.get("initial"),
+            initial=initial,
         )
 
     @staticmethod
@@ -200,27 +214,6 @@ class Instance:
 
     def param_bindings(self) -> dict:
         return {"p": self.p, "k": self.k, "lambda": self.lam}
-
-    def degeneracies(self) -> list:
-        """Family conditions this parameter point violates.
-
-        The determining identities hold for every parameter value, so a
-        degenerate point is still verifiable; the list records which
-        classification-level conditions it sits on.
-        """
-        out = []
-        if self.lam == 0:
-            out.append("lambda = 0")
-        if self.k == 0:
-            out.append("k = 0")
-        if self.k == self.p:
-            out.append("k = p")
-        if self.k == self.p + 1:
-            out.append("k = p + 1")
-        return out
-
-    def assumptions_hold(self) -> bool:
-        return not self.degeneracies()
 
     def equation(self) -> EvolutionEq:
         return EvolutionEq.power(p=self.p, k=self.k, F2=self.F)
@@ -299,9 +292,6 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
     """
     if N < 1:
         raise ValueError("need at least one sample point")
-    if inst.family != "power":
-        raise NumericError(f"only power-family instances are supported, "
-                           f"got {inst.family!r}")
     system = generate_determining_system(
         EvolutionEq.power(F2=None)
     )
@@ -329,7 +319,7 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
             continue
         produced += 1
         worst = max(worst, *vals)
-    return worst
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +379,6 @@ def solve_pde(
     Runge-Kutta in t, Dirichlet boundaries held at the initial end values
     unless a boundary callable t -> (left, right) is supplied.
     """
-    if inst.family != "power":
-        raise NumericError(f"only power-family instances are supported, "
-                           f"got {inst.family!r}")
     g = inst.grid
     dx = g.dx
     p = float(inst.p)
@@ -505,76 +492,29 @@ class ScalingFlow:
             return x + self.A2 * eps
         return (math.exp(k * eps) * (k * x + self.A2) - self.A2) / k
 
-    def inverse_t(self, t, k: float, eps: float):
-        return self.map_t(t, k, -eps)
-
-    def inverse_x(self, x, k: float, eps: float):
-        return self.map_x(x, k, -eps)
-
 
 def group_transform(
     field: Field,
     generator: ScalingFlow,
     epsilon: float,
     inst: Instance,
-    onto: Field | None = None,
 ) -> Field:
     """Apply the one-parameter flow to a solution field.
 
-    Default: the lattice is carried along exactly (the flow is affine in
-    each coordinate, so the image of a uniform lattice is uniform) and the
+    The lattice is carried along exactly (the flow is affine in each
+    coordinate, so the image of a uniform lattice is uniform) and the
     values are scaled by exp(-w*eps); no interpolation error enters.
-
-    With ``onto``, the result is resampled onto that field's lattice by
-    bilinear interpolation of the inverse-flow preimages; lattice points
-    whose preimage falls outside the source domain are clipped away and the
-    retained fraction is reported on the returned field as ``coverage``.
     """
-    if epsilon == 0 and onto is None:
+    if epsilon == 0:
         return field.copy()
     k = float(inst.k)
-    scale = math.exp(-generator.v_weight * epsilon)
-    if onto is None:
-        return Field(
-            t0=generator.map_t(field.t0, k, epsilon),
-            dt=math.exp(2 * k * epsilon) * field.dt,
-            x0=generator.map_x(field.x0, k, epsilon),
-            dx=math.exp(k * epsilon) * field.dx,
-            values=scale * field.values,
-        )
-    # pull back onto the requested lattice
-    ts = onto.times()
-    xs = onto.xs()
-    src_t = np.array([generator.inverse_t(tv, k, epsilon) for tv in ts])
-    src_x = np.array([generator.inverse_x(xv, k, epsilon) for xv in xs])
-    t_lo, t_hi = field.t0, field.t0 + field.dt * (field.nt - 1)
-    x_lo, x_hi = field.x0, field.x0 + field.dx * (field.nx - 1)
-    pad = 1e-12
-    t_ok = (src_t >= t_lo - pad) & (src_t <= t_hi + pad)
-    x_ok = (src_x >= x_lo - pad) & (src_x <= x_hi + pad)
-    if not np.any(t_ok) or not np.any(x_ok):
-        raise OverlapError("transformed lattice has no overlap with the source")
-    ti = np.where(t_ok)[0]
-    xi = np.where(x_ok)[0]
-    coverage = (len(ti) * len(xi)) / (len(ts) * len(xs))
-    out = np.empty((len(ti), len(xi)))
-    for a, i in enumerate(ti):
-        ft = min(max((src_t[i] - field.t0) / field.dt, 0.0), field.nt - 1.0)
-        i0 = min(int(ft), field.nt - 2)
-        wt = ft - i0
-        for b, j in enumerate(xi):
-            fxp = min(max((src_x[j] - field.x0) / field.dx, 0.0), field.nx - 1.0)
-            j0 = min(int(fxp), field.nx - 2)
-            wx = fxp - j0
-            v00 = field.values[i0, j0]
-            v01 = field.values[i0, j0 + 1]
-            v10 = field.values[i0 + 1, j0]
-            v11 = field.values[i0 + 1, j0 + 1]
-            out[a, b] = scale * (
-                (1 - wt) * ((1 - wx) * v00 + wx * v01)
-                + wt * ((1 - wx) * v10 + wx * v11)
-            )
-    return Field(ts[ti[0]], onto.dt, xs[xi[0]], onto.dx, out, coverage)
+    return Field(
+        t0=generator.map_t(field.t0, k, epsilon),
+        dt=math.exp(2 * k * epsilon) * field.dt,
+        x0=generator.map_x(field.x0, k, epsilon),
+        dx=math.exp(k * epsilon) * field.dx,
+        values=math.exp(-generator.v_weight * epsilon) * field.values,
+    )
 
 
 # ---------------------------------------------------------------------------

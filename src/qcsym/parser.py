@@ -11,13 +11,7 @@ from __future__ import annotations
 import re
 
 from .errors import DivisionError, ParseError, UnknownSymbolError
-from .expr import (
-    AFF_ZERO,
-    AffineExponent,
-    Context,
-    DEFAULT_CONTEXT,
-    Expr,
-)
+from .expr import AFF_ZERO, DEFAULT_CONTEXT, AffineExponent, Expr
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*(?:_[txV]+)?)"
@@ -63,10 +57,9 @@ _UNARY_BP = 25
 
 
 class _Parser:
-    def __init__(self, tokens, ctx: Context):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
-        self.ctx = ctx
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -142,9 +135,9 @@ class _Parser:
         m = _SUFFIX_RE.match(name)
         base = m.group("base")
         suffix = m.group("suffix") or ""
-        if suffix and base in self.ctx.fns:
+        if suffix and base in DEFAULT_CONTEXT.fns:
             try:
-                atom = self.ctx.fn_atom(
+                atom = DEFAULT_CONTEXT.fn_atom(
                     base,
                     dt=suffix.count("t"),
                     dx=suffix.count("x"),
@@ -154,10 +147,10 @@ class _Parser:
                 raise ParseError(str(exc), tok.pos) from None
             return Expr.atom(atom)
         if not suffix:
-            if name in self.ctx.params:
+            if name in DEFAULT_CONTEXT.params:
                 return Expr.generator(name)
-            if name in self.ctx.fns:
-                return Expr.atom(self.ctx.fn_atom(name))
+            if name in DEFAULT_CONTEXT.fns:
+                return Expr.atom(DEFAULT_CONTEXT.fn_atom(name))
         raise UnknownSymbolError(f"unknown symbol {name!r}", tok.pos)
 
     def apply_power(self, base: Expr, exponent: Expr, pos: int) -> Expr:
@@ -215,10 +208,9 @@ def _as_integer(e: Expr, pos: int) -> int:
     return int(v)
 
 
-def parse(text: str, ctx: Context = DEFAULT_CONTEXT) -> Expr:
+def parse(text: str) -> Expr:
     """Parse canonical expression text; parse(print(e)) == e for canonical e."""
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, ctx)
+    parser = _Parser(_tokenize(text))
     out = parser.parse(0)
     tok = parser.peek()
     if tok.kind != "end":
@@ -226,8 +218,7 @@ def parse(text: str, ctx: Context = DEFAULT_CONTEXT) -> Expr:
     return out
 
 
-def parse_affine(text: str, ctx: Context = DEFAULT_CONTEXT) -> AffineExponent:
+def parse_affine(text: str) -> AffineExponent:
     """Parse an affine exponent such as '2p+3' or '2*p+3'."""
     normalized = re.sub(r"(\d)\s*([pkn])\b", r"\1*\2", text)
-    e = parse(normalized, ctx)
-    return AffineExponent.from_expr(e)
+    return AffineExponent.from_expr(parse(normalized))

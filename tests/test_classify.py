@@ -3,15 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from qcsym.calculus import Constraint, collect, substitute
+from qcsym.calculus import Constraint, collect, split, substitute
 from qcsym.classify import (
     CASE_B_ASSUMPTIONS,
     case_c_chain_k1_p2,
     case_c_chain_p0,
     coincidence_table,
     coincidence_tables_k_eq_p_minus_1,
-    constancy_constraints,
-    constants_forced,
     enumerate_special_cases,
     extract_F,
     fifteen_power_cases,
@@ -19,9 +17,7 @@ from qcsym.classify import (
     fifteen_powers_k_eq_p_minus_1,
     fixture_json,
     fixture_text,
-    pairwise_distinct_assumptions,
     power_system,
-    residual_check_candidate,
     six_power_cases,
     solve_eta_case_b,
 )
@@ -96,40 +92,9 @@ def test_constant_coefficient_reduction_keys():
     assert non_const == {"V^(p+1)", "V^p", "V^(p-1)", "V^k", "V^(k-1)", "1"}
 
 
-def test_constancy_forces_g_then_h_generic():
-    Fc = substitute(
-        extract_F(), {"a": Expr.generator("a0"), "f": Expr.generator("f0")}
-    )
-    keys = [k.vpow for k in collect(Fc)]
-    assumptions = (
-        CASE_B_ASSUMPTIONS
-        + pairwise_distinct_assumptions(keys)
-        + (Constraint.parse("p!=2"),)
-    )
-    assert constants_forced(Fc, assumptions) == ["g", "h"]
-
-
-def test_constancy_forces_g_then_h_p2_k1():
-    Fc = substitute(
-        extract_F(),
-        {"a": Expr.generator("a0"), "f": Expr.generator("f0"), "p": 2, "k": 1},
-    )
-    assert constants_forced(Fc) == ["g", "h"]
-
-
-def test_constancy_constraints_structure():
-    reqs = constancy_constraints(parse("lambda1*V^2 + g*V"), ())
-    by_key = {str(r.key): r for r in reqs}
-    assert set(by_key) == {"V"}  # the constant-coefficient key imposes nothing
-    assert by_key["V"].dt_zero == parse("g_t")
-    assert by_key["V"].dx_zero == parse("g_x")
-    assert constancy_constraints(parse("lambda1"), ()) == []
-    assert constancy_constraints(parse("3*V^p"), ()) == []
-
-
 def test_constancy_ambiguous_grading_guard():
     with pytest.raises(AmbiguousGradingError):
-        constancy_constraints(parse("g*V^k + h*V^p"), ())
+        split(parse("g*V^k + h*V^p"), ())
 
 
 # ---------------------------------------------------------------------------
@@ -291,29 +256,16 @@ def test_alpha_beta_solve_their_odes():
 def test_cubic_split_first_equation_literal():
     fx = fixture_json("chain_k1_p2.json")
     e = substitute(parse(fx["source_equation"]), {"F": parse(fx["cubic_source"])})
-    from qcsym.calculus import split
 
     system = split(e)
     assert len(system) == 4
     assert system.equations[0] == parse("g_t + 2*(g + lambda3)*(g + f_x)")
 
 
-def test_residual_checker_certifies_and_rejects():
-    zero = Expr.zero()
-    assert all(r.is_zero() for r in residual_check_candidate(zero, zero, zero))
-    lam0 = {"lambda0": 0, "lambda1": 0, "lambda2": 0, "lambda3": 0}
-    res = residual_check_candidate(parse("A"), zero, zero, lam0)
-    assert all(r.is_zero() for r in res)
-    assert len(res) == 7
-    res = residual_check_candidate(parse("t*x"), parse("x^2"), parse("t"), {})
-    assert any(not r.is_zero() for r in res)
-
-
 def test_exponential_case_c_split_supported():
     # no catalogued fixtures exist for the exponential chains, but the
     # machinery must split the case-C reduction by its mixed keys
     from qcsym.determining import EvolutionEq, generate_determining_system
-    from qcsym.calculus import split
 
     sys_e = generate_determining_system(EvolutionEq.exponential())
     eq3 = substitute(

@@ -129,6 +129,21 @@ def test_check_op_numeric(tmp_path, capsys):
     assert json.loads(out)["max_residual"] < 1e-9
 
 
+def test_check_op_numeric_json_reports_a_violation(tmp_path, capsys):
+    data = fixture_json("instance_scaling.json")
+    data["operator"]["eta"] = "V/(2*t+1)"  # the wrong sign: not a symmetry
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(
+        capsys, "check-op-numeric", "--equation", str(path),
+        "--samples", "50", "--json",
+    )
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["satisfied"] is False
+    assert payload["max_residual"] > 1e-9
+
+
 def test_transform_command(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(fixture_json("instance_scaling.json")))
@@ -315,6 +330,10 @@ def test_transform_exact_baseline_has_no_ratio(tmp_path, capsys, monkeypatch):
             ("grid.nx", 1), ("p", "1/0"), ("m", "1/0"), ("k", "1/0"),
             ("lambda", "1/0"), ("lambda", "inf"),
             ("grid.dt", 0), ("grid.dt", -0.001), ("grid.dt", float("nan")),
+            ("family", "exponential"), ("initial", [1, 2]), ("initial", "gaussian"),
+            ("grid.steps", -1),
+            # over 10**7 lattice cells; refused before anything is allocated
+            ("grid.steps", 10**5), ("grid.nx", 10**5),
         )
     ],
 )

@@ -59,7 +59,7 @@ def test_translation_operator_both_families():
 
 
 def test_heat_type_translation():
-    eq = EvolutionEq.concrete(Expr.one(), Expr.zero(), Expr.zero())
+    eq = EvolutionEq("concrete", Expr.one(), Expr.zero(), Expr.zero())
     residuals = check_operator(eq, SymOperator.of("1", "A", "0"))
     assert all(r.is_zero() for r in residuals)
 

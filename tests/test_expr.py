@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcsym.errors import ParseError, UnknownSymbolError
-from qcsym.expr import AFF_ONE, DEFAULT_CONTEXT, AffineExponent, Expr, Term, expr_text
+from qcsym.expr import AFF_ONE, AffineExponent, Expr, Term, expr_text
 from qcsym.parser import parse, parse_affine
 from qcsym.poly import F_ONE
 
@@ -81,14 +81,6 @@ def test_derivative_suffix_validation():
     e = parse("xi_xV")
     atom = e.terms[0].fns[0]
     assert (atom.dt, atom.dx, atom.dV) == (0, 1, 1)
-
-
-def test_context_declares_new_symbols():
-    ctx = DEFAULT_CONTEXT.with_params("mu").with_fn("w", ("t", "x"))
-    e = parse("mu*w_x", ctx)
-    assert not e.is_zero()
-    with pytest.raises(ValueError):
-        DEFAULT_CONTEXT.with_params("lambda")  # already declared
 
 
 def test_ring_axioms(rng):

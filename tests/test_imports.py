@@ -1,5 +1,6 @@
 """The package's import rule: no qcsym module imports a private name of
-another, and every import from within the package sits at module level."""
+another or a name it never uses, and every import from within the package
+sits at module level."""
 import ast
 from pathlib import Path
 
@@ -18,6 +19,13 @@ def _violations(source: str) -> list:
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(fn)
     }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:  # a re-export listed in __all__ counts as a use
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
     out = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
@@ -31,6 +39,11 @@ def _violations(source: str) -> list:
             for alias in node.names
             if alias.name.startswith("_")
         ]
+        out += [
+            f"line {node.lineno}: unused name {alias.asname or alias.name}"
+            for alias in node.names
+            if (alias.asname or alias.name) not in used
+        ]
     return out
 
 
@@ -43,10 +56,13 @@ def test_rule_catches_both_kinds():
     source = (
         "from .expr import Expr, _hidden\n"
         "from fractions import _private_is_not_ours\n"
+        "from .calculus import diff\n"
         "def f():\n"
         "    from qcsym.parser import parse\n"
+        "    return Expr, _hidden, parse\n"
     )
     assert _violations(source) == [
         "line 1: private name _hidden",
-        "line 4: import inside a function",
+        "line 3: unused name diff",
+        "line 5: import inside a function",
     ]

@@ -13,7 +13,6 @@ from qcsym.determining import SymOperator, normalize_operator
 from qcsym.errors import (
     EvalPoleError,
     InstabilityError,
-    OverlapError,
     PositivityError,
     UnboundFunctionError,
 )
@@ -160,14 +159,6 @@ def test_sampled_residuals_deterministic():
     a = sample_residuals(inst, bad, 100, seed=42)
     b = sample_residuals(inst, bad, 100, seed=42)
     assert a == b
-
-
-def test_instance_degeneracies_reported():
-    inst = scaling_instance()
-    assert inst.degeneracies() == ["k = p + 1"]
-    assert not inst.assumptions_hold()
-    clean = simple_instance(p=0, k=2)
-    assert clean.assumptions_hold()
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +312,6 @@ def test_flow_preserves_solutions_and_detects_wrong_weight():
     assert invariance_residual(broken, inst) >= 10.0 * base
 
 
-def test_flow_resample_clips_and_reports_coverage():
-    inst = scaling_instance()
-    field = solve_pde(inst, initial_row(inst), inst.grid.steps)
-    moved = group_transform(field, ScalingFlow(), 0.1, inst, onto=field)
-    assert 0.0 < moved.coverage < 1.0
-    assert moved.nt < field.nt  # early rows have preimages before t0
-    assert moved.nx == field.nx  # x preimages stay inside for A2 = 0
-
-
-def test_flow_resample_identity_recovers_values():
-    inst = scaling_instance()
-    field = solve_pde(inst, initial_row(inst), 30)
-    back = group_transform(field, ScalingFlow(), 0.0, inst, onto=field)
-    assert back.coverage == 1.0
-    assert np.allclose(back.values, field.values, atol=1e-12)
-
-
-def test_flow_empty_overlap():
-    inst = scaling_instance()
-    field = solve_pde(inst, initial_row(inst), 10)
-    with pytest.raises(OverlapError):
-        group_transform(field, ScalingFlow(), 5.0, inst, onto=field)
-
-
 # ---------------------------------------------------------------------------
 # the power/log state substitution
 
@@ -399,8 +366,8 @@ def test_flow_inverse_consistency_with_offsets():
     for k in (1.0, 2.0, 0.5):
         for eps in (0.05, 0.3):
             for v in (0.0, 0.7, 3.2):
-                assert abs(flow.inverse_t(flow.map_t(v, k, eps), k, eps) - v) < 1e-12
-                assert abs(flow.inverse_x(flow.map_x(v, k, eps), k, eps) - v) < 1e-12
+                assert abs(flow.map_t(flow.map_t(v, k, eps), k, -eps) - v) < 1e-12
+                assert abs(flow.map_x(flow.map_x(v, k, eps), k, -eps) - v) < 1e-12
 
 
 def test_flow_at_k_zero_is_the_translation():

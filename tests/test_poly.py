@@ -3,11 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qcsym.poly import CoeffFrac, Poly, poly_divexact, poly_gcd
+from qcsym.poly import _SCREEN_POINTS, CoeffFrac, Poly, poly_divexact, poly_gcd
 
-from conftest import random_poly
+from conftest import RATIONALS, random_poly
 
 
 def P(name):
@@ -136,6 +136,64 @@ def test_coeff_frac_field_laws(seed):
     assert a * (b + c) == a * b + a * c
     if not a.is_zero():
         assert (a * a.inverse()).const_value() == 1
+
+
+_GENS = ("t", "x", "p")
+
+# small polynomials in t, x, p: up to three terms, degree <= 2 per generator
+_MONOS = st.tuples(*(st.integers(0, 2) for _ in _GENS)).map(
+    lambda exps: tuple(sorted((g, e) for g, e in zip(_GENS, exps) if e))
+)
+_POLYS = st.lists(st.tuples(_MONOS, RATIONALS), min_size=1, max_size=3).map(
+    lambda terms: sum((Poly({m: c}) for m, c in terms), Poly())
+)
+# t - 2, x - 3*p, (t - 2)*p^e + rest and (t - 2)*(p - 3) + rest: factors
+# that vanish, or whose leading coefficients vanish, where the gcd screen
+# evaluates the generators, so the screen must notice a dropped degree
+_SCREENED = st.builds(
+    lambda gens, s, s2, e, rest, kind: [
+        P(gens[1]) - Poly.const(s),
+        P(gens[0]) - P(gens[1]).scale(Fraction(s)),
+        (P(gens[1]) - Poly.const(s)) * P(gens[0]) ** e + rest,
+        (P(gens[0]) - Poly.const(s)) * (P(gens[1]) - Poly.const(s2)) + rest,
+    ][kind],
+    st.permutations(_GENS),
+    st.sampled_from(_SCREEN_POINTS[:2]),
+    st.sampled_from(_SCREEN_POINTS[:2]),
+    st.integers(1, 2),
+    st.one_of(RATIONALS.map(Poly.const), _POLYS),
+    st.sampled_from((0, 1, 2, 3, 3, 3)),
+)
+_FACTORS = st.one_of(
+    _SCREENED, _POLYS, st.builds(lambda f, g: f * g, _SCREENED, _POLYS)
+)
+
+
+def _to_sympy(sympy, p: Poly):
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(sympy.Symbol(g) ** e for g, e in m))
+        for m, c in p.terms.items()
+    ))
+
+
+# leading coefficients in t and in p both vanish at the first screen point
+@example(
+    P("x") + Poly.const(1),
+    P("x") - Poly.const(1),
+    (P("t") - Poly.const(2)) * (P("p") - Poly.const(2)) + Poly.const(1),
+)
+@settings(max_examples=100, deadline=None)
+@given(_POLYS, _POLYS, _FACTORS)
+def test_gcd_matches_sympy(a, b, c):
+    sympy = pytest.importorskip("sympy")
+    got = poly_gcd(a * c, b * c)
+    want = sympy.gcd(_to_sympy(sympy, a * c), _to_sympy(sympy, b * c))
+    if want == 0:
+        assert got.is_zero()
+        return
+    unit = sympy.cancel(_to_sympy(sympy, got) / want)
+    assert unit.is_Rational and unit != 0, (a * c, b * c, got, want)
 
 
 def test_negative_power_rejected():
