@@ -11,6 +11,7 @@ from .errors import (
     TermLanguageError,
 )
 from .expr import (
+    AFF_ONE,
     AFF_ZERO,
     DEFAULT_CONTEXT,
     AffineExponent,
@@ -22,7 +23,7 @@ from .expr import (
     merge_fns,
 )
 from .parser import parse_affine
-from .poly import Poly
+from .poly import F_ONE, P_ONE, Poly
 
 # ---------------------------------------------------------------------------
 # differentiation
@@ -316,13 +317,10 @@ class CollectKey:
         )
 
     def atom_expr(self) -> Expr:
-        return Expr((Term(F_ONE_FRAC, self.vpow, self.expc, self.fpart),))
+        return Expr((Term(F_ONE, self.vpow, self.expc, self.fpart),))
 
     def __str__(self) -> str:
         return str(self.atom_expr())
-
-
-F_ONE_FRAC = CoeffFrac(Poly.const(1))
 
 
 def collect(e: Expr) -> dict:
@@ -407,46 +405,41 @@ def collect_in(e: Expr, gen: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the first-order Euler-type ODE solver
+# integration in V and the first-order Euler-type ODE solver
 
 
-def euler_ode_solve(
-    s: AffineExponent,
-    rhs: Expr,
-    assumptions=(),
-    constant_name: str = "lambda1",
-) -> Expr:
-    """Solve F_V - (s/V) F = rhs for rhs a sum of pure V-power terms.
+def integrate_v(e: Expr, assumptions=()) -> Expr:
+    """Antiderivative in V, without a constant, of a sum of pure V-power terms.
 
-    The general solution is C*V^s plus, per right-hand-side power e, the
-    term coeff/(e + 1 - s) * V^(e+1).  A resonance e + 1 = s that the
-    assumptions do not exclude is an error.
+    Each term c*V^e becomes c/(e + 1)*V^(e+1).  A shift e + 1 that the
+    assumptions do not rule out as zero is a ResonanceError; exponential or
+    V-dependent function atoms are a TermLanguageError.
     """
-    groups: dict = {}
-    for t in rhs.terms:
+    out = []
+    for t in e.terms:
         if not t.expc.is_zero() or any("V" in a.deps for a in t.fns):
             raise TermLanguageError(
-                "right-hand side must be a sum of pure V-power terms"
+                "can integrate in V only a sum of pure V-power terms"
             )
-        groups.setdefault(t.vpow.key(), []).append(t)
-    out = [Term(CoeffFrac(Poly.var(constant_name)), s, AFF_ZERO, ())]
-    for key, terms in groups.items():
-        e = AffineExponent(*key)
-        denom = e + AffineExponent.const(1) - s
-        if denom.is_zero():
+        shift = t.vpow + AFF_ONE
+        if not excluded_by(shift, assumptions):
             raise ResonanceError(
-                f"resonant power V^({e}): homogeneous exponent reached"
+                f"resonant power V^({t.vpow}): the assumptions do not exclude {shift} = 0"
             )
-        if not denom.is_const() and not excluded_by(denom, assumptions):
-            raise ResonanceError(
-                f"possibly resonant power V^({e}): cannot exclude {denom} = 0"
-            )
-        inv = CoeffFrac(Poly.const(1), denom.to_poly())
-        for t in terms:
-            out.append(
-                Term(t.coeff * inv, e + AffineExponent.const(1), AFF_ZERO, t.fns)
-            )
+        inv = CoeffFrac(P_ONE, shift.to_poly())
+        out.append(Term(t.coeff * inv, shift, AFF_ZERO, t.fns))
     return Expr.from_terms(out)
+
+
+def euler_ode_solve(s: AffineExponent, rhs: Expr, assumptions=()) -> Expr:
+    """Solve F_V - (s/V) F = rhs for rhs a sum of pure V-power terms.
+
+    Through the integrating factor V^(-s) the general solution is
+    V^s * (lambda1 + integral of V^(-s) rhs dV); a right-hand-side power e
+    with e + 1 = s not excluded by the assumptions is a ResonanceError.
+    """
+    particular = integrate_v(Expr.vpower(-s) * rhs, assumptions)
+    return Expr.vpower(s) * (Expr.generator("lambda1") + particular)
 
 
 # ---------------------------------------------------------------------------

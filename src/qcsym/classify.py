@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .calculus import (
     equal_up_to_unit,
     euler_ode_solve,
     excluded_by,
+    integrate_v,
     solve_linear_for,
     split,
     substitute,
@@ -31,7 +31,6 @@ from .errors import TableError, VerificationError
 from .expr import AFF_ZERO, AffineExponent, Expr
 from .determining import EvolutionEq, SymOperator, check_operator, generate_determining_system, normalize_operator
 from .parser import parse, parse_affine
-from .poly import CoeffFrac, Poly
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -66,30 +65,9 @@ def power_system():
 # case B: xi = a V + f
 
 
-def _integrate_v(e: Expr, assumptions) -> Expr:
-    """Antiderivative in V of a sum of V-power terms."""
-    out = Expr.zero()
-    for t in e.terms:
-        if not t.expc.is_zero():
-            raise VerificationError("integrate", "exponential atoms unsupported")
-        shift = t.vpow + AffineExponent.const(1)
-        if shift.is_zero() or (
-            not shift.is_const() and not excluded_by(shift, assumptions)
-        ):
-            raise VerificationError(
-                "integrate", f"cannot integrate V^({t.vpow}): division by {shift}"
-            )
-        term = Expr((type(t)(t.coeff, shift, t.expc, t.fns),))
-        out = out + term * Expr.from_coeff(
-            _inv_affine(shift)
-        )
-    return out
-
-
-def _inv_affine(a: AffineExponent):
-    return CoeffFrac(Poly.const(1), a.to_poly())
-
-
+# Both derivations take no argument and return an immutable Expr, so each
+# runs once per process however many suite steps and tables read it.
+@lru_cache(maxsize=None)
 def solve_eta_case_b() -> Expr:
     """General eta once xi = a V + f, by double integration in V.
 
@@ -100,27 +78,20 @@ def solve_eta_case_b() -> Expr:
     eq2 = power_system().equations[1]
     e = substitute(eq2, {"xi": parse("a*V + f")})
     rhs = solve_linear_for(e, "eta_VV")
-    inner = _integrate_v(rhs, CASE_B_ASSUMPTIONS)
-    eta = _integrate_v(inner, CASE_B_ASSUMPTIONS)
+    inner = integrate_v(rhs, CASE_B_ASSUMPTIONS)
+    eta = integrate_v(inner, CASE_B_ASSUMPTIONS)
     return eta + parse("g*V + h")
 
 
-def extract_F(subs: dict | None = None) -> Expr:
+@lru_cache(maxsize=None)
+def extract_F() -> Expr:
     """Isolate the source term from the third determining equation in case B.
 
-    The coefficient of F is proportional to a, so the step requires a != 0;
-    binding a to zero through ``subs`` raises accordingly.
+    The coefficient of F is proportional to a, so the step requires a != 0.
     """
     eq3 = power_system().equations[2]
     e = substitute(eq3, {"xi": parse("a*V + f"), "eta": solve_eta_case_b()})
-    if subs:
-        e = substitute(e, subs)
-    try:
-        return solve_linear_for(e, "F")
-    except Exception as exc:
-        raise VerificationError(
-            "extract-source-term", f"coefficient of F not invertible: {exc}"
-        ) from None
+    return solve_linear_for(e, "F")
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +235,7 @@ def coincidence_table(target, columns, forbidden=(), case=None) -> CaseTable:
     """Tabulate the p values at which the target power meets each column."""
     target = _as_aff(target)
     cols = [_as_aff(c) for c in columns]
-    equalities = [case] if case else []
+    assumptions = (case, *forbidden) if case else tuple(forbidden)
     values = []
     excluded = []
     for col in cols:
@@ -281,7 +252,9 @@ def coincidence_table(target, columns, forbidden=(), case=None) -> CaseTable:
             continue
         value = -delta.c0 / delta.cp
         values.append(value)
-        excluded.append(_value_excluded(value, equalities, forbidden))
+        excluded.append(
+            excluded_by(AffineExponent.of(cp=1, c0=-value), assumptions)
+        )
     return CaseTable(
         case=case,
         target=target,
@@ -289,21 +262,6 @@ def coincidence_table(target, columns, forbidden=(), case=None) -> CaseTable:
         values=tuple(values),
         excluded=tuple(excluded),
     )
-
-
-def _value_excluded(value: Fraction, equalities, forbidden) -> bool:
-    pv = AffineExponent.const(value)
-    for c in forbidden:
-        if c.kind != "forbidden":
-            continue
-        form = c.form()
-        for eq in equalities:
-            name, val = eq.solved_for()
-            form = form.subst(name, val)
-        form = form.subst("p", pv)
-        if form.is_zero():
-            return True
-    return False
 
 
 def _source_keys_in_catalogue_order(source: Expr, subs: dict | None) -> tuple:

@@ -86,7 +86,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--keep-going", action="store_true")
     p.add_argument(
-        "--corrupt",
+        "--corrupt", choices=("determining-systems",),
         help="test hook: corrupt the named step's fixture to force a failure",
     )
     return ap

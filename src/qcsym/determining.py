@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .calculus import Constraint, diff, eq_normalize, substitute
+from .calculus import diff, eq_normalize, substitute
 from .errors import DivisionError, OperatorFormError
 from .expr import DEFAULT_CONTEXT, Expr
 from .parser import parse
@@ -121,35 +121,17 @@ def _jet_mul(a: tuple, b: tuple) -> tuple:
 # equations and operators
 
 
-def _standard_power_assumptions() -> tuple:
-    return (
-        Constraint.parse("k!=0"),
-        Constraint.parse("k!=p"),
-        Constraint.parse("k!=p+1"),
-        Constraint.parse("p!=-1"),
-    )
-
-
-def _standard_exponential_assumptions() -> tuple:
-    return (
-        Constraint.parse("n!=0"),
-        Constraint.parse("n!=-1"),
-    )
-
-
 @dataclass(frozen=True)
 class EvolutionEq:
     """The equation V_xx = F0(V) V_t + F1(V) V_x + F2(V).
 
-    F2 is None for the unknown source term F(V); the power and exponential
-    families carry their non-degeneracy assumptions.
+    F2 is None for the unknown source term F(V).
     """
 
     family: str
     F0: Expr
     F1: Expr
     F2: Expr | None = None
-    assumptions: tuple = ()
 
     @staticmethod
     def power(p=None, k=None, F2: Expr | None = None) -> "EvolutionEq":
@@ -163,13 +145,7 @@ class EvolutionEq:
         if subs:
             F0 = substitute(F0, subs)
             F1 = substitute(F1, subs)
-        return EvolutionEq(
-            family="power",
-            F0=F0,
-            F1=F1,
-            F2=F2,
-            assumptions=_standard_power_assumptions(),
-        )
+        return EvolutionEq(family="power", F0=F0, F1=F1, F2=F2)
 
     @staticmethod
     def exponential(n=None, F2: Expr | None = None) -> "EvolutionEq":
@@ -177,13 +153,7 @@ class EvolutionEq:
         F1 = parse("-lambda*exp((n+1)*V)")
         if n is not None:
             F1 = substitute(F1, {"n": n})
-        return EvolutionEq(
-            family="exponential",
-            F0=F0,
-            F1=F1,
-            F2=F2,
-            assumptions=_standard_exponential_assumptions(),
-        )
+        return EvolutionEq(family="exponential", F0=F0, F1=F1, F2=F2)
 
 
 @dataclass(frozen=True)
@@ -195,19 +165,12 @@ class SymOperator:
     eta: Expr
 
     @staticmethod
-    def of(tau, xi, eta) -> "SymOperator":
-        return SymOperator(_expr(tau), _expr(xi), _expr(eta))
+    def of(tau: str, xi: str, eta: str) -> "SymOperator":
+        """The operator with components given as expression texts."""
+        return SymOperator(parse(tau), parse(xi), parse(eta))
 
     def is_normalized(self) -> bool:
         return self.tau == Expr.one()
-
-
-def _expr(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, str):
-        return parse(v)
-    return Expr.const(v)
 
 
 def normalize_operator(op: SymOperator) -> SymOperator:

@@ -148,6 +148,45 @@ def _rational(doc: dict, key: str, alias: str | None = None, default=None) -> Fr
         ) from None
 
 
+def _text(doc: dict, key: str, where: str = "", default: str | None = None) -> str:
+    """doc[key] of an instance document; a NumericError names the key when
+    it is missing and has no default, or when its value is not a string."""
+    value = _entry(doc, key, where) if default is None else doc.get(key, default)
+    if not isinstance(value, str):
+        raise NumericError(f"instance entry {where + key!r} must be a string: {value!r}")
+    return value
+
+
+# the optional number fields each type of initial row reads
+_INITIAL_FIELDS = {
+    "constant": ("value",),
+    "linear": ("slope", "offset"),
+    "gaussian": ("amplitude", "center", "width"),
+}
+
+
+def _check_initial(initial) -> None:
+    """A NumericError names the first entry of an instance's ``initial``
+    that ``initial_row`` could not turn into a finite row."""
+    if initial is not None and not isinstance(initial, dict):
+        raise NumericError(f"instance entry 'initial' must be an object or null: {initial!r}")
+    desc = initial or {}
+    kind = desc.get("type", "constant")
+    if not (isinstance(kind, str) and kind in _INITIAL_FIELDS):
+        raise NumericError(
+            f"instance entry 'initial.type' must be one of {sorted(_INITIAL_FIELDS)}: {kind!r}"
+        )
+    for field in _INITIAL_FIELDS[kind]:
+        value = desc.get(field, 1.0)
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite or (field == "width" and value <= 0):
+            rule = "a finite number" + (" above 0" if field == "width" else "")
+            raise NumericError(f"instance entry 'initial.{field}' must be {rule}: {value!r}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A fully concrete power-family instance plus a candidate operator."""
@@ -189,18 +228,15 @@ class Instance:
                 f"instance entry 'family' must be 'power': {data['family']!r}"
             )
         initial = data.get("initial")
-        if initial is not None and not isinstance(initial, dict):
-            raise NumericError(
-                f"instance entry 'initial' must be an object or null: {initial!r}"
-            )
+        _check_initial(initial)
         op = data.get("operator", {"tau": "1", "xi": "0", "eta": "0"})
         return Instance(
             p=_rational(data, "p", "m", 0),
             k=_rational(data, "k", "n", 1),
             lam=_rational(data, "lambda"),
-            F=parse(str(data.get("F", "0"))),
+            F=parse(_text(data, "F", default="0")),
             operator=SymOperator.of(
-                *(_entry(op, name, "operator.") for name in ("tau", "xi", "eta"))
+                *(_text(op, name, "operator.") for name in ("tau", "xi", "eta"))
             ),
             grid=grid,
             seed=int(data.get("seed", 0)),
@@ -351,7 +387,8 @@ def _compile_source(inst: Instance):
 
 
 def initial_row(inst: Instance) -> np.ndarray:
-    """Build the initial data described by the instance file."""
+    """Build the initial data described by the instance file, whose fields
+    ``Instance.from_json`` has checked."""
     xs = inst.grid.xs()
     desc = inst.initial or {"type": "constant", "value": 1.0}
     kind = desc.get("type", "constant")
@@ -359,12 +396,10 @@ def initial_row(inst: Instance) -> np.ndarray:
         return np.full_like(xs, float(desc.get("value", 1.0)))
     if kind == "linear":
         return float(desc.get("slope", 1.0)) * xs + float(desc.get("offset", 0.0))
-    if kind == "gaussian":
-        c = float(desc.get("center", 0.5 * (xs[0] + xs[-1])))
-        w = float(desc.get("width", 1.0))
-        a = float(desc.get("amplitude", 1.0))
-        return a * np.exp(-(((xs - c) / w) ** 2))
-    raise ValueError(f"unknown initial data type {kind!r}")
+    c = float(desc.get("center", 0.5 * (xs[0] + xs[-1])))
+    w = float(desc.get("width", 1.0))
+    a = float(desc.get("amplitude", 1.0))
+    return a * np.exp(-(((xs - c) / w) ** 2))
 
 
 def solve_pde(

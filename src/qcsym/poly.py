@@ -534,10 +534,6 @@ class CoeffFrac:
     def const(cls, c) -> "CoeffFrac":
         return cls(Poly.const(c))
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "CoeffFrac":
-        return cls(p)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 

@@ -12,11 +12,12 @@ from qcsym.calculus import (
     equal_up_to_unit,
     euler_ode_solve,
     excluded_by,
+    integrate_v,
     solve_linear_for,
     split,
     substitute,
 )
-from qcsym.errors import AmbiguousGradingError, PoleError, ResonanceError
+from qcsym.errors import AmbiguousGradingError, PoleError, ResonanceError, TermLanguageError
 from qcsym.expr import AFF_ZERO, DEFAULT_CONTEXT, AffineExponent, Expr
 from qcsym.parser import parse, parse_affine
 from qcsym.poly import CoeffFrac
@@ -253,6 +254,47 @@ def test_euler_rejects_non_power_right_side():
         euler_ode_solve(parse_affine("2*k+1"), parse("g*exp(V)"))
     with pytest.raises(TermLanguageError):
         euler_ode_solve(parse_affine("2*k+1"), parse("F*V"))
+
+
+V_POWER_SUMS = st.lists(
+    st.tuples(
+        RATIONALS.filter(bool),
+        st.sampled_from(("1", "a", "f*g", "h^(-1)", "alpha_t")),
+        (AFFINE_FORMS | st.builds(AffineExponent.const, RATIONALS)).filter(
+            lambda e: not (e + AffineExponent.const(1)).is_zero()
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(V_POWER_SUMS, RATIONALS.filter(bool))
+def test_integrate_v_is_an_antiderivative(parts, scale):
+    # each non-constant shift e + 1 is forbidden, as a multiple of itself
+    e = Expr.zero()
+    assumptions = []
+    for c, factor, power in parts:
+        e = e + parse(factor).scale(c) * Expr.vpower(power)
+        shift = power + AffineExponent.const(1)
+        if not shift.is_const():
+            assumptions.append(Constraint(shift.scale(scale), AFF_ZERO, "forbidden"))
+    assert diff(integrate_v(e, assumptions), "V") == e
+
+
+def test_integrate_v_refuses_resonance_and_other_atoms():
+    with pytest.raises(ResonanceError):
+        integrate_v(parse("g*V^(-1)"))
+    with pytest.raises(ResonanceError):  # k = 0 is not excluded
+        integrate_v(parse("g*V^(k-1)"), (Constraint.parse("k!=1"),))
+    assert integrate_v(parse("g*V^(k-1)"), (Constraint.parse("k!=0"),)) == parse(
+        "1/k*g*V^k"
+    )
+    with pytest.raises(TermLanguageError):
+        integrate_v(parse("g*exp(V)"))
+    with pytest.raises(TermLanguageError):
+        integrate_v(parse("F*V"))
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcsym.calculus import Constraint, collect, split, substitute
+from qcsym.calculus import Constraint, collect, solve_linear_for, split, substitute
 from qcsym.classify import (
     CASE_B_ASSUMPTIONS,
     case_c_chain_k1_p2,
@@ -21,7 +21,7 @@ from qcsym.classify import (
     six_power_cases,
     solve_eta_case_b,
 )
-from qcsym.errors import AmbiguousGradingError, PoleError, TableError, VerificationError
+from qcsym.errors import AmbiguousGradingError, PoleError, TableError, TermLanguageError
 from qcsym.expr import Expr
 from qcsym.parser import parse, parse_affine
 
@@ -73,8 +73,11 @@ def test_source_term_back_substitution_zero():
 
 
 def test_source_extraction_requires_nonzero_a():
-    with pytest.raises(VerificationError):
-        extract_F({"a": 0})
+    # the coefficient of F in the case-B eq3 is proportional to a
+    eq3 = power_system().equations[2]
+    e = substitute(eq3, {"xi": parse("a*V + f"), "eta": solve_eta_case_b()})
+    with pytest.raises(TermLanguageError, match="F does not appear"):
+        solve_linear_for(substitute(e, {"a": 0}), "F")
 
 
 def test_constant_coefficient_reduction_keys():

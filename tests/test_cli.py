@@ -1,5 +1,7 @@
 """Command-line interface: commands, exit codes, determinism."""
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +218,7 @@ def test_output_deterministic(capsys):
         ["transform"],
         ["transform", "--equation", "/nonexistent.json"],
         ["verify-paper", "extra-positional"],
+        ["verify-paper", "--corrupt", "eta-general-solution"],
     ],
 )
 def test_malformed_argv_exits_2(argv, capsys):
@@ -321,6 +324,9 @@ def test_transform_exact_baseline_has_no_ratio(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_DELETE = object()
+
+
 @pytest.mark.parametrize(
     "entry",
     # a bare key is deleted; a (key, value) pair sets a bad value
@@ -334,6 +340,9 @@ def test_transform_exact_baseline_has_no_ratio(tmp_path, capsys, monkeypatch):
             ("grid.steps", -1),
             # over 10**7 lattice cells; refused before anything is allocated
             ("grid.steps", 10**5), ("grid.nx", 10**5),
+            ("initial.type", "bogus"), ("initial.width", None), ("initial.width", 0),
+            ("initial.amplitude", "1"), ("initial.center", float("inf")),
+            ("F", 0.1), ("F", 3), ("operator.eta", 0.1), ("operator.tau", 1),
         )
     ],
 )
@@ -347,9 +356,10 @@ def test_transform_exact_baseline_has_no_ratio(tmp_path, capsys, monkeypatch):
 )
 def test_instance_missing_key_is_usage_error(tmp_path, capsys, entry, command):
     data = fixture_json("instance_scaling.json")
-    key, value = entry if isinstance(entry, tuple) else (entry, None)
-    doc, name = (data["grid"], key[5:]) if key.startswith("grid.") else (data, key)
-    if value is None:
+    key, value = entry if isinstance(entry, tuple) else (entry, _DELETE)
+    head, _, name = key.rpartition(".")
+    doc = data[head] if head else data
+    if value is _DELETE:
         del doc[name]
     else:
         if key == "m":  # "m" is read only where "p" is absent
@@ -362,3 +372,21 @@ def test_instance_missing_key_is_usage_error(tmp_path, capsys, entry, command):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert repr(key) in err
+
+
+def test_verify_paper_json_matches_replay_reference(capsys):
+    # the digests the benchmark's replay gate compares against; read only
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "replay_reference.json"
+    digests = json.loads(reference.read_text())["sha256"]
+    for seed in (0, 1, 7):
+        code, out, err = run(capsys, "verify-paper", "--json", "--seed", str(seed))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[seed]
+
+
+def test_case_b_derivations_run_once_per_replay():
+    classify.solve_eta_case_b.cache_clear()
+    classify.extract_F.cache_clear()
+    verify_paper(0)
+    assert classify.solve_eta_case_b.cache_info().misses == 1
+    assert classify.extract_F.cache_info().misses == 1
