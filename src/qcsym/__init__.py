@@ -13,7 +13,6 @@ from .calculus import (
     substitute,
 )
 from .determining import (
-    DeterminingSystem,
     EvolutionEq,
     SymOperator,
     check_operator,
@@ -31,7 +30,6 @@ __all__ = [
     "Constraint",
     "Context",
     "DEFAULT_CONTEXT",
-    "DeterminingSystem",
     "EvolutionEq",
     "Expr",
     "FnAtom",

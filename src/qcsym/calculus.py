@@ -351,7 +351,9 @@ def _keys_distinct(k1: CollectKey, k2: CollectKey, assumptions) -> bool:
 
 @dataclass(frozen=True)
 class EquationSystem:
-    """Ordered equations (each required to vanish identically) with their grading."""
+    """Ordered equations (each required to vanish identically) with their
+    grading: collect keys for a split, ``Vx^d`` labels for a determining
+    system."""
 
     equations: tuple
     grading: tuple
@@ -359,8 +361,11 @@ class EquationSystem:
     def __len__(self) -> int:
         return len(self.equations)
 
-    def to_json(self) -> list:
-        return [str(eq) for eq in self.equations]
+    def to_json(self) -> dict:
+        return {
+            "grading": [str(k) for k in self.grading],
+            "equations": [str(eq) for eq in self.equations],
+        }
 
 
 def split(e: Expr, assumptions=()) -> EquationSystem:

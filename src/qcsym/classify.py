@@ -322,36 +322,26 @@ def coincidence_tables_k_eq_p_minus_1() -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# chain reports
+# step results
 
 
 @dataclass(frozen=True)
 class StepResult:
+    """One checked step; ``passed`` is None for a step that was skipped."""
+
     id: str
     description: str
-    passed: bool
+    passed: bool | None
     detail: str = ""
 
     def to_json(self) -> dict:
+        status = "skipped" if self.passed is None else "pass" if self.passed else "fail"
         return {
             "id": self.id,
             "description": self.description,
-            "status": "pass" if self.passed else "fail",
+            "status": status,
             "detail": self.detail,
         }
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    name: str
-    steps: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return all(s.passed for s in self.steps)
-
-    def to_json(self) -> list:
-        return [s.to_json() for s in self.steps]
 
 
 def _match_system(system: EquationSystem, fixture_eqs) -> bool:
@@ -402,8 +392,9 @@ def _euler_form(e: Expr) -> tuple:
     return s, rhs
 
 
-def case_c_chain_p0() -> ChainReport:
-    """The p = 0 derivation chain for xi = f(t,x), eta = g(t,x)V + h(t,x)."""
+def case_c_chain_p0() -> tuple:
+    """The p = 0 derivation chain for xi = f(t,x), eta = g(t,x)V + h(t,x),
+    one StepResult per check."""
     fx = fixture_json("chain_p0.json")
     steps = []
     sysd = power_system()
@@ -497,11 +488,12 @@ def case_c_chain_p0() -> ChainReport:
         "equations",
         all(r.is_zero() for r in residuals),
     ))
-    return ChainReport("case-c-p0", tuple(steps))
+    return tuple(steps)
 
 
-def case_c_chain_k1_p2() -> ChainReport:
-    """The k = 1, p = 2 derivation chain for xi = f, eta = gV + h."""
+def case_c_chain_k1_p2() -> tuple:
+    """The k = 1, p = 2 derivation chain for xi = f, eta = gV + h, one
+    StepResult per check."""
     fx = fixture_json("chain_k1_p2.json")
     steps = []
     sysd = power_system()
@@ -564,5 +556,5 @@ def case_c_chain_k1_p2() -> ChainReport:
         "the remaining equation ties f to f_x and f_xx",
         relation == parse(fx["f_relation"]),
     ))
-    return ChainReport("case-c-k1-p2", tuple(steps))
+    return tuple(steps)
 

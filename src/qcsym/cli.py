@@ -16,6 +16,9 @@ from .parser import parse, parse_affine
 
 _CHECK_TOL = 1e-9
 
+# the equation family each --family value names
+_EQUATIONS = {"power": EvolutionEq.power, "exp": EvolutionEq.exponential}
+
 
 def _build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -107,13 +110,12 @@ def _emit(payload, as_json: bool, lines) -> None:
 
 
 def _cmd_derive(args) -> int:
-    family = "power" if args.family == "power" else "exponential"
-    eq = EvolutionEq.power() if family == "power" else EvolutionEq.exponential()
+    eq = _EQUATIONS[args.family]()
     system = generate_determining_system(eq)
-    lines = [f"determining system ({family} family)"]
+    lines = [f"determining system ({eq.family} family)"]
     for g, e in zip(system.grading, system.equations):
         lines.append(f"  {g:<5} : {e}")
-    _emit(system.to_json(), args.json, lines)
+    _emit({"family": eq.family, **system.to_json()}, args.json, lines)
     return 0
 
 
@@ -137,13 +139,9 @@ def _cmd_table(args) -> int:
     tables = {
         str(t.target): t for t in classify.coincidence_tables_k_eq_p_minus_1()
     }
-    key = str(target)
-    if str(case) == "k=p-1" and key in tables:
-        table = tables[key]
-    else:
-        raise TermLanguageError(
-            f"no catalogued table for case {case} and target {target}"
-        )
+    table = tables.get(str(target)) if str(case) == "k=p-1" else None
+    if table is None:
+        raise TermLanguageError(f"no catalogued table for case {case} and target {target}")
     lines = [f"case {case}, target {table.target}"]
     header = "  column | " + "  ".join(f"{str(c):>6}" for c in table.columns)
     values = "  value  | " + "  ".join(f"{v:>6}" for v in table.value_strings())
@@ -158,18 +156,14 @@ def _cmd_table(args) -> int:
 def _cmd_check_op(args) -> int:
     op = normalize_operator(SymOperator.of(args.tau, args.xi, args.eta))
     if args.equation:
-        inst = numeric.Instance.load(args.equation)
-        eq = inst.equation()
+        eq = numeric.Instance.load(args.equation).equation()
     else:
-        eq = EvolutionEq.power() if args.family == "power" else EvolutionEq.exponential()
+        eq = _EQUATIONS[args.family]()
     residuals = check_operator(eq, op)
     ok = all(r.is_zero() for r in residuals)
-    payload = {
-        "satisfied": ok,
-        "residuals": [str(r) for r in residuals],
-    }
+    payload = {"satisfied": ok, "residuals": [str(r) for r in residuals]}
     lines = [f"operator {'satisfies' if ok else 'violates'} the determining system"]
-    for g, r in zip(("Vx^3", "Vx^2", "Vx^1", "Vx^0"), residuals):
+    for g, r in zip(generate_determining_system(eq).grading, residuals):
         lines.append(f"  {g:<5} residual: {r}")
     _emit(payload, args.json, lines)
     return 0 if ok else 1
@@ -194,14 +188,10 @@ def _cmd_check_op_numeric(args) -> int:
 def _cmd_split(args) -> int:
     e = parse(args.expression)
     system = split(e, _parse_constraints(args.forbidden))
-    payload = {
-        "grading": [str(k) for k in system.grading],
-        "equations": system.to_json(),
-    }
     lines = [f"{len(system)} equations"]
     for k, eq in zip(system.grading, system.equations):
         lines.append(f"  {str(k):<10} : {eq}")
-    _emit(payload, args.json, lines)
+    _emit(system.to_json(), args.json, lines)
     return 0
 
 
@@ -240,21 +230,18 @@ def _suite_steps(seed: int, corrupt: str | None):
     """Yield (id, description, callable) for the fourteen suite steps."""
 
     def regeneration():
-        for family, name in (
-            ("power", "determining_power.json"),
-            ("exponential", "determining_exponential.json"),
-        ):
-            eq = EvolutionEq.power() if family == "power" else EvolutionEq.exponential()
+        for make in _EQUATIONS.values():
+            eq = make()
             system = generate_determining_system(eq)
-            fixture = classify.fixture_json(name)["equations"]
+            fixture = classify.fixture_json(f"determining_{eq.family}.json")["equations"]
             if corrupt == "determining-systems":
                 fixture = list(fixture)
                 fixture[0] = fixture[0] + " + V^p"
             if len(system.equations) != 4:
-                return False, f"{family}: expected 4 equations"
+                return False, f"{eq.family}: expected 4 equations"
             for got, text in zip(system.equations, fixture):
                 if got != eq_normalize(parse(text)):
-                    return False, f"{family}: mismatch against {text!r}"
+                    return False, f"{eq.family}: mismatch against {text!r}"
         return True, "both families regenerate their catalogued systems"
 
     def eta_solution():
@@ -311,39 +298,37 @@ def _suite_steps(seed: int, corrupt: str | None):
     # Each derivation chain runs once per suite. Its own step reports the
     # whole chain; a later step reports the verdict of one check inside it.
     # A chain that raised leaves its error as the verdict of both.
-    reports = {}
+    verdicts = {}
 
-    def chain_report(chain):
-        if chain not in reports:
+    def chain_steps(chain):
+        if chain not in verdicts:
             try:
-                reports[chain] = chain()
+                verdicts[chain] = chain()
             except (TermLanguageError, NumericError) as exc:
-                reports[chain] = exc
-        return reports[chain]
+                verdicts[chain] = exc
+        return verdicts[chain]
 
     def whole_chain(chain):
         def step():
-            report = chain_report(chain)
-            if isinstance(report, Exception):
-                return False, str(report)
-            return report.all_passed, f"{len(report.steps)} steps"
+            steps = chain_steps(chain)
+            if isinstance(steps, Exception):
+                return False, str(steps)
+            return all(s.passed for s in steps), f"{len(steps)} steps"
         return step
 
     def chain_check(chain, check_id, detail):
         def step():
-            report = chain_report(chain)
-            if isinstance(report, Exception):
-                return False, str(report)
-            return any(s.id == check_id and s.passed for s in report.steps), detail
+            steps = chain_steps(chain)
+            if isinstance(steps, Exception):
+                return False, str(steps)
+            return any(s.id == check_id and s.passed for s in steps), detail
         return step
 
     def numeric_sampled():
-        inst = numeric.Instance.from_json(
-            classify.fixture_json("instance_scaling.json")
-        )
+        inst = numeric.Instance.from_json(classify.fixture_json("instance_scaling.json"))
         op = normalize_operator(inst.operator)
         worst = numeric.sample_residuals(inst, op, 1000, seed)
-        if worst >= 1e-9:
+        if worst >= _CHECK_TOL:
             return False, f"max residual {worst:.3e}"
         perturbed = SymOperator(op.tau, op.xi, op.eta + parse("1/10*V^2"))
         worst_p = numeric.sample_residuals(inst, perturbed, 200, seed)
@@ -352,9 +337,7 @@ def _suite_steps(seed: int, corrupt: str | None):
         )
 
     def numeric_group():
-        inst = numeric.Instance.from_json(
-            classify.fixture_json("instance_scaling.json")
-        )
+        inst = numeric.Instance.from_json(classify.fixture_json("instance_scaling.json"))
         field = numeric.solve_pde(inst, numeric.initial_row(inst), inst.grid.steps)
         base = numeric.invariance_residual(field, inst)
         flow = numeric.ScalingFlow(A1=1.0, A2=0.0)
@@ -398,23 +381,20 @@ def _suite_steps(seed: int, corrupt: str | None):
 
 
 def verify_paper(seed: int = 0, keep_going: bool = False, corrupt: str | None = None):
-    """Run the fourteen-step reproduction suite; returns (report, all_passed)."""
-    report = []
+    """Run the fourteen-step reproduction suite; returns (JSON rows, all passed)."""
+    results = []
     all_ok = True
     for step_id, description, fn in _suite_steps(seed, corrupt):
         if not all_ok and not keep_going:
-            report.append(
-                {"id": step_id, "description": description, "status": "skipped",
-                 "detail": ""}
-            )
+            results.append(classify.StepResult(step_id, description, None))
             continue
         try:
             ok, detail = fn()
         except (TermLanguageError, NumericError) as exc:
             ok, detail = False, str(exc)
-        report.append(classify.StepResult(step_id, description, ok, detail).to_json())
+        results.append(classify.StepResult(step_id, description, ok, detail))
         all_ok = all_ok and ok
-    return report, all_ok
+    return [r.to_json() for r in results], all_ok
 
 
 def _cmd_verify_paper(args) -> int:

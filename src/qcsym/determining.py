@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .calculus import diff, eq_normalize, substitute
+from .calculus import EquationSystem, diff, eq_normalize, substitute
 from .errors import DivisionError, OperatorFormError
 from .expr import DEFAULT_CONTEXT, Expr
 from .parser import parse
@@ -189,28 +189,13 @@ def normalize_operator(op: SymOperator) -> SymOperator:
     return SymOperator(Expr.one(), op.xi * inv, op.eta * inv)
 
 
-@dataclass(frozen=True)
-class DeterminingSystem:
-    """The four coefficient equations, ordered by descending V_x power."""
-
-    family: str
-    grading: tuple
-    equations: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "grading": list(self.grading),
-            "equations": [str(eq) for eq in self.equations],
-        }
-
-
 # A verify-paper replay derives three distinct equations; a sweep over
 # concrete (p, k) never repeats one, so the bound is what keeps a long sweep
 # from growing memory.
 @lru_cache(maxsize=16)
-def generate_determining_system(eq: EvolutionEq) -> DeterminingSystem:
-    """Derive the determining system for the generic unit-time operator.
+def generate_determining_system(eq: EvolutionEq) -> EquationSystem:
+    """Derive the determining system for the generic unit-time operator: the
+    four coefficient equations, graded ``Vx^3`` down to ``Vx^0``.
 
     Each equation is normalized so its leading canonical term has unit
     coefficient, which makes systems directly comparable.  The result is
@@ -255,10 +240,9 @@ def generate_determining_system(eq: EvolutionEq) -> DeterminingSystem:
     )
     coeffs = invariance.collect_jet("Vx")
     degrees = sorted(coeffs, reverse=True)
-    return DeterminingSystem(
-        family=eq.family,
-        grading=tuple(f"Vx^{d}" for d in degrees),
+    return EquationSystem(
         equations=tuple(eq_normalize(coeffs[d]) for d in degrees),
+        grading=tuple(f"Vx^{d}" for d in degrees),
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from .errors import (
     InstabilityError,
     NumericError,
     PositivityError,
+    TermLanguageError,
     UnboundFunctionError,
 )
 from .expr import Expr
@@ -136,25 +138,43 @@ def _entry(doc, key: str, where: str = ""):
 def _rational(doc: dict, key: str, alias: str | None = None, default=None) -> Fraction:
     """doc[key], or doc[alias], of an instance document as an exact rational;
     a NumericError names the key when it is missing and has no default, or
-    when its value is not a finite rational."""
+    when its value is not a finite rational within the float range."""
     if key not in doc and alias in doc:
         key = alias
     value = _entry(doc, key) if default is None else doc.get(key, default)
     try:
-        return Fraction(str(value))
+        exact = Fraction(str(value))
+        if abs(exact) <= sys.float_info.max:
+            return exact
     except (ValueError, ZeroDivisionError):
-        raise NumericError(
-            f"instance entry {key!r} is not a finite rational: {value!r}"
-        ) from None
+        pass
+    raise NumericError(f"instance entry {key!r} is not a finite rational: {value!r}")
 
 
-def _text(doc: dict, key: str, where: str = "", default: str | None = None) -> str:
-    """doc[key] of an instance document; a NumericError names the key when
-    it is missing and has no default, or when its value is not a string."""
+def _number(doc: dict, key: str, where: str = "", default=None, integral: bool = False):
+    """doc[key] of an instance document as a finite float, or as an int when
+    ``integral``; a NumericError names the key when it is missing and has no
+    default, or when its value is not a JSON number of that kind."""
+    value = _entry(doc, key, where) if default is None else doc.get(key, default)
+    # an exact comparison, so NaN and ints beyond the float range fail too
+    if (isinstance(value, bool) or not isinstance(value, int if integral else (int, float))
+            or not (integral or abs(value) <= sys.float_info.max)):
+        kind = "an integer" if integral else "a finite number"
+        raise NumericError(f"instance entry {where + key!r} must be {kind}: {value!r}")
+    return value if integral else float(value)
+
+
+def _expression(doc: dict, key: str, where: str = "", default: str | None = None) -> Expr:
+    """doc[key] of an instance document parsed as an expression; a
+    NumericError names the key when it is missing and has no default, when
+    its value is not a string, or when the string does not parse."""
     value = _entry(doc, key, where) if default is None else doc.get(key, default)
     if not isinstance(value, str):
         raise NumericError(f"instance entry {where + key!r} must be a string: {value!r}")
-    return value
+    try:
+        return parse(value)
+    except TermLanguageError as exc:
+        raise NumericError(f"instance entry {where + key!r} does not parse: {exc}") from None
 
 
 # the optional number fields each type of initial row reads
@@ -177,14 +197,11 @@ def _check_initial(initial) -> None:
             f"instance entry 'initial.type' must be one of {sorted(_INITIAL_FIELDS)}: {kind!r}"
         )
     for field in _INITIAL_FIELDS[kind]:
-        value = desc.get(field, 1.0)
-        try:
-            finite = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite or (field == "width" and value <= 0):
-            rule = "a finite number" + (" above 0" if field == "width" else "")
-            raise NumericError(f"instance entry 'initial.{field}' must be {rule}: {value!r}")
+        value = _number(desc, field, "initial.", 1.0)
+        if field == "width" and value <= 0:
+            raise NumericError(
+                f"instance entry 'initial.width' must be a finite number above 0: {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -203,18 +220,14 @@ class Instance:
     @staticmethod
     def from_json(data: dict) -> "Instance":
         g = _entry(data, "grid")
-        for key in ("x0", "x1", "nx", "t0", "dt", "steps"):
-            _entry(g, key, "grid.")
-        grid = Grid(
-            x0=float(g["x0"]), x1=float(g["x1"]), nx=int(g["nx"]),
-            t0=float(g["t0"]), dt=float(g["dt"]), steps=int(g["steps"]),
-        )
+        grid = Grid(**{
+            key: _number(g, key, "grid.", integral=key in ("nx", "steps"))
+            for key in ("x0", "x1", "nx", "t0", "dt", "steps")
+        })
         if grid.nx < 2:
             raise NumericError("instance entry 'grid.nx' must be at least 2")
-        if not (math.isfinite(grid.dt) and grid.dt > 0):
-            raise NumericError(
-                f"instance entry 'grid.dt' must be finite and positive: {g['dt']!r}"
-            )
+        if grid.dt <= 0:
+            raise NumericError(f"instance entry 'grid.dt' must be positive: {grid.dt!r}")
         if grid.steps < 0:
             raise NumericError("instance entry 'grid.steps' must be at least 0")
         cells = grid.nx * (grid.steps + 1)
@@ -227,6 +240,9 @@ class Instance:
             raise NumericError(
                 f"instance entry 'family' must be 'power': {data['family']!r}"
             )
+        seed = _number(data, "seed", default=0, integral=True)
+        if seed < 0:
+            raise NumericError(f"instance entry 'seed' must be at least 0: {seed!r}")
         initial = data.get("initial")
         _check_initial(initial)
         op = data.get("operator", {"tau": "1", "xi": "0", "eta": "0"})
@@ -234,12 +250,12 @@ class Instance:
             p=_rational(data, "p", "m", 0),
             k=_rational(data, "k", "n", 1),
             lam=_rational(data, "lambda"),
-            F=parse(_text(data, "F", default="0")),
-            operator=SymOperator.of(
-                *(_text(op, name, "operator.") for name in ("tau", "xi", "eta"))
+            F=_expression(data, "F", default="0"),
+            operator=SymOperator(
+                *(_expression(op, name, "operator.") for name in ("tau", "xi", "eta"))
             ),
             grid=grid,
-            seed=int(data.get("seed", 0)),
+            seed=seed,
             initial=initial,
         )
 
@@ -298,7 +314,10 @@ def _compile_pointwise(e: Expr):
             if vexp:
                 value *= V**vexp
             if cexp:
-                value *= math.exp(cexp * V)
+                try:
+                    value *= math.exp(cexp * V)
+                except OverflowError:  # reported as non-finite below
+                    value = math.inf
             total += value
         if not math.isfinite(total):
             raise EvalPoleError(f"non-finite value at (t={t}, x={x}, V={V})")
@@ -540,16 +559,26 @@ def group_transform(
     coordinate, so the image of a uniform lattice is uniform) and the
     values are scaled by exp(-w*eps); no interpolation error enters.
     """
+    if not math.isfinite(epsilon):
+        raise NumericError(f"epsilon must be a finite number: {epsilon!r}")
     if epsilon == 0:
         return field.copy()
     k = float(inst.k)
-    return Field(
-        t0=generator.map_t(field.t0, k, epsilon),
-        dt=math.exp(2 * k * epsilon) * field.dt,
-        x0=generator.map_x(field.x0, k, epsilon),
-        dx=math.exp(k * epsilon) * field.dx,
-        values=math.exp(-generator.v_weight * epsilon) * field.values,
-    )
+    try:
+        t0 = generator.map_t(field.t0, k, epsilon)
+        x0 = generator.map_x(field.x0, k, epsilon)
+        dt = math.exp(2 * k * epsilon) * field.dt
+        dx = math.exp(k * epsilon) * field.dx
+        scale = math.exp(-generator.v_weight * epsilon)
+        in_range = (math.isfinite(t0) and math.isfinite(x0) and 0 < dt < math.inf
+                    and 0 < dx < math.inf and scale > 0)
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise NumericError(
+            f"epsilon = {epsilon!r} carries the field out of floating-point range"
+        )
+    return Field(t0=t0, dt=dt, x0=x0, dx=dx, values=scale * field.values)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qcsym import classify, numeric
 from qcsym.calculus import eq_normalize
@@ -11,6 +13,9 @@ from qcsym.classify import fixture_json
 from qcsym.cli import main, verify_paper
 from qcsym.errors import VerificationError
 from qcsym.parser import parse
+
+
+_FIXTURE = str(Path(classify.__file__).parent / "fixtures" / "instance_scaling.json")
 
 
 def run(capsys, *argv):
@@ -146,6 +151,16 @@ def test_check_op_numeric_json_reports_a_violation(tmp_path, capsys):
     assert payload["max_residual"] > 1e-9
 
 
+def test_check_op_numeric_overflow_exits_2(tmp_path, capsys):
+    data = fixture_json("instance_scaling.json")
+    data["F"] = "exp(9999*V)"  # overflows a float at every sample point
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check-op-numeric", "--equation", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_transform_command(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(fixture_json("instance_scaling.json")))
@@ -192,6 +207,34 @@ def test_verify_paper_keep_going(capsys):
     assert "[SKIP" not in out
 
 
+def test_verify_paper_skips_after_a_failure(capsys, monkeypatch):
+    calls = []
+    for chain in ("case_c_chain_p0", "case_c_chain_k1_p2"):
+        monkeypatch.setattr(classify, chain, lambda chain=chain: calls.append(chain))
+    argv = ("verify-paper", "--corrupt", "determining-systems")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    rows = json.loads(out)
+    assert rows[0]["status"] == "fail"
+    assert [(r["status"], r["detail"]) for r in rows[1:]] == [("skipped", "")] * 13
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out.count("[SKIPPED]") == 13
+    assert out.splitlines()[-1] == "0/14 steps passed"
+    assert calls == []
+
+
+def test_system_json_key_order(capsys):
+    code, out, _ = run(capsys, "derive", "--family", "power", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == ["family", "grading", "equations"]
+    assert data["family"] == "power"
+    code, out, _ = run(capsys, "split", "f*V^2 + g", "--json")
+    assert code == 0
+    assert list(json.loads(out)) == ["grading", "equations"]
+
+
 def test_output_deterministic(capsys):
     _, out1, _ = run(capsys, "verify-paper", "--seed", "5")
     _, out2, _ = run(capsys, "verify-paper", "--seed", "5")
@@ -219,6 +262,9 @@ def test_output_deterministic(capsys):
         ["transform", "--equation", "/nonexistent.json"],
         ["verify-paper", "extra-positional"],
         ["verify-paper", "--corrupt", "eta-general-solution"],
+        ["transform", "--equation", _FIXTURE, "--eps", "nan"],
+        ["transform", "--equation", _FIXTURE, "--eps", "1e308"],
+        ["transform", "--equation", _FIXTURE, "--eps=-400"],  # dt underflows to 0
     ],
 )
 def test_malformed_argv_exits_2(argv, capsys):
@@ -264,7 +310,7 @@ def test_suite_reuses_chain_verdicts(monkeypatch, chain, check, chain_step, depe
 
     def stub():
         calls.append(chain)
-        return classify.ChainReport("stub", (classify.StepResult(check, "stubbed", False),))
+        return (classify.StepResult(check, "stubbed", False),)
 
     monkeypatch.setattr(classify, chain, stub)
     report, ok = verify_paper(keep_going=True)
@@ -327,6 +373,10 @@ def test_transform_exact_baseline_has_no_ratio(tmp_path, capsys, monkeypatch):
 _DELETE = object()
 
 
+class _Literal(str):
+    """A value written into an instance file as raw JSON text."""
+
+
 @pytest.mark.parametrize(
     "entry",
     # a bare key is deleted; a (key, value) pair sets a bad value
@@ -343,6 +393,11 @@ _DELETE = object()
             ("initial.type", "bogus"), ("initial.width", None), ("initial.width", 0),
             ("initial.amplitude", "1"), ("initial.center", float("inf")),
             ("F", 0.1), ("F", 3), ("operator.eta", 0.1), ("operator.tau", 1),
+            ("seed", None), ("seed", 1.5), ("seed", True), ("seed", -1),
+            ("grid.x0", None), ("grid.x0", "0"),
+            ("grid.x1", [1]), ("grid.x1", float("nan")),
+            ("grid.nx", "abc"), ("grid.nx", 2.5), ("grid.steps", _Literal("1e400")),
+            ("F", "1 +"), ("operator.xi", "x/"),
         )
     ],
 )
@@ -365,13 +420,55 @@ def test_instance_missing_key_is_usage_error(tmp_path, capsys, entry, command):
         if key == "m":  # "m" is read only where "p" is absent
             del data["p"]
         doc[name] = value
+    text = json.dumps(data)
+    if isinstance(value, _Literal):  # JSON text no Python value dumps as
+        text = text.replace(json.dumps(value), value)
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(data))
+    path.write_text(text)
     code, out, err = run(capsys, *command, "--equation", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert repr(key) in err
+
+
+_FIXTURE_DATA = fixture_json("instance_scaling.json")
+# every entry of the fixture: top-level, or one level down in an object
+_ENTRIES = sorted(
+    [key for key in _FIXTURE_DATA]
+    + [f"{head}.{name}" for head, doc in _FIXTURE_DATA.items()
+       if isinstance(doc, dict) for name in doc]
+)
+_BAD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    # at most four characters: parse hangs on some longer texts such as 9^9^9
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"),
+                     1e308, -1e308, 10**400, -(10**400)]),
+    st.integers(-10**6, -1),
+    st.floats(-1e3, 1e3).filter(lambda v: v != int(v)),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_ENTRIES), _BAD_VALUES)
+def test_instance_fuzz_exits_cleanly(tmp_path, capsys, key, value):
+    data = fixture_json("instance_scaling.json")
+    head, _, name = key.rpartition(".")
+    (data[head] if head else data)[name] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    for command in (["check-op", "--xi", "A", "--eta", "0"],
+                    ["check-op-numeric", "--samples", "10"]):
+        code, out, err = run(capsys, *command, "--equation", str(path))
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_paper_json_matches_replay_reference(capsys):

@@ -136,7 +136,6 @@ def test_derivation_is_shared_per_equation():
 
 def test_system_serialization(power_system):
     data = power_system.to_json()
-    assert data["family"] == "power"
     assert data["grading"][0] == "Vx^3"
     assert len(data["equations"]) == 4
     assert data["equations"][0] == "xi_VV"
