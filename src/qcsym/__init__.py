@@ -2,7 +2,6 @@
 reaction-diffusion-convection equations."""
 
 from .calculus import (
-    CollectKey,
     Constraint,
     collect,
     collect_in,
@@ -19,17 +18,14 @@ from .determining import (
     generate_determining_system,
     normalize_operator,
 )
-from .expr import AffineExponent, Context, DEFAULT_CONTEXT, Expr, FnAtom
+from .expr import AffineExponent, Expr, FnAtom
 from .parser import parse, parse_affine
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineExponent",
-    "CollectKey",
     "Constraint",
-    "Context",
-    "DEFAULT_CONTEXT",
     "EvolutionEq",
     "Expr",
     "FnAtom",

@@ -13,7 +13,7 @@ from .errors import (
 from .expr import (
     AFF_ONE,
     AFF_ZERO,
-    DEFAULT_CONTEXT,
+    FUNCTIONS,
     AffineExponent,
     CoeffFrac,
     Expr,
@@ -38,7 +38,6 @@ def _atom_deriv(a: FnAtom, var: str) -> FnAtom | None:
         a.dx + (var == "x"),
         a.dV + (var == "V"),
         1,
-        a.deps,
     )
 
 
@@ -74,7 +73,7 @@ def diff(e: Expr, var: str) -> Expr:
             if a.power == 1:
                 del rest[i]
             else:
-                rest[i] = FnAtom(a.name, a.dt, a.dx, a.dV, a.power - 1, a.deps)
+                rest[i] = FnAtom(a.name, a.dt, a.dx, a.dV, a.power - 1)
             coeff = t.coeff * CoeffFrac.const(a.power)
             new_fns = merge_fns(tuple(rest), (da,))
             out.append(Term(coeff, t.vpow, t.expc, new_fns))
@@ -118,10 +117,7 @@ def substitute(e: Expr, bindings: dict) -> Expr:
     param_bindings: dict = {}
     for key, value in bindings.items():
         name, dt, dx, dV = _parse_binding_key(str(key))
-        is_fn = (dt or dx or dV) or name in DEFAULT_CONTEXT.fns or (
-            name not in DEFAULT_CONTEXT.params and _mentions_fn(e, name)
-        )
-        if is_fn:
+        if dt or dx or dV or name in FUNCTIONS:
             fn_bindings[(name, dt, dx, dV)] = _coerce_expr(value)
         else:
             param_bindings[name] = value
@@ -130,14 +126,6 @@ def substitute(e: Expr, bindings: dict) -> Expr:
     if param_bindings:
         e = _substitute_params(e, param_bindings)
     return e
-
-
-def _mentions_fn(e: Expr, name: str) -> bool:
-    for t in e.terms:
-        for a in t.fns:
-            if a.name == name:
-                return True
-    return False
 
 
 def _substitute_fns(e: Expr, bindings: dict) -> Expr:
@@ -249,13 +237,9 @@ class Constraint:
         A bare-variable left side keeps its orientation; otherwise the
         relation is solved for k, then p, then n.
         """
-        for name in ("p", "k", "n"):
-            if (
-                self.lhs.coeff_of(name) == 1
-                and self.lhs.key().count(Fraction(0)) == 3
-                and not self.rhs.coeff_of(name)
-            ):
-                return name, self.rhs
+        name = self.lhs.parameter()
+        if name and not self.rhs.coeff_of(name):
+            return name, self.rhs
         form = self.form()
         for name in ("k", "p", "n"):
             value = form.solve_for(name)
@@ -301,49 +285,29 @@ def excluded_by(form: AffineExponent, assumptions) -> bool:
 # collection and splitting
 
 
-@dataclass(frozen=True, slots=True)
-class CollectKey:
-    """Grading key: V-power, exponential, and V-dependent function signature."""
-
-    vpow: AffineExponent
-    expc: AffineExponent
-    fpart: tuple
-
-    def sort_key(self) -> tuple:
-        return (
-            self.vpow.key(),
-            self.expc.key(),
-            tuple(a.sort_key() + (a.power,) for a in self.fpart),
-        )
-
-    def atom_expr(self) -> Expr:
-        return Expr((Term(F_ONE, self.vpow, self.expc, self.fpart),))
-
-    def __str__(self) -> str:
-        return str(self.atom_expr())
-
-
 def collect(e: Expr) -> dict:
-    """Group terms by CollectKey; coefficients are free of V.
+    """Group terms by grading key; coefficients are free of V.
 
-    Returns an ordered mapping (descending key order); summing
-    coefficient * key.atom_expr() over all entries rebuilds e.
+    A key is a unit-coefficient Term: the V-power, the exponential and the
+    V-dependent atoms of the terms it groups.  Returns an ordered mapping
+    (descending key signature); summing coefficient * key over all entries
+    rebuilds e.
     """
     groups: dict = {}
     for t in e.terms:
         vdep = tuple(a for a in t.fns if "V" in a.deps)
         rest = tuple(a for a in t.fns if "V" not in a.deps)
-        key = CollectKey(t.vpow, t.expc, vdep)
+        key = Term(F_ONE, t.vpow, t.expc, vdep)
         coeff_term = Term(t.coeff, AFF_ZERO, AFF_ZERO, rest)
         groups.setdefault(key, []).append(coeff_term)
-    ordered = sorted(groups, key=lambda k: k.sort_key(), reverse=True)
+    ordered = sorted(groups, key=lambda k: k.signature, reverse=True)
     return {k: Expr.from_terms(groups[k]) for k in ordered}
 
 
-def _keys_distinct(k1: CollectKey, k2: CollectKey, assumptions) -> bool:
+def _keys_distinct(k1: Term, k2: Term, assumptions) -> bool:
     # the keys coincide only where both exponent differences vanish
     return (
-        k1.fpart != k2.fpart
+        k1.fns != k2.fns
         or excluded_by(k1.expc - k2.expc, assumptions)
         or excluded_by(k1.vpow - k2.vpow, assumptions)
     )
@@ -398,11 +362,8 @@ def collect_in(e: Expr, gen: str) -> dict:
             raise TermLanguageError(
                 f"cannot collect in {gen}: denominator depends on it"
             )
-        for mono, c in t.coeff.num.terms.items():
-            md = dict(mono)
-            d = md.pop(gen, 0)
-            stripped = Poly({tuple(sorted(md.items())): c})
-            coeff = CoeffFrac(stripped, t.coeff.den)
+        for d, c in t.coeff.num.coeffs_in(gen).items():
+            coeff = CoeffFrac(c, t.coeff.den)
             groups.setdefault(d, []).append(Term(coeff, t.vpow, t.expc, t.fns))
     return {
         d: Expr.from_terms(groups[d]) for d in sorted(groups, reverse=True)

@@ -14,7 +14,6 @@ from functools import lru_cache
 from pathlib import Path
 
 from .calculus import (
-    CollectKey,
     Constraint,
     EquationSystem,
     collect,
@@ -28,7 +27,7 @@ from .calculus import (
     substitute,
 )
 from .errors import TableError, VerificationError
-from .expr import AFF_ZERO, AffineExponent, Expr
+from .expr import AffineExponent, Expr
 from .determining import EvolutionEq, SymOperator, check_operator, generate_determining_system, normalize_operator
 from .parser import parse, parse_affine
 
@@ -440,10 +439,8 @@ def case_c_chain_p0() -> tuple:
     ))
 
     groups = collect(F)
-    k_plus_1 = CollectKey(parse_affine("k+1"), AFF_ZERO, ())
-    v_one = CollectKey(parse_affine("1"), AFF_ZERO, ())
-    coeff_k1 = groups.get(k_plus_1, Expr.zero())
-    coeff_v = groups.get(v_one, Expr.zero())
+    coeff_k1 = groups.get(parse("V^(k+1)").lead(), Expr.zero())
+    coeff_v = groups.get(parse("V").lead(), Expr.zero())
     steps.append(StepResult(
         "constancy",
         "non-constant coefficients give the two constancy relations",

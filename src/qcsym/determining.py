@@ -15,8 +15,9 @@ from functools import lru_cache
 
 from .calculus import EquationSystem, diff, eq_normalize, substitute
 from .errors import DivisionError, OperatorFormError
-from .expr import DEFAULT_CONTEXT, Expr
+from .expr import Expr, FnAtom
 from .parser import parse
+from .poly import mono_div, mono_mul, mono_split, mono_var
 
 # ---------------------------------------------------------------------------
 # a minimal jet layer: polynomials in V_t, V_x, V_xx with Expr coefficients
@@ -43,7 +44,7 @@ class JetPoly:
 
     @staticmethod
     def jet(name: str) -> "JetPoly":
-        return JetPoly({((name, 1),): Expr.one()})
+        return JetPoly({mono_var(name): Expr.one()})
 
     def __add__(self, other: "JetPoly") -> "JetPoly":
         out = dict(self.terms)
@@ -61,38 +62,32 @@ class JetPoly:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _jet_mul(m1, m2)
+                m = mono_mul(m1, m2)
                 c = c1 * c2
                 out[m] = out[m] + c if m in out else c
         return JetPoly(out)
 
     def total(self, var: str) -> "JetPoly":
         """Total derivative D_t or D_x on the lattice."""
-        vjet = "Vt" if var == "t" else "Vx"
+        vjet = mono_var("Vt" if var == "t" else "Vx")
         out = JetPoly()
         for m, c in self.terms.items():
             # derivative of the coefficient: partial + V-slope * first jet
             dc = JetPoly({m: diff(c, var)}) + JetPoly(
-                {_jet_mul(m, ((vjet, 1),)): diff(c, "V")}
+                {mono_mul(m, vjet): diff(c, "V")}
             )
             out = out + dc
             # derivative of the jet monomial, product rule
-            for i, (name, power) in enumerate(m):
-                nxt = _NEXT_JET[(name, var)]
-                factors = list(m)
-                if power == 1:
-                    del factors[i]
-                else:
-                    factors[i] = (name, power - 1)
-                mono = _jet_mul(tuple(factors), ((nxt, 1),))
+            for name, power in m:
+                nxt = mono_var(_NEXT_JET[(name, var)])
+                mono = mono_mul(mono_div(m, mono_var(name)), nxt)
                 out = out + JetPoly({mono: c.scale(Fraction(power))})
         return out
 
     def subst_jet(self, name: str, value: "JetPoly") -> "JetPoly":
         out = JetPoly()
         for m, c in self.terms.items():
-            rest = tuple(f for f in m if f[0] != name)
-            power = sum(p for nm, p in m if nm == name)
+            power, rest = mono_split(m, name)
             piece = JetPoly({rest: c})
             for _ in range(power):
                 piece = piece * value
@@ -102,19 +97,11 @@ class JetPoly:
     def collect_jet(self, name: str) -> dict:
         out: dict = {}
         for m, c in self.terms.items():
-            others = [f for f in m if f[0] != name]
+            power, others = mono_split(m, name)
             if others:
-                raise ValueError(f"unexpected jet variables {others}")
-            power = sum(p for nm, p in m if nm == name)
+                raise ValueError(f"unexpected jet variables {list(others)}")
             out[power] = out[power] + c if power in out else c
         return out
-
-
-def _jet_mul(a: tuple, b: tuple) -> tuple:
-    out = dict(a)
-    for name, p in b:
-        out[name] = out.get(name, 0) + p
-    return tuple(sorted((k, v) for k, v in out.items() if v))
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +188,12 @@ def generate_determining_system(eq: EvolutionEq) -> EquationSystem:
     coefficient, which makes systems directly comparable.  The result is
     memoised on the (frozen, hashable) equation and shared by every caller.
     """
-    ctx = DEFAULT_CONTEXT
-    xi = Expr.atom(ctx.fn_atom("xi"))
-    eta = Expr.atom(ctx.fn_atom("eta"))
+    xi = Expr.atom(FnAtom("xi"))
+    eta = Expr.atom(FnAtom("eta"))
     F0, F1 = eq.F0, eq.F1
     if eq.F2 is None:
-        F2 = Expr.atom(ctx.fn_atom("F"))
-        dF2 = Expr.atom(ctx.fn_atom("F", dV=1))
+        F2 = Expr.atom(FnAtom("F"))
+        dF2 = Expr.atom(FnAtom("F", dV=1))
     else:
         F2 = eq.F2
         dF2 = diff(eq.F2, "V")

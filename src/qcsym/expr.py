@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DivisionError
-from .poly import CoeffFrac, F_ONE, Poly
+from .poly import CoeffFrac, F_ONE, Poly, grlex_key
 
 EXPONENT_PARAMS = ("p", "k", "n")
 
@@ -141,6 +141,10 @@ class AffineExponent:
         px, py = pivot
         return all(x * py == px * y for x, y in pairs)
 
+    def parameter(self) -> str | None:
+        """p, k or n when the form is exactly that parameter, else None."""
+        return _BARE.get(self._key) or None
+
     def to_poly(self) -> Poly:
         out = Poly.const(self.c0)
         for c, name in ((self.cp, "p"), (self.ck, "k"), (self.cn, "n")):
@@ -155,29 +159,47 @@ class AffineExponent:
 AFF_ZERO = AffineExponent()
 AFF_ONE = AffineExponent.const(1)
 
+# the exponents whose powers print bare (V, V^p, exp(k*V)), with the text
+# that stands for them; natural-number powers of V print bare as well
+_BARE = {
+    AFF_ONE.key(): "",
+    **{AffineExponent.of(**{"c" + name: 1}).key(): name for name in EXPONENT_PARAMS},
+}
 
-def affine_text(a: AffineExponent) -> str:
-    parts = []
-    for c, name in ((a.cp, "p"), (a.ck, "k"), (a.cn, "n")):
-        if not c:
-            continue
-        body = name if abs(c) == 1 else f"{abs(c)}*{name}"
-        parts.append(("-" if c < 0 else "+", body))
-    if a.c0 or not parts:
-        parts.append(("-" if a.c0 < 0 else "+", str(abs(a.c0))))
-    first_sign, first = parts[0]
-    text = ("-" if first_sign == "-" else "") + first
-    for sign, body in parts[1:]:
-        text += sign + body
-    return text
+
+# ---------------------------------------------------------------------------
+# the symbol table: what each name of the language denotes
+
+PARAMETERS = frozenset(
+    {
+        "p", "k", "n", "m", "lambda",
+        "lambda0", "lambda1", "lambda2", "lambda3",
+        "A", "A1", "A2", "A1star", "eps",
+    }
+)
+
+# each unknown function and the variables among (t, x, V) it depends on
+FUNCTIONS = {
+    "a": ("t", "x"),
+    "f": ("t", "x"),
+    "g": ("t", "x"),
+    "h": ("t", "x"),
+    "alpha": ("t",),
+    "beta": ("t",),
+    "gamma": ("t",),
+    "F": ("V",),
+    "xi": ("t", "x", "V"),
+    "eta": ("t", "x", "V"),
+}
 
 
 @dataclass(frozen=True, slots=True)
 class FnAtom:
     """Unknown-function atom with derivative indices and an integer power.
 
-    deps records which of (t, x, V) the function depends on; derivatives in
-    other variables are identically zero and such atoms are rejected.
+    The function depends on the variables FUNCTIONS lists for its name;
+    derivatives in other variables are identically zero and such atoms are
+    rejected.
     """
 
     name: str
@@ -185,21 +207,27 @@ class FnAtom:
     dx: int = 0
     dV: int = 0
     power: int = 1
-    deps: tuple = ("t", "x")
 
     def __post_init__(self):
         if self.power == 0:
             raise ValueError("zero-power function atom")
-        if self.dt and "t" not in self.deps:
+        deps = FUNCTIONS.get(self.name)
+        if deps is None:
+            raise ValueError(f"unknown function {self.name!r}")
+        if self.dt and "t" not in deps:
             raise ValueError(f"{self.name} does not depend on t")
-        if self.dx and "x" not in self.deps:
+        if self.dx and "x" not in deps:
             raise ValueError(f"{self.name} does not depend on x")
-        if self.dV and "V" not in self.deps:
+        if self.dV and "V" not in deps:
             raise ValueError(f"{self.name} does not depend on V")
         if self.power < 0 and self.is_derived():
             raise ValueError(
                 f"negative power on derived atom {self.base_text()}"
             )
+
+    @property
+    def deps(self) -> tuple:
+        return FUNCTIONS[self.name]
 
     def is_derived(self) -> bool:
         return bool(self.dt or self.dx or self.dV)
@@ -230,7 +258,7 @@ def merge_fns(fns1, fns2):
         else:
             p = cur.power + a.power
             if p:
-                out[k] = FnAtom(a.name, a.dt, a.dx, a.dV, p, a.deps)
+                out[k] = FnAtom(a.name, a.dt, a.dx, a.dV, p)
             else:
                 del out[k]
     return tuple(out[k] for k in sorted(out))
@@ -274,8 +302,11 @@ class Term:
     def __hash__(self) -> int:
         return hash((self._sig, self.coeff))
 
+    def __str__(self) -> str:
+        return expr_text(Expr((self,)))
+
     def __repr__(self) -> str:
-        return f"Term<{Expr((self,))}>"
+        return f"Term<{self}>"
 
 
 class Expr:
@@ -396,7 +427,7 @@ class Expr:
                     f"cannot invert derived atom {a.base_text()}"
                 )
         fns = tuple(
-            FnAtom(a.name, 0, 0, 0, -a.power, a.deps) for a in t.fns
+            FnAtom(a.name, 0, 0, 0, -a.power) for a in t.fns
         )
         return Expr((Term(t.coeff.inverse(), -t.vpow, -t.expc, fns),))
 
@@ -426,145 +457,78 @@ E_ONE = Expr((Term(F_ONE),))
 
 
 # ---------------------------------------------------------------------------
-# symbol contexts
-
-
-class Context:
-    """Registry of parameter symbols and unknown-function signatures."""
-
-    def __init__(self, params: frozenset, fns: dict):
-        self.params = params
-        self.fns = fns
-
-    def fn_atom(self, name: str, dt=0, dx=0, dV=0, power=1) -> FnAtom:
-        return FnAtom(name, dt, dx, dV, power, self.fns[name])
-
-
-DEFAULT_PARAMS = frozenset(
-    {
-        "p", "k", "n", "m", "lambda",
-        "lambda0", "lambda1", "lambda2", "lambda3",
-        "A", "A1", "A2", "A1star", "eps",
-    }
-)
-
-DEFAULT_FNS = {
-    "a": ("t", "x"),
-    "f": ("t", "x"),
-    "g": ("t", "x"),
-    "h": ("t", "x"),
-    "alpha": ("t",),
-    "beta": ("t",),
-    "gamma": ("t",),
-    "F": ("V",),
-    "xi": ("t", "x", "V"),
-    "eta": ("t", "x", "V"),
-}
-
-DEFAULT_CONTEXT = Context(DEFAULT_PARAMS, DEFAULT_FNS)
-
-
-# ---------------------------------------------------------------------------
 # canonical printing
+
+
+def _signed_sum(parts, gap: str = "") -> str:
+    """Join (sign, body) pairs into a sum; a leading plus sign is dropped."""
+    (sign, body), rest = parts[0], parts[1:]
+    head = body if sign == "+" else "-" + body
+    return head + "".join(gap + s + gap + b for s, b in rest)
+
+
+def _bracket(text: str, ops: str) -> str:
+    """text, in parentheses when one of ops occurs in it at depth zero (a
+    leading sign does not count)."""
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and i > 0 and ch in ops:
+            return f"({text})"
+    return text
+
+
+def affine_text(a: AffineExponent) -> str:
+    parts = []
+    for c, name in ((a.cp, "p"), (a.ck, "k"), (a.cn, "n")):
+        if not c:
+            continue
+        body = name if abs(c) == 1 else f"{abs(c)}*{name}"
+        parts.append(("-" if c < 0 else "+", body))
+    if a.c0 or not parts:
+        parts.append(("-" if a.c0 < 0 else "+", str(abs(a.c0))))
+    return _signed_sum(parts)
 
 
 def poly_text(p: Poly) -> str:
     if p.is_zero():
         return "0"
-    gens = sorted(p.gens())
-
-    def keyfun(item):
-        m, _ = item
-        md = dict(m)
-        deg = sum(md.values())
-        return (deg, tuple(md.get(g, 0) for g in gens))
-
-    monos = sorted(p.terms.items(), key=keyfun, reverse=True)
     parts = []
-    for m, c in monos:
+    for m in sorted(p.terms, key=grlex_key(sorted(p.gens())), reverse=True):
+        c = p.terms[m]
         factors = []
         for name, e in m:
             factors.append(name if e == 1 else f"{name}^{e}")
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = str(mag) + "*" + "*".join(factors)
-        parts.append(("-" if c < 0 else "+", body))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += sign + body
-    return text
-
-
-def _wrap(text: str) -> str:
-    return text if _is_atomic(text) else f"({text})"
-
-
-def _is_atomic(text: str) -> bool:
-    # a product of powers with no top-level + or - is safe unparenthesized
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch in "+-" and i > 0:
-            return False
-        elif depth == 0 and ch == "/":
-            return False
-    return True
-
-
-def _top_level_sum(text: str) -> bool:
-    # True when the text carries + or - at parenthesis depth zero (a sum,
-    # which must be wrapped before entering a product)
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch in "+-" and i > 0:
-            return True
-    return False
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        parts.append(("-" if c < 0 else "+", "*".join(factors)))
+    return _signed_sum(parts)
 
 
 def coeff_text(c: CoeffFrac) -> str:
     num = poly_text(c.num)
     if c.den.is_const():
         return num
-    return f"{_wrap(num)}/({poly_text(c.den)})"
+    return f"{_bracket(num, '+-/')}/({poly_text(c.den)})"
 
 
 def _vpow_text(e: AffineExponent) -> str:
-    if e.is_const():
-        c = e.c0
-        if c == 1:
-            return "V"
-        if c.denominator == 1 and c >= 0:
-            return f"V^{c}"
-        return f"V^({c})"
-    if (e.cp, e.ck, e.cn, e.c0).count(Fraction(0)) == 3:
-        # single parameter with unit coefficient prints bare
-        for val, name in ((e.cp, "p"), (e.ck, "k"), (e.cn, "n")):
-            if val == 1:
-                return f"V^{name}"
-    return f"V^({affine_text(e)})"
+    bare = _BARE.get(e.key())
+    if bare is None and e.is_const() and e.c0.denominator == 1 and e.c0 >= 0:
+        bare = str(e.c0)
+    if bare is None:
+        return f"V^({affine_text(e)})"
+    return f"V^{bare}" if bare else "V"
 
 
 def _exp_text(c: AffineExponent) -> str:
-    if c.is_const() and c.c0 == 1:
-        return "exp(V)"
-    if c.is_const() or (c.cp, c.ck, c.cn).count(Fraction(0)) < 2 or c.c0:
+    bare = _BARE.get(c.key())
+    if bare is None:
         return f"exp(({affine_text(c)})*V)"
-    for val, name in ((c.cp, "p"), (c.ck, "k"), (c.cn, "n")):
-        if val == 1:
-            return f"exp({name}*V)"
-    return f"exp(({affine_text(c)})*V)"
+    return f"exp({bare}*V)" if bare else "exp(V)"
 
 
 def term_text(t: Term) -> tuple:
@@ -578,27 +542,12 @@ def term_text(t: Term) -> tuple:
         factors.append(_exp_text(t.expc))
     for a in t.fns:
         factors.append(str(a))
-    is_one = coeff.is_const() and coeff.const_value() == 1
-    if not factors:
-        body = coeff_text(coeff)
-        if _top_level_sum(body):
-            body = f"({body})"
-    elif is_one:
-        body = "*".join(factors)
-    else:
-        ct = coeff_text(coeff)
-        if _top_level_sum(ct):
-            ct = f"({ct})"
-        body = ct + "*" + "*".join(factors)
-    return sign, body
+    if not (factors and coeff.is_const() and coeff.const_value() == 1):
+        factors.insert(0, _bracket(coeff_text(coeff), "+-"))
+    return sign, "*".join(factors)
 
 
 def expr_text(e: Expr) -> str:
     if e.is_zero():
         return "0"
-    sign, body = term_text(e.terms[0])
-    text = ("-" if sign == "-" else "") + body
-    for t in e.terms[1:]:
-        sign, body = term_text(t)
-        text += f" {sign} {body}"
-    return text
+    return _signed_sum([term_text(t) for t in e.terms], " ")

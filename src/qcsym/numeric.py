@@ -306,18 +306,20 @@ def _compile_pointwise(e: Expr):
     def evaluate(t: float, x: float, V: float) -> float:
         total = 0.0
         for num, den, vexp, cexp in compiled:
-            n = sum(c * t**i * x**j for c, i, j in num)
-            d = sum(c * t**i * x**j for c, i, j in den)
-            if abs(d) < _POLE_FLOOR:
-                raise EvalPoleError(f"denominator ~ 0 at (t={t}, x={x})")
-            value = n / d
-            if vexp:
-                value *= V**vexp
-            if cexp:
-                try:
+            try:
+                n = sum(c * t**i * x**j for c, i, j in num)
+                d = sum(c * t**i * x**j for c, i, j in den)
+                if abs(d) < _POLE_FLOOR:
+                    raise EvalPoleError(f"denominator ~ 0 at (t={t}, x={x})")
+                value = n / d
+                if vexp:
+                    value *= V**vexp
+                if cexp:
                     value *= math.exp(cexp * V)
-                except OverflowError:  # reported as non-finite below
-                    value = math.inf
+            except OverflowError:  # a Python float power or exp overflowed: not a pole
+                raise NumericError(
+                    f"a term at (t={t}, x={x}, V={V}) is outside the float range"
+                ) from None
             total += value
         if not math.isfinite(total):
             raise EvalPoleError(f"non-finite value at (t={t}, x={x}, V={V})")
@@ -367,7 +369,8 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
         if attempts >= 10 * N:
             raise EvalPoleError("too many pole rejections while sampling")
         attempts += 1
-        t, x, V = rng.uniform(0.1, 2.0, size=3)
+        # Python floats: a power that overflows raises instead of warning
+        t, x, V = rng.uniform(0.1, 2.0, size=3).tolist()
         try:
             vals = [abs(fn(t, x, V)) for fn in compiled]
         except EvalPoleError:

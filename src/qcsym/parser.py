@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .errors import DivisionError, ParseError, UnknownSymbolError
-from .expr import AFF_ZERO, DEFAULT_CONTEXT, AffineExponent, Expr
+from .expr import AFF_ZERO, FUNCTIONS, PARAMETERS, AffineExponent, Expr, FnAtom
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*(?:_[txV]+)?)"
@@ -54,6 +54,11 @@ def _tokenize(text: str):
 
 _BINARY_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_BP = 25
+
+# The largest integer power of a base other than V. Expanding a power of a
+# sum costs time that grows with the power, so without a cap a text of five
+# characters such as 9^9^9 would ask for more work than any run can finish.
+MAX_POWER = 32
 
 
 class _Parser:
@@ -135,9 +140,9 @@ class _Parser:
         m = _SUFFIX_RE.match(name)
         base = m.group("base")
         suffix = m.group("suffix") or ""
-        if suffix and base in DEFAULT_CONTEXT.fns:
+        if suffix and base in FUNCTIONS:
             try:
-                atom = DEFAULT_CONTEXT.fn_atom(
+                atom = FnAtom(
                     base,
                     dt=suffix.count("t"),
                     dx=suffix.count("x"),
@@ -147,10 +152,10 @@ class _Parser:
                 raise ParseError(str(exc), tok.pos) from None
             return Expr.atom(atom)
         if not suffix:
-            if name in DEFAULT_CONTEXT.params:
+            if name in PARAMETERS:
                 return Expr.generator(name)
-            if name in DEFAULT_CONTEXT.fns:
-                return Expr.atom(DEFAULT_CONTEXT.fn_atom(name))
+            if name in FUNCTIONS:
+                return Expr.atom(FnAtom(name))
         raise UnknownSymbolError(f"unknown symbol {name!r}", tok.pos)
 
     def apply_power(self, base: Expr, exponent: Expr, pos: int) -> Expr:
@@ -160,6 +165,10 @@ class _Parser:
             except ValueError as exc:
                 raise ParseError(f"bad V exponent: {exc}", pos) from None
         n = _as_integer(exponent, pos)
+        if abs(n) > MAX_POWER:
+            raise ParseError(
+                f"power {n} exceeds the cap of {MAX_POWER} on integer powers", pos
+            )
         try:
             return base ** n
         except (DivisionError, ValueError) as exc:

@@ -18,6 +18,10 @@ Mono = tuple  # ((name, exp), ...) sorted by name, all exps > 0
 _EMPTY: Mono = ()
 
 
+def mono_var(name: str, exp: int = 1) -> Mono:
+    return ((name, exp),)
+
+
 def mono_mul(a: Mono, b: Mono) -> Mono:
     if not a:
         return b
@@ -66,6 +70,22 @@ def mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
 
 
+def mono_split(m: Mono, v: str) -> tuple:
+    """(exponent of v in m, the rest of m)."""
+    for i, (name, e) in enumerate(m):
+        if name == v:
+            return e, m[:i] + m[i + 1:]
+    return 0, m
+
+
+def grlex_key(gens):
+    """Sort key of graded lexicographic order over the sorted generators gens."""
+    def key(m: Mono) -> tuple:
+        md = dict(m)
+        return (mono_degree(m), tuple(md.get(g, 0) for g in gens))
+    return key
+
+
 class Poly:
     """Immutable sparse polynomial with Fraction coefficients."""
 
@@ -87,7 +107,7 @@ class Poly:
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "Poly":
-        return cls({((name, exp),): Fraction(1)})
+        return cls({mono_var(name, exp): Fraction(1)})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -175,21 +195,18 @@ class Poly:
     def deriv(self, gen: str) -> "Poly":
         out: dict = {}
         for m, c in self.terms.items():
-            md = dict(m)
-            e = md.get(gen, 0)
-            if not e:
-                continue
-            if e == 1:
-                del md[gen]
-            else:
-                md[gen] = e - 1
-            mono = tuple(sorted(md.items()))
-            new = out.get(mono, 0) + c * e
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
+            e, _ = mono_split(m, gen)
+            if e:  # distinct monomials have distinct derivatives
+                out[mono_div(m, mono_var(gen))] = c * e
         return Poly(out)
+
+    def coeffs_in(self, v: str) -> dict:
+        """self as a polynomial in v: degree -> coefficient Poly free of v."""
+        out: dict = {}
+        for m, c in self.terms.items():
+            e, rest = mono_split(m, v)
+            out.setdefault(e, {})[rest] = c
+        return {e: Poly(d) for e, d in out.items()}
 
     def subst(self, gen: str, value) -> "Poly":
         """Substitute a generator by a Fraction or Poly."""
@@ -197,11 +214,8 @@ class Poly:
             return self
         vp = value if isinstance(value, Poly) else Poly.const(value)
         out = Poly()
-        for m, c in self.terms.items():
-            md = dict(m)
-            e = md.pop(gen, 0)
-            rest = Poly({tuple(sorted(md.items())): c})
-            out = out + (rest * vp ** e if e else rest)
+        for e, c in self.coeffs_in(gen).items():
+            out = out + (c * vp ** e if e else c)
         return out
 
     def degree(self, gen: str) -> int:
@@ -214,13 +228,7 @@ class Poly:
 
     def lead_mono(self) -> Mono:
         """Leading monomial under graded lexicographic order."""
-        gens = sorted(self.gens())
-
-        def keyfun(m):
-            md = dict(m)
-            return (mono_degree(m), tuple(md.get(g, 0) for g in gens))
-
-        return max(self.terms, key=keyfun)
+        return max(self.terms, key=grlex_key(sorted(self.gens())))
 
     def lead_coeff(self) -> Fraction:
         if not self.terms:
@@ -271,18 +279,6 @@ class Poly:
 
 P_ZERO = Poly()
 P_ONE = Poly.const(1)
-
-
-def _as_univar(p: Poly, v: str) -> dict:
-    """View p as univariate in v with Poly coefficients: degree -> Poly."""
-    out: dict = {}
-    for m, c in p.terms.items():
-        md = dict(m)
-        e = md.pop(v, 0)
-        mono = tuple(sorted(md.items()))
-        coeff = out.setdefault(e, {})
-        coeff[mono] = coeff.get(mono, 0) + c
-    return {e: Poly(d) for e, d in out.items() if any(d.values())}
 
 
 def _from_univar(coeffs: dict, v: str) -> Poly:
@@ -456,8 +452,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if not live:
         return _normalize_gcd(shared)
     v = min(live, key=lambda g: min(a.degree(g), b.degree(g)))
-    fu = _as_univar(a, v)
-    gu = _as_univar(b, v)
+    fu = a.coeffs_in(v)
+    gu = b.coeffs_in(v)
     cf = _gcd_list(fu.values())
     cg = _gcd_list(gu.values())
     c = poly_gcd(cf, cg)
@@ -480,18 +476,13 @@ def poly_divexact(f: Poly, g: Poly) -> Poly:
         return f
     if g.is_const():
         return f.scale(Fraction(1) / g.const_value())
-    gens = sorted(f.gens() | g.gens())
-
-    def keyfun(m):
-        md = dict(m)
-        return (mono_degree(m), tuple(md.get(gn, 0) for gn in gens))
-
+    order = grlex_key(sorted(f.gens() | g.gens()))
     q: dict = {}
     r = f
-    g_lead = max(g.terms, key=keyfun)
+    g_lead = max(g.terms, key=order)
     g_lc = g.terms[g_lead]
     while not r.is_zero():
-        r_lead = max(r.terms, key=keyfun)
+        r_lead = max(r.terms, key=order)
         if not mono_divides(g_lead, r_lead):
             raise ValueError("inexact polynomial division")
         m = mono_div(r_lead, g_lead)

@@ -84,7 +84,7 @@ def random_atom(rng: random.Random) -> FnAtom:
         power = rng.choice((1, 1, 2))
     else:
         power = rng.choice((1, 1, 2, -1))
-    return FnAtom(name, dt, dx, dV, power, deps)
+    return FnAtom(name, dt, dx, dV, power)
 
 
 def random_term(rng: random.Random, with_denominator: bool = False) -> Term:

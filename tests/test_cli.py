@@ -1,6 +1,9 @@
 """Command-line interface: commands, exit codes, determinism."""
 import hashlib
 import json
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,7 @@ from qcsym.calculus import eq_normalize
 from qcsym.classify import fixture_json
 from qcsym.cli import main, verify_paper
 from qcsym.errors import VerificationError
-from qcsym.parser import parse
+from qcsym.parser import MAX_POWER, parse
 
 
 _FIXTURE = str(Path(classify.__file__).parent / "fixtures" / "instance_scaling.json")
@@ -152,13 +155,33 @@ def test_check_op_numeric_json_reports_a_violation(tmp_path, capsys):
 
 
 def test_check_op_numeric_overflow_exits_2(tmp_path, capsys):
-    data = fixture_json("instance_scaling.json")
-    data["F"] = "exp(9999*V)"  # overflows a float at every sample point
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(data))
-    code, out, err = run(capsys, "check-op-numeric", "--equation", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # exp(9999*V) overflows a float at every sample point; V^(1e308)
+    # overflows wherever V > 1 and underflows to 0 below, where the check
+    # must not pass on the samples that underflow
+    for key, value in (("F", "exp(9999*V)"), ("k", 1e308), ("p", 1e308)):
+        data = fixture_json("instance_scaling.json")
+        data[key] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "check-op-numeric", "--equation", str(path))
+        assert (code, out) == (2, ""), key
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "float range" in err
+
+
+def test_split_of_a_huge_power_exits_2_promptly():
+    # 9^9^9 asks for 9^387420489; the power cap refuses it before any work
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcsym.cli", "split", "9^9^9"],
+        capture_output=True, text=True, timeout=20,
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert f"cap of {MAX_POWER}" in proc.stderr
 
 
 def test_transform_command(tmp_path, capsys):
@@ -442,8 +465,7 @@ _ENTRIES = sorted(
 _BAD_VALUES = st.one_of(
     st.none(),
     st.booleans(),
-    # at most four characters: parse hangs on some longer texts such as 9^9^9
-    st.text(max_size=4),
+    st.text(max_size=8),
     st.lists(st.integers(-3, 3), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
     st.sampled_from([float("inf"), float("-inf"), float("nan"),
@@ -487,3 +509,77 @@ def test_case_b_derivations_run_once_per_replay():
     verify_paper(0)
     assert classify.solve_eta_case_b.cache_info().misses == 1
     assert classify.extract_F.cache_info().misses == 1
+
+
+# texts of at most eight characters: short sums and powers of the language's
+# symbols, texts over its alphabet, and arbitrary ones
+_TEXTS = st.one_of(
+    st.lists(
+        st.tuples(st.sampled_from("+-*/^"),
+                  st.sampled_from(["a", "f", "V", "t", "x", "k", "p", "2", "9", "(a+f)",
+                                   "V^p", "exp(V)", "F_V", "xi", "p=0", "k!=1"])),
+        min_size=1, max_size=4,
+    ).map(lambda parts: "".join(op + atom for op, atom in parts)[1:]),
+    st.text(alphabet="0123456789+-*/^()=!,. Vtxpknaf_", max_size=8),
+    st.text(max_size=8),
+).filter(lambda text: len(text) <= 8)
+_SMALL_INTS = st.integers(-3, 40).map(str)
+
+
+def _argv_flags(tmp_path) -> dict:
+    """Each subcommand's options and the values drawn for them; None marks
+    a switch and "" the positional argument."""
+    files = st.sampled_from([_FIXTURE, str(tmp_path / "missing.json"), __file__])
+    return {
+        "derive": {"--family": st.sampled_from(["power", "exp", "cubic"]), "--json": None},
+        "coincide": {"--exponents": _TEXTS, "--target": _TEXTS, "--forbidden": _TEXTS,
+                     "--json": None},
+        "table": {"--case": st.one_of(st.just("k=p-1"), _TEXTS),
+                  "--target": st.one_of(st.sampled_from(["2p+3", "2p+1"]), _TEXTS),
+                  "--json": None},
+        "check-op": {"--family": st.sampled_from(["power", "exp"]), "--tau": _TEXTS,
+                     "--xi": _TEXTS, "--eta": _TEXTS, "--equation": files, "--json": None},
+        "check-op-numeric": {"--equation": files, "--seed": _SMALL_INTS,
+                             "--samples": _SMALL_INTS, "--json": None},
+        "split": {"": _TEXTS, "--forbidden": _TEXTS, "--json": None},
+        "transform": {"--equation": files,
+                      "--eps": st.one_of(st.floats().map(repr), _TEXTS),
+                      "--out": st.just(str(tmp_path / "field.csv")), "--json": None},
+        "verify-paper": {"--json": None, "--seed": _SMALL_INTS, "--keep-going": None,
+                         "--corrupt": st.sampled_from(["determining-systems", "chain-p0"])},
+    }
+
+
+# the arguments each subcommand requires, drawn in nine examples out of ten
+_REQUIRED = {"table": ("--case", "--target"), "check-op": ("--xi", "--eta"),
+             "check-op-numeric": ("--equation",), "split": ("",),
+             "transform": ("--equation",)}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_argv_fuzz_exits_cleanly(tmp_path, capsys, data):
+    flags = _argv_flags(tmp_path)
+    command = data.draw(st.sampled_from(sorted(flags)))
+    complete = data.draw(st.integers(0, 9)) > 0
+    argv = [command]
+    for flag, values in flags[command].items():
+        wanted = complete and flag in _REQUIRED.get(command, ())
+        if not (wanted or data.draw(st.booleans())):
+            continue
+        if values is None:
+            argv.append(flag)
+        else:
+            value = data.draw(values)
+            argv.append(f"{flag}={value}" if flag else value)
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2), argv
+    if code != 2:
+        assert err == "", argv
+        return
+    # one error line ends stderr; argparse may print its usage lines first
+    *usage, last = err.splitlines() or [""]
+    assert err.endswith("\n") and "error: " in last, (argv, err)
+    assert last.startswith("error: ") or last.startswith("qcsym"), (argv, err)
+    assert all(line.startswith(("usage:", " ")) for line in usage), (argv, err)

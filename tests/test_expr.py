@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcsym.errors import ParseError, UnknownSymbolError
 from qcsym.expr import AFF_ONE, AffineExponent, Expr, Term, expr_text
-from qcsym.parser import parse, parse_affine
+from qcsym.parser import MAX_POWER, parse, parse_affine
 from qcsym.poly import F_ONE
 
 from conftest import AFFINE_FORMS, random_expr
@@ -64,6 +64,16 @@ def test_parse_errors_carry_position():
         parse("a_t^(-1)")  # negative power on a derived atom
     with pytest.raises(ParseError):
         parse("(a+b")
+
+
+def test_integer_powers_are_capped():
+    # the cap bounds the expansion work a short text can ask for; V takes
+    # any power, because a power of V is one term whatever its exponent
+    assert parse(f"a^{MAX_POWER}") == parse("a") ** MAX_POWER
+    for text in (f"(a+f)^{MAX_POWER + 1}", f"a^(-{MAX_POWER + 1})", "9^9^9"):
+        with pytest.raises(ParseError, match=f"cap of {MAX_POWER}"):
+            parse(text)
+    assert parse("V^99999") == Expr.vpower(AffineExponent.const(99999))
 
 
 def test_division_restricted():

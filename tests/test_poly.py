@@ -1,4 +1,5 @@
 """Polynomial and rational-function layer."""
+import operator
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcsym.poly import _SCREEN_POINTS, CoeffFrac, Poly, poly_divexact, poly_gcd
 
-from conftest import RATIONALS, random_poly
+from conftest import RATIONALS, random_coeff, random_poly
 
 
 def P(name):
@@ -194,6 +195,26 @@ def test_gcd_matches_sympy(a, b, c):
         return
     unit = sympy.cancel(_to_sympy(sympy, got) / want)
     assert unit.is_Rational and unit != 0, (a * c, b * c, got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([operator.add, operator.mul, operator.truediv]))
+def test_coeff_frac_matches_sympy_cancel(seed, op):
+    # a sum, product or quotient is the rational function sympy.cancel gives
+    # for the same operation, over the same denominator up to a unit
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    a = random_coeff(rng, with_denominator=True)
+    b = random_coeff(rng, with_denominator=True)
+    got = op(a, b)
+    num, den = sympy.fraction(sympy.cancel(op(
+        _to_sympy(sympy, a.num) / _to_sympy(sympy, a.den),
+        _to_sympy(sympy, b.num) / _to_sympy(sympy, b.den),
+    )))
+    got_num, got_den = _to_sympy(sympy, got.num), _to_sympy(sympy, got.den)
+    assert sympy.expand(got_num * den - got_den * num) == 0, (a, b, got)
+    unit = sympy.cancel(got_den / den)
+    assert unit.is_Rational and unit != 0, (a, b, got)
 
 
 def test_negative_power_rejected():
