@@ -20,6 +20,14 @@ _CHECK_TOL = 1e-9
 _EQUATIONS = {"power": EvolutionEq.power, "exp": EvolutionEq.exponential}
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of --seed: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text!r}")
+    return value
+
+
 def _build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qcsym",
@@ -62,7 +70,7 @@ def _build_argparser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     p.add_argument("--equation", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=non_negative_int, default=None)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--json", action="store_true")
 
@@ -86,7 +94,7 @@ def _build_argparser() -> argparse.ArgumentParser:
         "verify-paper", help="run the full reproduction suite", allow_abbrev=False
     )
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--keep-going", action="store_true")
     p.add_argument(
         "--corrupt", choices=("determining-systems",),

@@ -262,7 +262,14 @@ class Instance:
     @staticmethod
     def load(path) -> "Instance":
         with open(path) as fh:
-            return Instance.from_json(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise NumericError(
+                    f"instance file {str(path)!r} is not JSON: {exc.msg} "
+                    f"at line {exc.lineno} column {exc.colno}"
+                ) from None
+        return Instance.from_json(doc)
 
     def param_bindings(self) -> dict:
         return {"p": self.p, "k": self.k, "lambda": self.lam}

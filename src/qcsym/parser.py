@@ -9,6 +9,7 @@ Division is restricted to invertible single-term expressions.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .errors import DivisionError, ParseError, UnknownSymbolError
 from .expr import AFF_ZERO, FUNCTIONS, PARAMETERS, AffineExponent, Expr, FnAtom
@@ -217,8 +218,20 @@ def _as_integer(e: Expr, pos: int) -> int:
     return int(v)
 
 
+# A warm verify-paper replay parses about 80 distinct texts; a sweep over
+# concrete (p, k) parses new ones every time, so the bound keeps memory flat.
+PARSE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(text: str) -> Expr:
-    """Parse canonical expression text; parse(print(e)) == e for canonical e."""
+    """Parse canonical expression text; parse(print(e)) == e for canonical e.
+
+    The result is memoised on the text and shared by every caller. That is
+    sound only because no Expr, Term, Poly or CoeffFrac is changed after its
+    constructor returns. A text that fails to parse raises every time; errors
+    are not cached.
+    """
     parser = _Parser(_tokenize(text))
     out = parser.parse(0)
     tok = parser.peek()

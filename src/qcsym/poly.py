@@ -2,9 +2,12 @@
 
 Generators are named symbols (the lattice variables t, x plus any parameter
 symbols).  A monomial is a sorted tuple of (name, exponent) pairs with
-positive exponents; a polynomial maps monomials to nonzero Fractions.
-Fractions of polynomials are kept reduced by polynomial gcd with a monic
-denominator, so equality is structural.
+positive exponents; a polynomial maps monomials to nonzero rationals, each
+an int when integral and a Fraction otherwise. An int equals, orders and
+hashes like the equal Fraction, so keys and printed text are the same either
+way, and int arithmetic skips Fraction's normalising gcd.  Fractions of
+polynomials are kept reduced by polynomial gcd with a monic denominator, so
+equality is structural.
 """
 from __future__ import annotations
 
@@ -87,7 +90,12 @@ def grlex_key(gens):
 
 
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
+
+    A coefficient is stored as an int when it is integral and as a Fraction
+    otherwise; const_value() and lead_coeff() still return a Fraction. Two
+    raw coefficients must not meet in `/`: int / int is float division.
+    """
 
     __slots__ = ("terms", "key", "_hash")
 
@@ -96,18 +104,23 @@ class Poly:
         if terms:
             for m, c in terms.items():
                 if c:
-                    t[m] = c if isinstance(c, Fraction) else Fraction(c)
+                    if type(c) is not int:
+                        if not isinstance(c, Fraction):
+                            c = Fraction(c)
+                        if c.denominator == 1:
+                            c = c.numerator
+                    t[m] = c
         self.terms = t
         self.key = tuple(sorted(t.items()))
         self._hash = None  # most polynomials are never hashed
 
     @classmethod
     def const(cls, c) -> "Poly":
-        return cls({_EMPTY: Fraction(c)})
+        return cls({_EMPTY: c})
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "Poly":
-        return cls({mono_var(name, exp): Fraction(1)})
+        return cls({mono_var(name, exp): 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -123,7 +136,7 @@ class Poly:
             return Fraction(0)
         if not self.is_const():
             raise ValueError(f"not a constant polynomial: {self.terms}")
-        return self.terms[_EMPTY]
+        return Fraction(self.terms[_EMPTY])
 
     def gens(self) -> set:
         out = set()
@@ -233,7 +246,7 @@ class Poly:
     def lead_coeff(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
-        return self.terms[self.lead_mono()]
+        return Fraction(self.terms[self.lead_mono()])
 
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer coefficients."""
@@ -384,7 +397,7 @@ def _univar_gcd_degree(f: dict, g: dict) -> int:
         r = dict(f)
         while r and max(r) >= dg:
             dr = max(r)
-            q = r[dr] / lg
+            q = Fraction(r[dr]) / lg
             for e, c in g.items():
                 shift = e + dr - dg
                 nxt = r.get(shift, 0) - q * c
@@ -437,7 +450,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     mc = mono_gcd(ma, mb)
     a = a.div_mono(ma)
     b = b.div_mono(mb)
-    shared = Poly({mc: Fraction(1)}) if mc else P_ONE
+    shared = Poly({mc: 1}) if mc else P_ONE
     if a.is_const() or b.is_const():
         return _normalize_gcd(shared)
     gens = sorted(a.gens() | b.gens())
@@ -486,7 +499,7 @@ def poly_divexact(f: Poly, g: Poly) -> Poly:
         if not mono_divides(g_lead, r_lead):
             raise ValueError("inexact polynomial division")
         m = mono_div(r_lead, g_lead)
-        c = r.terms[r_lead] / g_lc
+        c = Fraction(r.terms[r_lead]) / g_lc
         q[m] = q.get(m, 0) + c
         r = r - Poly({m: c}) * g
     return Poly(q)

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qcsym import classify, numeric
+from qcsym import classify, numeric, parser
 from qcsym.calculus import eq_normalize
 from qcsym.classify import fixture_json
 from qcsym.cli import main, verify_paper
 from qcsym.errors import VerificationError
-from qcsym.parser import MAX_POWER, parse
+from qcsym.parser import MAX_POWER, PARSE_CACHE_SIZE, parse
 
 
 _FIXTURE = str(Path(classify.__file__).parent / "fixtures" / "instance_scaling.json")
@@ -288,6 +288,9 @@ def test_output_deterministic(capsys):
         ["transform", "--equation", _FIXTURE, "--eps", "nan"],
         ["transform", "--equation", _FIXTURE, "--eps", "1e308"],
         ["transform", "--equation", _FIXTURE, "--eps=-400"],  # dt underflows to 0
+        # refused by argparse before any step runs
+        ["verify-paper", "--seed=-1"],
+        ["check-op-numeric", "--equation", _FIXTURE, "--seed", "-1"],
     ],
 )
 def test_malformed_argv_exits_2(argv, capsys):
@@ -394,6 +397,7 @@ def test_transform_exact_baseline_has_no_ratio(tmp_path, capsys, monkeypatch):
 
 
 _DELETE = object()
+_NOT_JSON = object()  # the instance file is cut short
 
 
 class _Literal(str):
@@ -403,7 +407,7 @@ class _Literal(str):
 @pytest.mark.parametrize(
     "entry",
     # a bare key is deleted; a (key, value) pair sets a bad value
-    ["grid", "lambda", "grid.nx"] + [
+    ["grid", "lambda", "grid.nx", pytest.param(_NOT_JSON, id="not-json")] + [
         pytest.param((key, value), id=f"{key}={value}")
         for key, value in (
             ("grid.nx", 1), ("p", "1/0"), ("m", "1/0"), ("k", "1/0"),
@@ -434,19 +438,22 @@ class _Literal(str):
 )
 def test_instance_missing_key_is_usage_error(tmp_path, capsys, entry, command):
     data = fixture_json("instance_scaling.json")
-    key, value = entry if isinstance(entry, tuple) else (entry, _DELETE)
-    head, _, name = key.rpartition(".")
-    doc = data[head] if head else data
-    if value is _DELETE:
-        del doc[name]
-    else:
-        if key == "m":  # "m" is read only where "p" is absent
-            del data["p"]
-        doc[name] = value
-    text = json.dumps(data)
-    if isinstance(value, _Literal):  # JSON text no Python value dumps as
-        text = text.replace(json.dumps(value), value)
     path = tmp_path / "inst.json"
+    if entry is _NOT_JSON:  # no entry to name: the message names the file
+        key, text = str(path), json.dumps(data)[:-1]
+    else:
+        key, value = entry if isinstance(entry, tuple) else (entry, _DELETE)
+        head, _, name = key.rpartition(".")
+        doc = data[head] if head else data
+        if value is _DELETE:
+            del doc[name]
+        else:
+            if key == "m":  # "m" is read only where "p" is absent
+                del data["p"]
+            doc[name] = value
+        text = json.dumps(data)
+        if isinstance(value, _Literal):  # JSON text no Python value dumps as
+            text = text.replace(json.dumps(value), value)
     path.write_text(text)
     code, out, err = run(capsys, *command, "--equation", str(path))
     assert code == 2
@@ -497,10 +504,41 @@ def test_verify_paper_json_matches_replay_reference(capsys):
     # the digests the benchmark's replay gate compares against; read only
     reference = Path(__file__).resolve().parents[1] / "perfbench" / "replay_reference.json"
     digests = json.loads(reference.read_text())["sha256"]
-    for seed in (0, 1, 7):
-        code, out, err = run(capsys, "verify-paper", "--json", "--seed", str(seed))
-        assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == digests[seed]
+    # every text parsed afresh, then every parse served by the cache
+    for cold in (True, False):
+        for seed in (0, 1, 7):
+            if cold:
+                parse.cache_clear()
+            code, out, err = run(capsys, "verify-paper", "--json", "--seed", str(seed))
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digests[seed]
+
+
+def test_cached_parses_are_shared_and_never_change(monkeypatch):
+    assert parse("lambda*V^(p+1) + a_x") is parse("lambda*V^(p+1) + a_x")
+    # the texts a replay parses: the tokenizer sees each one once, on its miss
+    texts = []
+    tokenize = parser._tokenize
+
+    def recording(text):
+        texts.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(parser, "_tokenize", recording)
+    parse.cache_clear()
+    verify_paper(0)
+    assert texts
+    cached = {text: parse(text) for text in texts}
+    before = {text: (str(e), e.terms) for text, e in cached.items()}
+    verify_paper(1)
+    verify_paper(7)
+    for text, e in cached.items():
+        assert parse(text) is e
+        assert (str(e), e.terms) == before[text], text
+    # the bound holds however many distinct texts arrive
+    for i in range(2 * PARSE_CACHE_SIZE):
+        parse(f"{i}*V")
+    assert parse.cache_info().currsize <= PARSE_CACHE_SIZE
 
 
 def test_case_b_derivations_run_once_per_replay():

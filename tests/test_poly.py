@@ -217,6 +217,40 @@ def test_coeff_frac_matches_sympy_cancel(seed, op):
     assert unit.is_Rational and unit != 0, (a, b, got)
 
 
+def _int_when_integral(p: Poly) -> bool:
+    return all(type(c) is int if c.denominator == 1 else type(c) is Fraction
+               for c in p.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_integral_coefficients_are_ints(seed):
+    rng = random.Random(seed)
+    a, b, c = random_poly(rng), random_poly(rng), random_poly(rng)
+    s = rng.choice([Fraction(1, 2), Fraction(2), Fraction(-3, 2)])
+    gen = rng.choice(("t", "x", "p"))
+    results = [a + b, a * b, a.scale(s), a.deriv(gen), a.subst(gen, s), a.subst(gen, b),
+               poly_gcd(a * c, b * c)]
+    if not b.is_zero():
+        results.append(poly_divexact(a * b, b))
+    for p in results:
+        assert _int_when_integral(p), p
+        assert type(p.lead_coeff()) is Fraction
+        if p.is_const():
+            assert type(p.const_value()) is Fraction
+
+
+def test_coefficient_division_is_exact():
+    def lin(c1, c0):
+        return P("x").scale(c1) + Poly.const(c0)
+
+    # int / int is float division; 1/3 has no float, so a float quotient
+    # shows as a wrong result
+    assert poly_divexact(P("x") * P("t"), P("t").scale(3)) == P("x").scale(Fraction(1, 3))
+    # a univariate gcd takes no screen point, so Euclid sees int coefficients
+    assert poly_gcd(lin(7, -9) * lin(8, 6), lin(5, -2) * lin(8, 6)) == lin(4, 3)
+
+
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
         P("p") ** -1
