@@ -6,12 +6,10 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import classify, numeric
 from .calculus import Constraint, eq_normalize, split, substitute
 from .determining import EvolutionEq, SymOperator, check_operator, generate_determining_system, normalize_operator
-from .errors import NumericError, TermLanguageError
+from .errors import NumericError, ParseError, TermLanguageError
 from .parser import parse, parse_affine
 
 _CHECK_TOL = 1e-9
@@ -103,10 +101,17 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
+def _parsed(flag: str, text: str, parse_text, *args):
+    """parse_text(text, *args); a parse error names the flag and its text."""
+    try:
+        return parse_text(text, *args)
+    except ParseError as exc:
+        raise TermLanguageError(f"{flag} {text!r}: {exc}") from None
+
+
 def _parse_constraints(text: str | None) -> tuple:
-    if not text:
-        return ()
-    return tuple(Constraint.parse(part, "forbidden") for part in text.split(","))
+    parts = text.split(",") if text else ()
+    return tuple(_parsed("--forbidden", p, Constraint.parse, "forbidden") for p in parts)
 
 
 def _emit(payload, as_json: bool, lines) -> None:
@@ -130,8 +135,12 @@ def _cmd_derive(args) -> int:
 def _cmd_coincide(args) -> int:
     forbidden = _parse_constraints(args.forbidden)
     if args.exponents:
-        exponents = [parse_affine(t) for t in args.exponents.split(",")]
-        targets = [parse_affine(t) for t in args.target] if args.target else None
+        exponents = [
+            _parsed("--exponents", t, parse_affine) for t in args.exponents.split(",")
+        ]
+        targets = (
+            [_parsed("--target", t, parse_affine) for t in args.target] if args.target else None
+        )
         cases = classify.enumerate_special_cases(exponents, targets, forbidden)
     else:
         cases = classify.fifteen_power_cases()
@@ -142,8 +151,8 @@ def _cmd_coincide(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    case = Constraint.parse(args.case)
-    target = parse_affine(args.target)
+    case = _parsed("--case", args.case, Constraint.parse)
+    target = _parsed("--target", args.target, parse_affine)
     tables = {
         str(t.target): t for t in classify.coincidence_tables_k_eq_p_minus_1()
     }
@@ -162,7 +171,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check_op(args) -> int:
-    op = normalize_operator(SymOperator.of(args.tau, args.xi, args.eta))
+    op = normalize_operator(SymOperator(
+        *(_parsed(f"--{name}", getattr(args, name), parse) for name in ("tau", "xi", "eta"))
+    ))
     if args.equation:
         eq = numeric.Instance.load(args.equation).equation()
     else:
@@ -194,7 +205,7 @@ def _cmd_check_op_numeric(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    e = parse(args.expression)
+    e = _parsed("expression", args.expression, parse)
     system = split(e, _parse_constraints(args.forbidden))
     lines = [f"{len(system)} equations"]
     for k, eq in zip(system.grading, system.equations):
@@ -207,8 +218,7 @@ def _cmd_transform(args) -> int:
     inst = numeric.Instance.load(args.equation)
     field = numeric.solve_pde(inst, numeric.initial_row(inst), inst.grid.steps)
     base = numeric.invariance_residual(field, inst)
-    flow = numeric.ScalingFlow(A1=1.0, A2=0.0)
-    moved = numeric.group_transform(field, flow, args.eps, inst)
+    moved = numeric.group_transform(field, numeric.ScalingFlow(), args.eps, inst)
     res = numeric.invariance_residual(moved, inst)
     if args.out:
         with open(args.out, "w") as fh:
@@ -348,23 +358,15 @@ def _suite_steps(seed: int, corrupt: str | None):
         inst = numeric.Instance.from_json(classify.fixture_json("instance_scaling.json"))
         field = numeric.solve_pde(inst, numeric.initial_row(inst), inst.grid.steps)
         base = numeric.invariance_residual(field, inst)
-        flow = numeric.ScalingFlow(A1=1.0, A2=0.0)
-        moved = numeric.group_transform(field, flow, 0.1, inst)
+        moved = numeric.group_transform(field, numeric.ScalingFlow(), 0.1, inst)
         ratio = numeric.invariance_residual(moved, inst) / base
-        wrong = numeric.ScalingFlow(A1=1.0, A2=0.0, v_weight=2.0)
-        broken = numeric.group_transform(field, wrong, 0.2, inst)
+        broken = numeric.group_transform(field, numeric.ScalingFlow(v_weight=2.0), 0.2, inst)
         bad_ratio = numeric.invariance_residual(broken, inst) / base
         ok = ratio <= 5.0 and bad_ratio >= 10.0
         return ok, f"flow ratio {ratio:.2f}; wrong-weight ratio {bad_ratio:.1f}"
 
     def substitution_roundtrip():
-        rng = np.random.default_rng(seed)
-        U = rng.uniform(0.1, 10.0, size=(50, 50))
-        worst = 0.0
-        for m in (-1, 1, 2):
-            V = numeric.substitute_power_log("u_to_v", m, U)
-            U2 = numeric.substitute_power_log("v_to_u", m, V)
-            worst = max(worst, float(np.max(np.abs(U2 - U))))
+        worst = numeric.power_log_roundtrip(seed)
         return worst < 1e-12, f"max round-trip deviation {worst:.2e}"
 
     p0, k1_p2 = classify.case_c_chain_p0, classify.case_c_chain_k1_p2

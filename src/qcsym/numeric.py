@@ -29,6 +29,7 @@ from .expr import Expr
 from .parser import parse
 
 _POLE_FLOOR = 1e-300
+_BLOCK = 1024  # sample points drawn and evaluated at once, bounding the memory
 _MAX_CELLS = 10**7  # largest nx * (steps + 1) lattice an instance may ask for
 
 
@@ -261,14 +262,11 @@ class Instance:
 
     @staticmethod
     def load(path) -> "Instance":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise NumericError(
-                    f"instance file {str(path)!r} is not JSON: {exc.msg} "
-                    f"at line {exc.lineno} column {exc.colno}"
-                ) from None
+            except ValueError as exc:  # not UTF-8 text, or not JSON
+                raise NumericError(f"instance file {str(path)!r} is not JSON: {exc}") from None
         return Instance.from_json(doc)
 
     def param_bindings(self) -> dict:
@@ -279,14 +277,27 @@ class Instance:
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation
+# evaluation of substituted expressions
 
 
-def _compile_pointwise(e: Expr):
-    """Compile a fully substituted expression to a float function of (t, x, V).
+def _poly_value(monomials: list, t, x):
+    """The sum of c * t**i * x**j over (c, i, j), from 0.0 in the given order."""
+    total = 0.0
+    for c, i, j in monomials:
+        total = total + c * t**i * x**j
+    return total
 
-    The expression may contain only coefficient monomials in t, x, constant
-    V powers and constant exponential slopes.
+
+def _compile(e: Expr):
+    """Compile a fully substituted expression to a numpy function of (t, x, V).
+
+    The expression may contain only coefficient polynomials in t and x,
+    constant V powers and constant exponential slopes. The function takes
+    arrays or scalars and returns (values, pole): pole marks the points
+    where a denominator that is not constant lies below ``_POLE_FLOOR``,
+    and is False when every denominator is constant. Each term is
+    ``n / d * V**a * exp(b*V)`` in that order, with n and d summed in stored
+    monomial order, and the terms are summed from 0.0 in their order.
     """
     compiled = []
     for term in e.terms:
@@ -298,61 +309,47 @@ def _compile_pointwise(e: Expr):
             raise UnboundFunctionError(
                 "exponents still carry parameters; bind p, k, n first"
             )
-        num = [(float(c), dict(m).get("t", 0), dict(m).get("x", 0))
-               for m, c in term.coeff.num.terms.items()]
-        den = [(float(c), dict(m).get("t", 0), dict(m).get("x", 0))
-               for m, c in term.coeff.den.terms.items()]
-        for mono in list(term.coeff.num.terms) + list(term.coeff.den.terms):
-            extra = set(dict(mono)) - {"t", "x"}
-            if extra:
-                raise UnboundFunctionError(f"unbound symbols {sorted(extra)}")
+        extra = term.coeff.gens() - {"t", "x"}
+        if extra:
+            raise UnboundFunctionError(f"unbound symbols {sorted(extra)}")
+        num, den = (
+            [(float(c), dict(m).get("t", 0), dict(m).get("x", 0))
+             for m, c in poly.terms.items()]
+            for poly in (term.coeff.num, term.coeff.den)
+        )
         compiled.append(
-            (num, den, float(term.vpow.c0), float(term.expc.c0))
+            (num, den, not term.coeff.den.is_const(),
+             float(term.vpow.c0), float(term.expc.c0))
         )
 
-    def evaluate(t: float, x: float, V: float) -> float:
-        total = 0.0
-        for num, den, vexp, cexp in compiled:
-            try:
-                n = sum(c * t**i * x**j for c, i, j in num)
-                d = sum(c * t**i * x**j for c, i, j in den)
-                if abs(d) < _POLE_FLOOR:
-                    raise EvalPoleError(f"denominator ~ 0 at (t={t}, x={x})")
-                value = n / d
-                if vexp:
-                    value *= V**vexp
-                if cexp:
-                    value *= math.exp(cexp * V)
-            except OverflowError:  # a Python float power or exp overflowed: not a pole
-                raise NumericError(
-                    f"a term at (t={t}, x={x}, V={V}) is outside the float range"
-                ) from None
-            total += value
-        if not math.isfinite(total):
-            raise EvalPoleError(f"non-finite value at (t={t}, x={x}, V={V})")
-        return total
+    def evaluate(t, x, V):
+        total, pole = 0.0, False
+        for num, den, den_varies, a, b in compiled:
+            d = _poly_value(den, t, x)
+            if den_varies:
+                pole = pole | (np.abs(d) < _POLE_FLOOR)
+            value = _poly_value(num, t, x) / d
+            if a:
+                value = value * V**a
+            if b:
+                value = value * np.exp(b * V)
+            total = total + value
+        return total, pole
 
     return evaluate
-
-
-def eval_expr(e: Expr, point: dict, inst: Instance) -> float:
-    """Exact symbolic substitution of the instance, then float evaluation."""
-    bindings = {
-        "xi": inst.operator.xi,
-        "eta": inst.operator.eta,
-        "F": inst.F,
-        **inst.param_bindings(),
-    }
-    bound = substitute(e, bindings)
-    fn = _compile_pointwise(bound)
-    return fn(point["t"], point["x"], point["V"])
 
 
 def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> float:
     """Max absolute determining-equation residual over N seeded sample points.
 
     Points are drawn uniformly from [0.1, 2]^3, a box clear of the V = 0
-    and 2kt + A1 = 0 poles.
+    and 2kt + A1 = 0 poles, at most ``_BLOCK`` at a time. A point where a
+    denominator lies below ``_POLE_FLOOR`` is rejected; at most 10*N points
+    are drawn. For an operator the instance admits, such as its true one,
+    the substituted equations are identically zero and the residual is 0.0
+    with no float work; only an operator it does not admit, such as the
+    perturbed one of the ``sampled-residuals`` step, exercises the
+    evaluation. That step's detail stays as it is: the replay digests pin it.
     """
     if N < 1:
         raise ValueError("need at least one sample point")
@@ -365,9 +362,7 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
         "F": inst.F,
         **inst.param_bindings(),
     }
-    compiled = [
-        _compile_pointwise(substitute(eq, bindings)) for eq in system.equations
-    ]
+    compiled = [_compile(substitute(eq, bindings)) for eq in system.equations]
     rng = np.random.default_rng(seed)
     worst = 0.0
     produced = 0
@@ -375,15 +370,19 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
     while produced < N:
         if attempts >= 10 * N:
             raise EvalPoleError("too many pole rejections while sampling")
-        attempts += 1
-        # Python floats: a power that overflows raises instead of warning
-        t, x, V = rng.uniform(0.1, 2.0, size=3).tolist()
+        # no more points than still wanted: the ones a point-by-point draw evaluates
+        m = min(N - produced, 10 * N - attempts, _BLOCK)
+        t, x, V = rng.uniform(0.1, 2.0, size=(m, 3)).T
+        attempts += m
         try:
-            vals = [abs(fn(t, x, V)) for fn in compiled]
-        except EvalPoleError:
-            continue
-        produced += 1
-        worst = max(worst, *vals)
+            with np.errstate(over="raise", divide="ignore", invalid="ignore"):
+                results = [fn(t, x, V) for fn in compiled]
+        except FloatingPointError:
+            raise NumericError("a sampled residual is outside the float range") from None
+        keep = ~np.logical_or.reduce([np.broadcast_to(pole, m) for _, pole in results])
+        produced += int(np.count_nonzero(keep))
+        for values, _ in results:
+            worst = np.max(np.broadcast_to(np.abs(values), m)[keep], initial=worst)
     return float(worst)
 
 
@@ -391,28 +390,13 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
 # finite-difference solver
 
 
-def _compile_source(inst: Instance):
+def _source(inst: Instance):
+    """The instance's source bound to its parameters and compiled; it does
+    not depend on t or x, so callers evaluate ``F(0.0, 0.0, V)[0]``."""
     bound = substitute(inst.F, inst.param_bindings())
-    terms = []
-    for t in bound.terms:
-        if t.fns or t.coeff.gens() or not t.vpow.is_const() or not t.expc.is_const():
-            raise UnboundFunctionError("source term must be a concrete function of V")
-        terms.append(
-            (float(t.coeff.const_value()), float(t.vpow.c0), float(t.expc.c0))
-        )
-
-    def F(V: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(V)
-        for c, vexp, cexp in terms:
-            piece = np.full_like(V, c)
-            if vexp:
-                piece = piece * V**vexp
-            if cexp:
-                piece = piece * np.exp(cexp * V)
-            out = out + piece
-        return out
-
-    return F
+    if any(term.coeff.gens() & {"t", "x"} for term in bound.terms):
+        raise UnboundFunctionError("source term must be a concrete function of V")
+    return _compile(bound)
 
 
 def initial_row(inst: Instance) -> np.ndarray:
@@ -452,7 +436,7 @@ def solve_pde(
         p < 0 or k < 0 or Fraction(inst.p).denominator != 1
         or Fraction(inst.k).denominator != 1
     )
-    F = _compile_source(inst)
+    F = _source(inst)
     row = np.asarray(initial, dtype=float).copy()
     if row.shape != (g.nx,):
         raise ValueError(f"initial row must have {g.nx} points")
@@ -473,7 +457,7 @@ def solve_pde(
         vx = (r[2:] - r[:-2]) / (2 * dx)
         mid = r[1:-1]
         conv = lam * mid**k * vx if k else lam * vx
-        source = F(mid)
+        source, _ = F(0.0, 0.0, mid)
         vp = mid**p if p else 1.0
         out[1:-1] = (vxx + conv - source) / vp
         return out
@@ -518,14 +502,14 @@ def invariance_residual(field: Field, inst: Instance) -> float:
     p = float(inst.p)
     k = float(inst.k)
     lam = float(inst.lam)
-    F = _compile_source(inst)
+    F = _source(inst)
     mid = V[1:-1, 1:-1]
     vt = (V[2:, 1:-1] - V[:-2, 1:-1]) / (2 * field.dt)
     vx = (V[1:-1, 2:] - V[1:-1, :-2]) / (2 * field.dx)
     vxx = (V[1:-1, 2:] - 2 * mid + V[1:-1, :-2]) / (field.dx**2)
     vp = mid**p if p else 1.0
     vk = mid**k if k else 1.0
-    res = vxx - vp * vt + lam * vk * vx - F(mid)
+    res = vxx - vp * vt + lam * vk * vx - F(0.0, 0.0, mid)[0]
     return float(np.max(np.abs(res)))
 
 
@@ -625,6 +609,15 @@ def substitute_power_log(direction: str, m: float, value):
     if np.ndim(value) == 0:
         return float(out)
     return out
+
+
+def power_log_roundtrip(seed: int) -> float:
+    """Largest |U - back(forward(U))| of the state substitution at m = -1,
+    1 and 2, over a seeded 50 x 50 sample of U in [0.1, 10]."""
+    U = np.random.default_rng(seed).uniform(0.1, 10.0, size=(50, 50))
+    back = (substitute_power_log("v_to_u", m, substitute_power_log("u_to_v", m, U))
+            for m in (-1, 1, 2))
+    return max(float(np.max(np.abs(U2 - U))) for U2 in back)
 
 
 def _require_positive(arr: np.ndarray, name: str):

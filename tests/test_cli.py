@@ -103,6 +103,21 @@ def test_relation_without_operator_is_usage_error(argv, capsys):
     assert err == "error: relation 'k' needs '=' or '!='\n"
 
 
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (["table", "--case", "k=", "--target", "p"], "--case 'k='"),
+        (["coincide", "--forbidden", "k="], "--forbidden 'k='"),
+        (["check-op", "--xi", "", "--eta", "0"], "--xi ''"),
+        (["split", ""], "expression ''"),
+    ],
+)
+def test_parse_error_names_the_flag(argv, flag, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag}: expected a value (at position 0)\n"
+
+
 def test_split_ambiguous_is_usage_error(capsys):
     code, _, err = run(capsys, "split", "g*V^k + h")
     assert code == 2
@@ -359,6 +374,17 @@ def test_suite_step_fails_when_its_chain_raises(monkeypatch):
         assert by_id[step_id]["detail"] == "step 'reduce-eq3' failed: stubbed"
 
 
+@pytest.mark.parametrize("source", ["t*V", "V^2 + x"])
+def test_transform_source_of_t_or_x_is_usage_error(tmp_path, capsys, source):
+    data = fixture_json("instance_scaling.json")
+    data["F"] = source
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "transform", "--equation", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: source term must be a concrete function of V\n"
+
+
 def test_transform_at_k_zero(tmp_path, capsys):
     data = fixture_json("instance_scaling.json")
     data["k"] = 0
@@ -398,6 +424,7 @@ def test_transform_exact_baseline_has_no_ratio(tmp_path, capsys, monkeypatch):
 
 _DELETE = object()
 _NOT_JSON = object()  # the instance file is cut short
+_NOT_UTF8 = object()  # the instance file is the head of an executable
 
 
 class _Literal(str):
@@ -407,7 +434,8 @@ class _Literal(str):
 @pytest.mark.parametrize(
     "entry",
     # a bare key is deleted; a (key, value) pair sets a bad value
-    ["grid", "lambda", "grid.nx", pytest.param(_NOT_JSON, id="not-json")] + [
+    ["grid", "lambda", "grid.nx", pytest.param(_NOT_JSON, id="not-json"),
+     pytest.param(_NOT_UTF8, id="not-utf-8")] + [
         pytest.param((key, value), id=f"{key}={value}")
         for key, value in (
             ("grid.nx", 1), ("p", "1/0"), ("m", "1/0"), ("k", "1/0"),
@@ -440,7 +468,9 @@ def test_instance_missing_key_is_usage_error(tmp_path, capsys, entry, command):
     data = fixture_json("instance_scaling.json")
     path = tmp_path / "inst.json"
     if entry is _NOT_JSON:  # no entry to name: the message names the file
-        key, text = str(path), json.dumps(data)[:-1]
+        key, text = str(path), json.dumps(data)[:-1].encode()
+    elif entry is _NOT_UTF8:
+        key, text = str(path), b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100))
     else:
         key, value = entry if isinstance(entry, tuple) else (entry, _DELETE)
         head, _, name = key.rpartition(".")
@@ -454,7 +484,8 @@ def test_instance_missing_key_is_usage_error(tmp_path, capsys, entry, command):
         text = json.dumps(data)
         if isinstance(value, _Literal):  # JSON text no Python value dumps as
             text = text.replace(json.dumps(value), value)
-    path.write_text(text)
+        text = text.encode()
+    path.write_bytes(text)
     code, out, err = run(capsys, *command, "--equation", str(path))
     assert code == 2
     assert out == ""

@@ -1,6 +1,6 @@
-"""The package's import rule: no qcsym module imports a private name of
-another or a name it never uses, and every import from within the package
-sits at module level."""
+"""The package's import rules: no qcsym module imports a private name of
+another or a name it never uses, every import from within the package sits
+at module level, and numeric is the one module that imports numpy."""
 import ast
 from pathlib import Path
 
@@ -66,3 +66,38 @@ def test_rule_catches_both_kinds():
         "line 3: unused name diff",
         "line 5: import inside a function",
     ]
+
+
+def _numpy_imports(source: str) -> list:
+    """The line of each statement in the source that imports numpy."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            out.append(node.lineno)
+    return out
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.name != "numeric.py"],
+    ids=lambda path: path.name,
+)
+def test_only_numeric_imports_numpy(path):
+    assert _numpy_imports(path.read_text()) == []
+
+
+def test_numpy_rule_catches_every_form():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import norm\n"
+        "import numbers, numpy.random\n"
+        "from .numeric import np\n"
+        "def f():\n"
+        "    import numpy\n"
+    )
+    assert _numpy_imports(source) == [1, 2, 3, 6]

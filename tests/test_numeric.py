@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qcsym import numeric
+from qcsym.calculus import substitute
 from qcsym.classify import fixture_json, fixture_text
 from qcsym.determining import SymOperator, normalize_operator
 from qcsym.errors import (
@@ -20,7 +22,7 @@ from qcsym.numeric import (
     Field,
     Instance,
     ScalingFlow,
-    eval_expr,
+    _compile,
     group_transform,
     initial_row,
     invariance_residual,
@@ -56,23 +58,40 @@ def simple_instance(p=0, k=1, lam=1, F="0", grid=None, initial=None) -> Instance
 # pointwise evaluation
 
 
+def eval_point(e, point, inst):
+    """Bind the instance and its operator exactly, then evaluate at one point;
+    a point on a pole raises EvalPoleError."""
+    bindings = {
+        "xi": inst.operator.xi, "eta": inst.operator.eta, "F": inst.F,
+        **inst.param_bindings(),
+    }
+    # the sampler's error state: a masked point may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value, pole = _compile(substitute(e, bindings))(
+            *(np.float64(point[name]) for name in ("t", "x", "V"))
+        )
+    if pole:
+        raise EvalPoleError(f"denominator ~ 0 at {point}")
+    return float(value)
+
+
 def test_eval_power():
     inst = simple_instance(p=1, k=2)
-    assert eval_expr(parse("V^(2*p+3)"), {"t": 0, "x": 0, "V": 2.0}, inst) == 32.0
+    assert eval_point(parse("V^(2*p+3)"), {"t": 0, "x": 0, "V": 2.0}, inst) == 32.0
 
 
 def test_eval_operator_component():
     inst = scaling_instance()
-    assert eval_expr(parse("xi"), {"t": 0.0, "x": 3.0, "V": 1.0}, inst) == 3.0
+    assert eval_point(parse("xi"), {"t": 0.0, "x": 3.0, "V": 1.0}, inst) == 3.0
 
 
 def test_eval_rejects_unbound_and_poles():
     inst = simple_instance()
     with pytest.raises(UnboundFunctionError):
-        eval_expr(parse("a_t"), {"t": 0, "x": 0, "V": 1.0}, inst)
+        eval_point(parse("a_t"), {"t": 0, "x": 0, "V": 1.0}, inst)
     with pytest.raises(EvalPoleError):
-        eval_expr(parse("1/(2*t+1)") * parse("V"), {"t": -0.5, "x": 0, "V": 1.0},
-                  scaling_instance())
+        eval_point(parse("1/(2*t+1)") * parse("V"), {"t": -0.5, "x": 0, "V": 1.0},
+                   scaling_instance())
 
 
 def _interval_mul(a, b):
@@ -99,8 +118,6 @@ def test_eval_source_term_within_interval_bounds():
             "seed": 0,
         }
     )
-    from qcsym.calculus import substitute
-
     e = parse(fixture_text("source_case_b.txt"))
     bound = substitute(
         e,
@@ -118,7 +135,7 @@ def test_eval_source_term_within_interval_bounds():
         pw = V ** vexp
         iv = _interval_mul(iv, (math.nextafter(pw, -math.inf), math.nextafter(pw, math.inf)))
         total = _interval_add(total, iv)
-    got = eval_expr(
+    got = eval_point(
         bound, {"t": t, "x": x, "V": V},
         inst,
     )
@@ -159,6 +176,51 @@ def test_sampled_residuals_deterministic():
     a = sample_residuals(inst, bad, 100, seed=42)
     b = sample_residuals(inst, bad, 100, seed=42)
     assert a == b
+
+
+def test_sampled_residuals_reject_poles_in_draw_order(monkeypatch):
+    # the perturbed equations hold one denominator that varies, t + 1/2; a
+    # floor of 1 rejects the points with t < 1/2 (about a fifth of them) and
+    # keeps the constant unit denominators, which the point-by-point sampler
+    # these values come from tested against the floor too
+    inst = scaling_instance()
+    op = normalize_operator(inst.operator)
+    bad = SymOperator(op.tau, op.xi, op.eta + parse("1/10*V^2"))
+    monkeypatch.setattr(numeric, "_POLE_FLOOR", 1.0)
+    assert sample_residuals(inst, bad, 200, seed=7) == pytest.approx(
+        3.2579182790374253, rel=1e-12
+    )
+    assert sample_residuals(inst, bad, 200, seed=20240) == pytest.approx(
+        3.430861683367456, rel=1e-12
+    )
+    monkeypatch.setattr(numeric, "_POLE_FLOOR", 1e9)  # every point is a pole
+    with pytest.raises(EvalPoleError, match="too many pole rejections"):
+        sample_residuals(inst, bad, 200, seed=7)
+
+
+def test_sampled_residuals_draw_at_most_a_block(monkeypatch):
+    sizes = []
+    make_rng = np.random.default_rng
+
+    class Recorder:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def uniform(self, low, high, size):
+            sizes.append(size)
+            return self.rng.uniform(low, high, size)
+
+    monkeypatch.setattr(np.random, "default_rng", Recorder)
+    inst = scaling_instance()
+    op = normalize_operator(inst.operator)
+    assert sample_residuals(inst, op, 2 * numeric._BLOCK + 5, seed=3) == 0.0
+    assert sizes == [(numeric._BLOCK, 3), (numeric._BLOCK, 3), (5, 3)]
+    sizes.clear()
+    monkeypatch.setattr(numeric, "_POLE_FLOOR", 1.0)  # rejects about a fifth
+    bad = SymOperator(op.tau, op.xi, op.eta + parse("1/10*V^2"))
+    sample_residuals(inst, bad, numeric._BLOCK + 100, seed=3)
+    assert len(sizes) > 2
+    assert all(m <= numeric._BLOCK for m, _ in sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +404,6 @@ def test_substitution_domain_errors():
 def test_eval_matches_exact_rational_oracle():
     # independent re-evaluation: push exact rationals through the symbolic
     # layer and compare the float pipeline against the exact value
-    from qcsym.calculus import substitute
-
     inst = simple_instance(p=3, k=5, lam=1)
     e = parse(fixture_text("source_case_b.txt"))
     bindings = {
@@ -357,7 +417,7 @@ def test_eval_matches_exact_rational_oracle():
         assert not term.fns
         c = term.coeff.eval({"t": t, "x": x})
         exact += c * V ** int(term.vpow.c0) if term.vpow.c0.denominator == 1 else c
-    got = eval_expr(bound, {"t": float(t), "x": float(x), "V": float(V)}, inst)
+    got = eval_point(bound, {"t": float(t), "x": float(x), "V": float(V)}, inst)
     assert abs(got - float(exact)) <= 1e-12 * max(1.0, abs(float(exact)))
 
 
