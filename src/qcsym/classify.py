@@ -27,7 +27,7 @@ from .calculus import (
     substitute,
 )
 from .errors import TableError, VerificationError
-from .expr import AffineExponent, Expr
+from .expr import AFF_ZERO, AffineExponent, Expr
 from .determining import EvolutionEq, SymOperator, check_operator, generate_determining_system, normalize_operator
 from .parser import parse, parse_affine
 
@@ -55,6 +55,13 @@ CASE_B_ASSUMPTIONS = (
     Constraint.parse("k!=-2"),
 )
 
+# the ansatz of each case: case B binds xi alone, case C binds xi and eta
+CASE_B_ANSATZ = {"xi": parse("a*V + f")}
+CASE_C_ANSATZ = {"xi": parse("f"), "eta": parse("g*V + h")}
+
+# the case the coincidence tables and the shifted powers specialize to
+K_EQ_P_MINUS_1 = Constraint.parse("k=p-1")
+
 
 def power_system():
     return generate_determining_system(EvolutionEq.power())
@@ -75,7 +82,7 @@ def solve_eta_case_b() -> Expr:
     p != -2, -3 and k != -1, -2.
     """
     eq2 = power_system().equations[1]
-    e = substitute(eq2, {"xi": parse("a*V + f")})
+    e = substitute(eq2, CASE_B_ANSATZ)
     rhs = solve_linear_for(e, "eta_VV")
     inner = integrate_v(rhs, CASE_B_ASSUMPTIONS)
     eta = integrate_v(inner, CASE_B_ASSUMPTIONS)
@@ -89,32 +96,12 @@ def extract_F() -> Expr:
     The coefficient of F is proportional to a, so the step requires a != 0.
     """
     eq3 = power_system().equations[2]
-    e = substitute(eq3, {"xi": parse("a*V + f"), "eta": solve_eta_case_b()})
+    e = substitute(eq3, {**CASE_B_ANSATZ, "eta": solve_eta_case_b()})
     return solve_linear_for(e, "F")
 
 
 # ---------------------------------------------------------------------------
 # coincidence enumeration
-
-
-@dataclass(frozen=True)
-class SpecialCase:
-    """A parameter relation that merges exponents or kills a leading factor."""
-
-    constraint: Constraint
-    provenance: tuple  # ("collision", target, other) | ("vanishing", target, root)
-
-    def __str__(self) -> str:
-        return str(self.constraint)
-
-
-def _normal_constraint(delta: AffineExponent) -> Constraint | None:
-    """Normal form of the relation delta = 0: k = ..., p = value, or n = ...."""
-    for name in ("k", "p", "n"):
-        value = delta.solve_for(name)
-        if value is not None:
-            return Constraint(AffineExponent.of(**{"c" + name: 1}), value, "equal")
-    return None
 
 
 def _case_order_key(c: Constraint) -> tuple:
@@ -130,42 +117,23 @@ def enumerate_special_cases(
 ) -> list:
     """All parameter relations equating a target exponent with another one.
 
-    With targets=None every unordered pair is examined.  Supplied
-    coefficient-vanishing roots join the collision cases; results are
-    deduplicated and canonically ordered, and relations excluded by the
-    forbidden constraints are dropped.
+    With targets=None every unordered pair is examined.  The supplied
+    coefficient-vanishing roots (Constraints) join the collision cases.
+    Relations excluded by the forbidden constraints are dropped, a relation
+    met again (as a multiple) is kept once, and the result is in canonical
+    order.
     """
     exps = [_as_aff(e) for e in exponents]
     if targets is None:
-        pairs = [
-            (exps[i], exps[j])
-            for i in range(len(exps))
-            for j in range(i + 1, len(exps))
-        ]
+        deltas = [a - b for i, a in enumerate(exps) for b in exps[i + 1:]]
     else:
-        tgts = [_as_aff(t) for t in targets]
-        pairs = [(t, e) for t in tgts for e in exps if e != t]
+        deltas = [t - e for t in map(_as_aff, targets) for e in exps if e != t]
+    collisions = [Constraint(d, AFF_ZERO, "equal") for d in deltas if not d.is_const()]
     found: dict = {}
-    for target, other in pairs:
-        delta = target - other
-        if delta.is_const() or excluded_by(delta, forbidden):
-            continue
-        constraint = _normal_constraint(delta)
-        key = (constraint.lhs.key(), constraint.rhs.key())
-        if key not in found:
-            found[key] = SpecialCase(
-                constraint, ("collision", str(target), str(other))
-            )
-    for target, root in vanishing:
-        constraint = root if isinstance(root, Constraint) else Constraint.parse(root)
-        if excluded_by(constraint.form(), forbidden):
-            continue
-        key = (constraint.lhs.key(), constraint.rhs.key())
-        if key not in found:
-            found[key] = SpecialCase(
-                constraint, ("vanishing", str(_as_aff(target)), str(constraint))
-            )
-    return sorted(found.values(), key=lambda sc: _case_order_key(sc.constraint))
+    for c in collisions + list(vanishing):
+        if not excluded_by(c.form(), forbidden):
+            found.setdefault(c.solved_for(), c)
+    return sorted(found.values(), key=_case_order_key)
 
 
 def _as_aff(v) -> AffineExponent:
@@ -185,11 +153,9 @@ def fifteen_power_cases() -> list:
     """Coincidence cases for the two leading powers of the extracted source."""
     data = fixture_json("coincidence_fifteen.json")
     forbidden = tuple(Constraint.parse(c) for c in data["forbidden"])
-    exponents = [parse_affine(t) for t in fixture_json("powers_fifteen.json")]
-    vanishing = [(t, r) for t, r in data["vanishing"]]
-    return enumerate_special_cases(
-        exponents, data["targets"], forbidden, vanishing
-    )
+    # each entry names the power whose coefficient the root kills
+    roots = [Constraint.parse(root) for _, root in data["vanishing"]]
+    return enumerate_special_cases(fifteen_powers(), data["targets"], forbidden, roots)
 
 
 def fifteen_powers() -> list:
@@ -199,8 +165,8 @@ def fifteen_powers() -> list:
 
 def fifteen_powers_k_eq_p_minus_1() -> list:
     """The fifteen powers specialized by k = p - 1, duplicates preserved."""
-    shift = parse_affine("p-1")
-    return [a.subst("k", shift) for a in fifteen_powers()]
+    name, value = K_EQ_P_MINUS_1.solved_for()
+    return [a.subst(name, value) for a in fifteen_powers()]
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +211,9 @@ def coincidence_table(target, columns, forbidden=(), case=None) -> CaseTable:
             raise TableError(
                 f"column {col} coincides with the target always"
             )
-        if not delta.cp:
-            values.append(None)
-            excluded.append(False)
-            continue
-        value = -delta.c0 / delta.cp
-        values.append(value)
-        excluded.append(
-            excluded_by(AffineExponent.of(cp=1, c0=-value), assumptions)
-        )
+        value = delta.solve_for("p")
+        values.append(None if value is None else value.c0)
+        excluded.append(value is not None and excluded_by(delta, assumptions))
     return CaseTable(
         case=case,
         target=target,
@@ -263,22 +223,15 @@ def coincidence_table(target, columns, forbidden=(), case=None) -> CaseTable:
     )
 
 
-def _source_keys_in_catalogue_order(source: Expr, subs: dict | None) -> tuple:
-    """Collect keys of the case-B source term after substitutions.
+def _source_keys_in_catalogue_order(source: Expr, powers: list) -> tuple:
+    """Collect keys of a case-B source term in the order of the given powers.
 
-    Returns (ordered distinct keys, coefficient map); the order follows the
-    catalogued fifteen-power list (first occurrence wins).
+    Returns (ordered distinct keys, coefficient map); first occurrence wins.
     """
-    if subs:
-        source = substitute(source, subs)
-    groups = collect(source)
-    coeffs = {key.vpow.key(): expr for key, expr in groups.items()}
-    case_shift = subs.get("k") if subs else None
+    coeffs = {key.vpow.key(): expr for key, expr in collect(source).items()}
     ordered = []
-    for aff in fifteen_powers():
-        if case_shift is not None:
-            aff = aff.subst("k", AffineExponent.from_expr(case_shift))
-        if aff.key() in coeffs and all(aff != o for o in ordered):
+    for aff in powers:
+        if aff.key() in coeffs and aff not in ordered:
             ordered.append(aff)
     return tuple(ordered), coeffs
 
@@ -301,22 +254,23 @@ def coincidence_tables_k_eq_p_minus_1() -> tuple:
     establishes that the coefficient function a is constant, so the
     subleading table is built with a replaced by a constant.
     """
-    case = Constraint.parse("k=p-1")
-    forbidden = CASE_B_ASSUMPTIONS
+    name, value = K_EQ_P_MINUS_1.solved_for()
+    shift = {name: value}
+    powers = fifteen_powers_k_eq_p_minus_1()
     source = extract_F()
     tables = []
     for target_text, subs in (
-        ("2*p+3", {"k": Expr.generator("p") - Expr.one()}),
-        ("2*p+1", {"k": Expr.generator("p") - Expr.one(), "a": Expr.generator("a0")}),
+        ("2*p+3", shift),
+        ("2*p+1", {**shift, "a": Expr.generator("a0")}),
     ):
         target = parse_affine(target_text)
-        ordered, coeffs = _source_keys_in_catalogue_order(source, subs)
+        ordered, coeffs = _source_keys_in_catalogue_order(substitute(source, subs), powers)
         columns = [
             aff
             for aff in ordered
             if aff != target and not _is_constant_coeff(coeffs[aff.key()])
         ]
-        tables.append(coincidence_table(target, columns, forbidden, case))
+        tables.append(coincidence_table(target, columns, CASE_B_ASSUMPTIONS, K_EQ_P_MINUS_1))
     return tuple(tables)
 
 
@@ -397,10 +351,9 @@ def case_c_chain_p0() -> tuple:
     fx = fixture_json("chain_p0.json")
     steps = []
     sysd = power_system()
-    bindings = {"xi": parse("f"), "eta": parse("g*V + h")}
     assumptions = (Constraint.parse("k!=0"), Constraint.parse("k!=1"))
 
-    eq3 = substitute(substitute(sysd.equations[2], bindings), {"p": 0})
+    eq3 = substitute(sysd.equations[2], {**CASE_C_ANSATZ, "p": 0})
     steps.append(StepResult(
         "reduce-eq3",
         "third determining equation under xi=f, eta=gV+h, p=0",
@@ -422,7 +375,7 @@ def case_c_chain_p0() -> tuple:
         h_solved.is_zero() and fx_solved == parse("-k*g"),
     ))
 
-    eq4 = substitute(substitute(sysd.equations[3], bindings), {"p": 0})
+    eq4 = substitute(sysd.equations[3], {**CASE_C_ANSATZ, "p": 0})
     eq4 = substitute(eq4, {"h": 0, "f_x": parse("-k*g")})
     steps.append(StepResult(
         "reduce-eq4",
@@ -494,9 +447,8 @@ def case_c_chain_k1_p2() -> tuple:
     fx = fixture_json("chain_k1_p2.json")
     steps = []
     sysd = power_system()
-    bindings = {"xi": parse("f"), "eta": parse("g*V + h")}
 
-    eq3_k1 = substitute(substitute(sysd.equations[2], bindings), {"k": 1})
+    eq3_k1 = substitute(sysd.equations[2], {**CASE_C_ANSATZ, "k": 1})
     steps.append(StepResult(
         "reduce-eq3-k1",
         "third determining equation under k=1",
@@ -517,7 +469,7 @@ def case_c_chain_k1_p2() -> tuple:
         len(system) == 3 and _match_system(system, fx["system_k1_p2"]),
     ))
 
-    eq4 = substitute(substitute(sysd.equations[3], bindings), {"k": 1, "p": 2})
+    eq4 = substitute(sysd.equations[3], {**CASE_C_ANSATZ, "k": 1, "p": 2})
     steps.append(StepResult(
         "reduce-eq4",
         "fourth determining equation with the source still unknown",

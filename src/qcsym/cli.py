@@ -154,9 +154,9 @@ def _cmd_table(args) -> int:
     case = _parsed("--case", args.case, Constraint.parse)
     target = _parsed("--target", args.target, parse_affine)
     tables = {
-        str(t.target): t for t in classify.coincidence_tables_k_eq_p_minus_1()
+        (str(t.case), str(t.target)): t for t in classify.coincidence_tables_k_eq_p_minus_1()
     }
-    table = tables.get(str(target)) if str(case) == "k=p-1" else None
+    table = tables.get((str(case), str(target)))
     if table is None:
         raise TermLanguageError(f"no catalogued table for case {case} and target {target}")
     lines = [f"case {case}, target {table.target}"]
@@ -267,7 +267,7 @@ def _suite_steps(seed: int, corrupt: str | None):
         if eta != parse(classify.fixture_text("eta_case_b.txt")):
             return False, "closed form differs"
         eq2 = classify.power_system().equations[1]
-        residual = substitute(eq2, {"xi": parse("a*V + f"), "eta": eta})
+        residual = substitute(eq2, {**classify.CASE_B_ANSATZ, "eta": eta})
         return residual.is_zero(), "back-substitution residual is zero"
 
     def source_extraction():
@@ -276,7 +276,7 @@ def _suite_steps(seed: int, corrupt: str | None):
             return False, "closed form differs"
         eq3 = classify.power_system().equations[2]
         residual = substitute(
-            eq3, {"xi": parse("a*V + f"), "eta": classify.solve_eta_case_b(), "F": F}
+            eq3, {**classify.CASE_B_ANSATZ, "eta": classify.solve_eta_case_b(), "F": F}
         )
         return residual.is_zero(), "extraction and back-substitution verified"
 

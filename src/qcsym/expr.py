@@ -542,7 +542,7 @@ def term_text(t: Term) -> tuple:
         factors.append(_exp_text(t.expc))
     for a in t.fns:
         factors.append(str(a))
-    if not (factors and coeff.is_const() and coeff.const_value() == 1):
+    if not (factors and coeff == F_ONE):
         factors.insert(0, _bracket(coeff_text(coeff), "+-"))
     return sign, "*".join(factors)
 

@@ -267,6 +267,8 @@ class Instance:
                 doc = json.load(fh)
             except ValueError as exc:  # not UTF-8 text, or not JSON
                 raise NumericError(f"instance file {str(path)!r} is not JSON: {exc}") from None
+            except RecursionError:
+                raise NumericError(f"instance file {str(path)!r} nests too deeply") from None
         return Instance.from_json(doc)
 
     def param_bindings(self) -> dict:

@@ -13,6 +13,7 @@ from functools import lru_cache
 
 from .errors import DivisionError, ParseError, UnknownSymbolError
 from .expr import AFF_ZERO, FUNCTIONS, PARAMETERS, AffineExponent, Expr, FnAtom
+from .poly import F_ONE
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*(?:_[txV]+)?)"
@@ -199,8 +200,7 @@ def _is_plain_v(e: Expr) -> bool:
         t.vpow.key() == (0, 0, 0, 1)
         and t.expc.is_zero()
         and not t.fns
-        and t.coeff.is_const()
-        and t.coeff.const_value() == 1
+        and t.coeff == F_ONE
     )
 
 
@@ -233,7 +233,10 @@ def parse(text: str) -> Expr:
     are not cached.
     """
     parser = _Parser(_tokenize(text))
-    out = parser.parse(0)
+    try:
+        out = parser.parse(0)
+    except RecursionError:
+        raise ParseError("nests too deeply", parser.tokens[parser.i - 1].pos) from None
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError("unexpected trailing input", tok.pos)

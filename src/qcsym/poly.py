@@ -355,7 +355,7 @@ def _primitive_univar(f: dict) -> dict:
     if not f:
         return f
     cont = _gcd_list(f.values())
-    if not cont.is_zero() and not (cont.is_const() and cont.const_value() == 1):
+    if not cont.is_zero() and cont != P_ONE:
         f = {e: poly_divexact(c, cont) for e, c in f.items()}
     return _strip_numeric_content(f)
 
@@ -522,7 +522,7 @@ class CoeffFrac:
         else:
             if reduce and not den.is_const():
                 g = poly_gcd(num, den)
-                if not (g.is_const() and g.const_value() == 1):
+                if g != P_ONE:
                     num = poly_divexact(num, g)
                     den = poly_divexact(den, g)
             lc = den.lead_coeff()
@@ -575,18 +575,18 @@ class CoeffFrac:
         if d1 == d2:
             num = n1 + n2
             g = poly_gcd(num, d1)
-            if not (g.is_const() and g.const_value() == 1):
+            if g != P_ONE:
                 return CoeffFrac(poly_divexact(num, g), poly_divexact(d1, g),
                                  reduce=False)
             return CoeffFrac(num, d1, reduce=False)
         g = poly_gcd(d1, d2)
-        if g.is_const():
+        if g == P_ONE:
             return CoeffFrac(n1 * d2 + n2 * d1, d1 * d2, reduce=False)
         d1g = poly_divexact(d1, g)
         d2g = poly_divexact(d2, g)
         t = n1 * d2g + n2 * d1g
         h = poly_gcd(t, g)
-        if h.is_const():
+        if h == P_ONE:
             return CoeffFrac(t, d1 * d2g, reduce=False)
         return CoeffFrac(
             poly_divexact(t, h), poly_divexact(d1, h) * d2g, reduce=False
@@ -605,11 +605,11 @@ class CoeffFrac:
         n1, d2 = self.num, other.den
         n2, d1 = other.num, self.den
         g1 = poly_gcd(n1, d2)
-        if not (g1.is_const() and g1.const_value() == 1):
+        if g1 != P_ONE:
             n1 = poly_divexact(n1, g1)
             d2 = poly_divexact(d2, g1)
         g2 = poly_gcd(n2, d1)
-        if not (g2.is_const() and g2.const_value() == 1):
+        if g2 != P_ONE:
             n2 = poly_divexact(n2, g2)
             d1 = poly_divexact(d1, g2)
         return CoeffFrac(n1 * n2, d1 * d2, reduce=False)

@@ -137,20 +137,29 @@ def test_enumeration_order_independent():
 
 
 def test_special_cases_equalize_their_pairs():
-    for case in six_power_cases() + fifteen_power_cases():
-        if case.provenance[0] != "collision":
-            continue
-        _, target, other = case.provenance
-        delta = parse_affine(target) - parse_affine(other)
-        name, value = case.constraint.solved_for()
-        assert delta.subst(name, value).is_zero()
+    # each case merges two distinct input exponents or is a supplied root
+    six, fifteen = fixture_json("coincidence_six.json"), fixture_json("coincidence_fifteen.json")
+    for exponents, cases, roots in (
+        (six["exponents"], six_power_cases(), []),
+        (fixture_json("powers_fifteen.json"), fifteen_power_cases(),
+         [root for _, root in fifteen["vanishing"]]),
+    ):
+        exps = [parse_affine(t) for t in exponents]
+        roots = {str(Constraint.parse(root)) for root in roots}
+        for case in cases:
+            name, value = case.solved_for()
+            merged = any(
+                (a - b).subst(name, value).is_zero()
+                for i, a in enumerate(exps) for b in exps[i + 1:] if a != b
+            )
+            assert merged or str(case) in roots, str(case)
 
 
 def test_special_cases_respect_forbidden():
     data = fixture_json("coincidence_fifteen.json")
     forbidden = tuple(Constraint.parse(c) for c in data["forbidden"])
     for case in fifteen_power_cases():
-        form = case.constraint.form()
+        form = case.form()
         for c in forbidden:
             assert not form.proportional_to(c.form())
 

@@ -75,6 +75,54 @@ def test_coincide_default_and_custom(capsys):
     assert set(json.loads(out)) == {"k=p-1", "k=p+2", "p=0", "p=1", "k=1"}
 
 
+def test_coincide_custom_list_in_order(capsys):
+    # targets against every exponent: collisions of the target with itself are
+    # skipped, constant differences give no case, and k vs 2*p+3 is met twice
+    code, out, err = run(
+        capsys, "coincide",
+        "--exponents", "2*p+3,2*p+1,p+k+2,k,0,1/2*k-3/2",
+        "--target", "2*p+3", "--target", "k",
+        "--forbidden", "p!=-1,k!=2*p",
+        "--json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [
+        "p=-2", "p=-3/2", "k=-3", "k=0", "k=p+1", "k=2*p+1", "k=2*p+3", "k=4*p+9",
+    ]
+
+
+def test_coincide_proportional_relations_give_one_case(capsys):
+    # 2*p - 2*k and p - k are one relation; it is listed once
+    code, out, _ = run(capsys, "coincide", "--exponents", "2*p,2*k,p,k", "--json")
+    assert code == 0
+    assert json.loads(out) == ["p=0", "k=0", "k=1/2*p", "k=p", "k=2*p"]
+    code, out, _ = run(capsys, "coincide", "--exponents", "2*p,2*k,p,k")
+    assert out.splitlines().count("  k=p") == 1
+
+
+_TABLES = {
+    "2*p+3": {
+        "case": "k=p-1", "target": "2*p+3",
+        "columns": ["2*p+1", "2*p", "2*p+2", "p+2", "p+1", "p", "p-1", "p-2", "1", "0"],
+        "values": ["-", "-", "-", "-1", "-2", "-3", "-4", "-5", "-1", "-3/2"],
+        "excluded": [False, False, False, True, True, True, False, False, True, False],
+    },
+    "2*p+1": {
+        "case": "k=p-1", "target": "2*p+1",
+        "columns": ["2*p", "2*p+2", "p+1", "p", "p-1", "p-2", "0"],
+        "values": ["-", "-", "0", "-1", "-2", "-3", "-1/2"],
+        "excluded": [False, False, True, True, True, True, False],
+    },
+}
+
+
+@pytest.mark.parametrize("target", sorted(_TABLES))
+def test_table_json_bytes_are_pinned(capsys, target):
+    code, out, err = run(capsys, "table", "--case", "k=p-1", "--target", target, "--json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(_TABLES[target], indent=2) + "\n"
+
+
 def test_split_command(capsys):
     code, out, _ = run(
         capsys, "split",
@@ -306,11 +354,13 @@ def test_output_deterministic(capsys):
         # refused by argparse before any step runs
         ["verify-paper", "--seed=-1"],
         ["check-op-numeric", "--equation", _FIXTURE, "--seed", "-1"],
+        # deeper than the interpreter's recursion limit
+        ["split", "(" * 3000 + "V" + ")" * 3000],
     ],
 )
 def test_malformed_argv_exits_2(argv, capsys):
     assert main(argv) == 2
-    capsys.readouterr()
+    assert "error: " in capsys.readouterr().err
 
 
 def test_output_deterministic_across_processes():
@@ -425,6 +475,7 @@ def test_transform_exact_baseline_has_no_ratio(tmp_path, capsys, monkeypatch):
 _DELETE = object()
 _NOT_JSON = object()  # the instance file is cut short
 _NOT_UTF8 = object()  # the instance file is the head of an executable
+_TOO_DEEP = object()  # the instance file nests deeper than the recursion limit
 
 
 class _Literal(str):
@@ -435,7 +486,7 @@ class _Literal(str):
     "entry",
     # a bare key is deleted; a (key, value) pair sets a bad value
     ["grid", "lambda", "grid.nx", pytest.param(_NOT_JSON, id="not-json"),
-     pytest.param(_NOT_UTF8, id="not-utf-8")] + [
+     pytest.param(_NOT_UTF8, id="not-utf-8"), pytest.param(_TOO_DEEP, id="too-deep")] + [
         pytest.param((key, value), id=f"{key}={value}")
         for key, value in (
             ("grid.nx", 1), ("p", "1/0"), ("m", "1/0"), ("k", "1/0"),
@@ -471,6 +522,8 @@ def test_instance_missing_key_is_usage_error(tmp_path, capsys, entry, command):
         key, text = str(path), json.dumps(data)[:-1].encode()
     elif entry is _NOT_UTF8:
         key, text = str(path), b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100))
+    elif entry is _TOO_DEEP:
+        key, text = str(path), b"[" * 100000 + b"]" * 100000
     else:
         key, value = entry if isinstance(entry, tuple) else (entry, _DELETE)
         head, _, name = key.rpartition(".")
