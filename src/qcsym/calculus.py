@@ -13,6 +13,7 @@ from .errors import (
 from .expr import (
     AFF_ONE,
     AFF_ZERO,
+    EXPONENT_PARAMS,
     FUNCTIONS,
     AffineExponent,
     CoeffFrac,
@@ -98,27 +99,27 @@ def _coerce_expr(value) -> Expr:
     return Expr.const(Fraction(value))
 
 
-def _diff_many(e: Expr, var: str, count: int) -> Expr:
-    for _ in range(count):
-        e = diff(e, var)
-    return e
-
-
 def substitute(e: Expr, bindings: dict) -> Expr:
     """Substitute function atoms and parameter symbols.
 
     Keys are parameter names, function names, or derivative keys such as
-    'f_x' (which rewrite every atom carrying at least that many derivative
-    indices).  Function bindings are applied first, then parameter bindings
-    are substituted through the whole result, so numeric instantiations see
-    concrete functions.
+    'f_x'.  A function takes one key: a bare name rewrites every atom of
+    the function, a derivative key every atom carrying at least its
+    indices, and the function's other atoms stay; a second key for the
+    same function is a ValueError.  Each distinct atom is replaced once,
+    its binding differentiated up to the atom's indices and raised (or
+    inverted) to its power.  Function bindings are applied first, then
+    parameter bindings are substituted through the whole result, so
+    numeric instantiations see concrete functions.
     """
     fn_bindings: dict = {}
     param_bindings: dict = {}
     for key, value in bindings.items():
         name, dt, dx, dV = _parse_binding_key(str(key))
         if dt or dx or dV or name in FUNCTIONS:
-            fn_bindings[(name, dt, dx, dV)] = _coerce_expr(value)
+            if name in fn_bindings:
+                raise ValueError(f"function {name!r} is bound twice")
+            fn_bindings[name] = ((dt, dx, dV), _coerce_expr(value))
         else:
             param_bindings[name] = value
     if fn_bindings:
@@ -129,80 +130,61 @@ def substitute(e: Expr, bindings: dict) -> Expr:
 
 
 def _substitute_fns(e: Expr, bindings: dict) -> Expr:
-    out = Expr.zero()
+    replaced: dict = {}
+    out = []
     for t in e.terms:
-        factors = [Expr((Term(t.coeff, t.vpow, t.expc, ()),))]
+        product = Expr((Term(t.coeff, t.vpow, t.expc, ()),))
         for a in t.fns:
-            match = _best_binding(a, bindings)
-            if match is None:
-                factors.append(Expr.atom(a))
-                continue
-            (bname, bdt, bdx, bdV), value = match
-            rep = _diff_many(value, "t", a.dt - bdt)
-            rep = _diff_many(rep, "x", a.dx - bdx)
-            rep = _diff_many(rep, "V", a.dV - bdV)
-            if a.power < 0:
-                try:
-                    rep = rep.invert() ** (-a.power)
-                except DivisionError as exc:
-                    raise DivisionError(
-                        f"substitution makes {a.base_text()}^({a.power}) "
-                        f"non-invertible: {exc}"
-                    ) from None
-            else:
-                rep = rep ** a.power
-            factors.append(rep)
-        term_expr = factors[0]
-        for f in factors[1:]:
-            term_expr = term_expr * f
-        out = out + term_expr
-    return out
+            rep = replaced.get(a)
+            if rep is None:
+                rep = replaced[a] = _replace_atom(a, bindings.get(a.name))
+            product = product * rep
+        out.extend(product.terms)
+    return Expr.from_terms(out)
 
 
-def _best_binding(a: FnAtom, bindings: dict):
-    best = None
-    best_rank = -1
-    for key, value in bindings.items():
-        name, dt, dx, dV = key
-        if name != a.name:
-            continue
-        if a.dt >= dt and a.dx >= dx and a.dV >= dV:
-            rank = dt + dx + dV
-            if rank > best_rank:
-                best = (key, value)
-                best_rank = rank
-    return best
+def _replace_atom(a: FnAtom, binding) -> Expr:
+    """The atom with its function's binding, or the atom itself when unbound."""
+    indices = (a.dt, a.dx, a.dV)
+    if binding is None or any(i < b for i, b in zip(indices, binding[0])):
+        return Expr.atom(a)
+    orders, rep = binding
+    for var, i, b in zip("txV", indices, orders):
+        for _ in range(i - b):
+            rep = diff(rep, var)
+    if a.power > 0:
+        return rep ** a.power
+    try:
+        return rep.invert() ** (-a.power)
+    except DivisionError as exc:
+        raise DivisionError(
+            f"substitution makes {a.base_text()}^({a.power}) "
+            f"non-invertible: {exc}"
+        ) from None
 
 
 def _substitute_params(e: Expr, bindings: dict) -> Expr:
-    affine_bindings = {}
-    for name, value in bindings.items():
-        affine_bindings[name] = _coerce_affine(name, value)
+    affine_bindings = {
+        name: _coerce_affine(value) for name, value in bindings.items()
+    }
     out = []
     for t in e.terms:
-        coeff = t.coeff
+        coeff, vpow, expc = t.coeff, t.vpow, t.expc
         for name, (aff, poly) in affine_bindings.items():
             if name in coeff.gens():
                 coeff = coeff.subst(name, poly)
-        vpow = t.vpow
-        expc = t.expc
-        for name, (aff, poly) in affine_bindings.items():
-            if name in ("p", "k", "n"):
+            if name in EXPONENT_PARAMS:
                 vpow = vpow.subst(name, aff)
                 expc = expc.subst(name, aff)
         out.append(Term(coeff, vpow, expc, t.fns))
     return Expr.from_terms(out)
 
 
-def _coerce_affine(name: str, value) -> tuple:
+def _coerce_affine(value) -> tuple:
     """Return (affine form, polynomial form) for a parameter binding value."""
     if isinstance(value, AffineExponent):
         return value, value.to_poly()
-    if isinstance(value, Expr):
-        aff = AffineExponent.from_expr(value)
-        return aff, aff.to_poly()
-    aff = AffineExponent.const(Fraction(value))
-    return aff, Poly.const(Fraction(value))
+    return AffineExponent.const(Fraction(value)), Poly.const(Fraction(value))
 
 
 # ---------------------------------------------------------------------------

@@ -255,16 +255,15 @@ def coincidence_tables_k_eq_p_minus_1() -> tuple:
     subleading table is built with a replaced by a constant.
     """
     name, value = K_EQ_P_MINUS_1.solved_for()
-    shift = {name: value}
     powers = fifteen_powers_k_eq_p_minus_1()
-    source = extract_F()
+    shifted = substitute(extract_F(), {name: value})
     tables = []
-    for target_text, subs in (
-        ("2*p+3", shift),
-        ("2*p+1", {**shift, "a": Expr.generator("a0")}),
+    for target_text, source in (
+        ("2*p+3", shifted),
+        ("2*p+1", substitute(shifted, {"a": Expr.generator("a0")})),
     ):
         target = parse_affine(target_text)
-        ordered, coeffs = _source_keys_in_catalogue_order(substitute(source, subs), powers)
+        ordered, coeffs = _source_keys_in_catalogue_order(source, powers)
         columns = [
             aff
             for aff in ordered
@@ -315,24 +314,9 @@ def _match_system(system: EquationSystem, fixture_eqs) -> bool:
 
 def _euler_form(e: Expr) -> tuple:
     """Rewrite A*F_V + B*F + R = 0 as F_V - (s/V) F = rhs; return (s, rhs)."""
-    a_terms, b_terms, rest = [], [], []
-    for t in e.terms:
-        fv = [a for a in t.fns if a.name == "F" and a.dV == 1]
-        f0 = [a for a in t.fns if a.name == "F" and a.dV == 0]
-        if fv:
-            a_terms.append(
-                type(t)(t.coeff, t.vpow, t.expc, tuple(x for x in t.fns if x not in fv))
-            )
-        elif f0:
-            b_terms.append(
-                type(t)(t.coeff, t.vpow, t.expc, tuple(x for x in t.fns if x not in f0))
-            )
-        else:
-            rest.append(t)
-    A = Expr.from_terms(a_terms)
-    B = Expr.from_terms(b_terms)
-    R = Expr.from_terms(rest)
-    s_expr = -(B * Expr.vpower(AffineExponent.const(1))) / A
+    solved = solve_linear_for(e, "F_V")
+    rhs = substitute(solved, {"F": 0})
+    s_expr = (solved - rhs) * parse("V/F")
     if len(s_expr.terms) != 1:
         raise VerificationError("euler-form", "equation is not of Euler type")
     st = s_expr.terms[0]
@@ -341,7 +325,6 @@ def _euler_form(e: Expr) -> tuple:
     s = AffineExponent.from_poly(st.coeff.num)
     if s is None or not st.coeff.den.is_const():
         raise VerificationError("euler-form", "homogeneous exponent not affine")
-    rhs = -(R / A)
     return s, rhs
 
 

@@ -135,12 +135,12 @@ class EvolutionEq:
         return EvolutionEq(family="power", F0=F0, F1=F1, F2=F2)
 
     @staticmethod
-    def exponential(n=None, F2: Expr | None = None) -> "EvolutionEq":
-        F0 = parse("exp(V)")
-        F1 = parse("-lambda*exp((n+1)*V)")
-        if n is not None:
-            F1 = substitute(F1, {"n": n})
-        return EvolutionEq(family="exponential", F0=F0, F1=F1, F2=F2)
+    def exponential() -> "EvolutionEq":
+        return EvolutionEq(
+            family="exponential",
+            F0=parse("exp(V)"),
+            F1=parse("-lambda*exp((n+1)*V)"),
+        )
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,31 @@ def test_substitute_derivative_key():
     assert got == parse("f_t - 2*k*f*g + k*g_x + 2*g_x")
 
 
+def test_substitute_refuses_a_function_bound_twice():
+    with pytest.raises(ValueError, match="bound twice"):
+        substitute(parse("f_x + f"), {"f": parse("g"), "f_x": parse("h")})
+
+
+# a function key, a derivative key and a parameter; g, whose atoms may carry
+# a negative power, is bound to a single term so each of them inverts
+HOMOMORPHISM_BINDINGS = {
+    "g": parse("2*t*h"),
+    "f_x": parse("k*a + x*alpha"),
+    "p": parse_affine("k-1"),
+}
+
+
+def test_substitute_is_a_ring_homomorphism(rng):
+    def s(e):
+        return substitute(e, HOMOMORPHISM_BINDINGS)
+
+    pairs = [(parse("g^(-1)*f_xx"), parse("g^(-1) + f_x*f_tx"))]
+    pairs += [(random_expr(rng), random_expr(rng)) for _ in range(150)]
+    for e1, e2 in pairs:
+        assert s(e1 + e2) == s(e1) + s(e2)
+        assert s(e1 * e2) == s(e1) * s(e2)
+
+
 def test_substitute_k1_p2_chain_steps():
     eq3 = parse("lambda*h + 2*g_x - f_xx")
     reduced = substitute(eq3, {"g": parse("A1*f_x")})

@@ -1,7 +1,9 @@
 """The package's import rules: no qcsym module imports a private name of
 another or a name it never uses, every import from within the package sits
-at module level, and numeric is the one module that imports numpy."""
+at module level, numeric is the one module that imports numpy, and every
+module-level name is used somewhere in the package."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -101,3 +103,76 @@ def test_numpy_rule_catches_every_form():
         "    import numpy\n"
     )
     assert _numpy_imports(source) == [1, 2, 3, 6]
+
+
+def _references(node) -> Counter:
+    """How often each name is read under the node: as a variable, an
+    attribute, an imported name or a string (``__all__``, ``getattr``)."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.split(".")[-1]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out[n.value] += 1
+    return out
+
+
+def _definitions(tree) -> list:
+    """(name, defining statement) for each module-level name but __all__."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [
+                (n.id, node)
+                for target in targets
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name) and n.id != "__all__"
+            ]
+    return out
+
+
+def _orphans(sources: dict) -> list:
+    """'module: name' for each module-level name that nothing outside its
+    own definition refers to, across all the given module sources."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name, node in _definitions(tree)
+        if total[name] == _references(node)[name]
+    ]
+
+
+def test_every_module_level_name_is_used():
+    assert _orphans({path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_orphan_rule_catches_unused_names():
+    sources = {
+        "a.py": (
+            "__all__ = ['api']\n"
+            "LIMIT = 3\n"
+            "def api():\n"
+            "    return _helper(LIMIT)\n"
+            "def _helper(n):\n"
+            "    return n\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "_UNUSED: int = 0\n"
+        ),
+        "b.py": (
+            "from .a import api\n"
+            "def _by_name():\n"
+            "    return api()\n"
+            "unread = getattr(api, '_by_name')\n"
+        ),
+    }
+    assert _orphans(sources) == ["a.py: _recursive", "a.py: _UNUSED", "b.py: unread"]
