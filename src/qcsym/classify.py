@@ -180,7 +180,7 @@ class CaseTable:
     case: Constraint | None
     target: AffineExponent
     columns: tuple
-    values: tuple  # Fraction | None
+    values: tuple  # int | Fraction | None
     excluded: tuple  # bool per column
 
     def value_strings(self) -> list:

@@ -10,7 +10,7 @@ is immutable; all operations return new canonical values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionError
@@ -23,31 +23,27 @@ EXPONENT_PARAMS = ("p", "k", "n")
 class AffineExponent:
     """Exponent of the form cp*p + ck*k + cn*n + c0 with rational coefficients.
 
-    key() is the canonical form: the coefficients with the integral ones as
-    ints. An int compares, orders and hashes like the equal Fraction, so key
-    order is value order, but hashing it costs a fraction of Fraction.__hash__.
+    A coefficient is stored as an int when it is integral and as a Fraction
+    otherwise, the rule Poly follows. An int equals, orders and hashes like
+    the equal Fraction, so the field tuple is the canonical key() and int
+    arithmetic skips Fraction's normalising gcd. Two raw coefficients must not
+    meet in `/`: int / int is float division.
     """
 
-    cp: Fraction = Fraction(0)
-    ck: Fraction = Fraction(0)
-    cn: Fraction = Fraction(0)
-    c0: Fraction = Fraction(0)
-    _key: tuple = field(init=False, repr=False, compare=False)
+    cp: int | Fraction = 0
+    ck: int | Fraction = 0
+    cn: int | Fraction = 0
+    c0: int | Fraction = 0
 
     def __post_init__(self):
-        # a list display: on this hot path it builds faster than a generator
-        object.__setattr__(self, "_key", tuple([
-            c.numerator if c.denominator == 1 else c
-            for c in (self.cp, self.ck, self.cn, self.c0)
-        ]))
+        # all-int forms, every exponent of the replay, skip the normalising loop
+        if not (type(self.cp) is type(self.ck) is type(self.cn) is type(self.c0) is int):
+            for name in ("cp", "ck", "cn", "c0"):
+                object.__setattr__(self, name, _rational(getattr(self, name)))
 
     @classmethod
     def const(cls, c) -> "AffineExponent":
-        return cls(c0=Fraction(c))
-
-    @classmethod
-    def of(cls, cp=0, ck=0, cn=0, c0=0) -> "AffineExponent":
-        return cls(Fraction(cp), Fraction(ck), Fraction(cn), Fraction(c0))
+        return cls(c0=c)
 
     def __add__(self, other: "AffineExponent") -> "AffineExponent":
         return AffineExponent(
@@ -65,7 +61,6 @@ class AffineExponent:
         return AffineExponent(-self.cp, -self.ck, -self.cn, -self.c0)
 
     def scale(self, c) -> "AffineExponent":
-        c = Fraction(c)
         return AffineExponent(self.cp * c, self.ck * c, self.cn * c, self.c0 * c)
 
     def is_zero(self) -> bool:
@@ -75,9 +70,9 @@ class AffineExponent:
         return not (self.cp or self.ck or self.cn)
 
     def key(self) -> tuple:
-        return self._key
+        return (self.cp, self.ck, self.cn, self.c0)
 
-    def coeff_of(self, name: str) -> Fraction:
+    def coeff_of(self, name: str) -> int | Fraction:
         return {"p": self.cp, "k": self.ck, "n": self.cn}[name]
 
     def solve_for(self, name: str) -> "AffineExponent | None":
@@ -86,21 +81,21 @@ class AffineExponent:
         c = self.coeff_of(name)
         if not c:
             return None
-        rest = self - AffineExponent.of(**{"c" + name: c})
+        rest = self - AffineExponent(**{"c" + name: c})
         return rest.scale(Fraction(-1) / c)
 
     def subst(self, name: str, value: "AffineExponent") -> "AffineExponent":
         """Replace an exponent parameter by an affine value."""
-        solved = self.solve_for(name)
-        if solved is None:
+        c = self.coeff_of(name)
+        if not c:
             return self
-        return (value - solved).scale(self.coeff_of(name))
+        return self - AffineExponent(**{"c" + name: c}) + value.scale(c)
 
     @classmethod
     def from_poly(cls, poly: Poly) -> "AffineExponent | None":
         """The affine form a polynomial spells, or None when it has a monomial
         other than a constant or a first power of p, k or n."""
-        coeffs = dict.fromkeys(("cp", "ck", "cn", "c0"), Fraction(0))
+        coeffs = dict.fromkeys(("cp", "ck", "cn", "c0"), 0)
         for mono, c in poly.terms.items():
             if not mono:
                 coeffs["c0"] += c
@@ -131,10 +126,10 @@ class AffineExponent:
     def proportional_to(self, other: "AffineExponent") -> bool:
         """True when self = c*other for a nonzero rational c.
 
-        Compared by cross-multiplication against one pivot coefficient: the key
-        entries may be ints, and int / int would be float division.
+        Compared by cross-multiplication against one pivot coefficient: the
+        coefficients may be ints, and int / int would be float division.
         """
-        pairs = tuple(zip(self._key, other._key))
+        pairs = tuple(zip(self.key(), other.key()))
         pivot = next(((x, y) for x, y in pairs if y), None)
         if pivot is None or not pivot[0]:
             return False
@@ -143,7 +138,7 @@ class AffineExponent:
 
     def parameter(self) -> str | None:
         """p, k or n when the form is exactly that parameter, else None."""
-        return _BARE.get(self._key) or None
+        return _BARE.get(self.key()) or None
 
     def to_poly(self) -> Poly:
         out = Poly.const(self.c0)
@@ -156,6 +151,15 @@ class AffineExponent:
         return affine_text(self)
 
 
+def _rational(c) -> int | Fraction:
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 AFF_ZERO = AffineExponent()
 AFF_ONE = AffineExponent.const(1)
 
@@ -163,7 +167,7 @@ AFF_ONE = AffineExponent.const(1)
 # that stands for them; natural-number powers of V print bare as well
 _BARE = {
     AFF_ONE.key(): "",
-    **{AffineExponent.of(**{"c" + name: 1}).key(): name for name in EXPONENT_PARAMS},
+    **{AffineExponent(**{"c" + name: 1}).key(): name for name in EXPONENT_PARAMS},
 }
 
 
@@ -416,6 +420,8 @@ class Expr:
 
     def invert(self) -> "Expr":
         """Invert a single-term expression with no derived atoms."""
+        if not self.terms:
+            raise DivisionError("division by zero")
         if len(self.terms) != 1:
             raise DivisionError(
                 f"cannot invert a {len(self.terms)}-term expression"

@@ -3,11 +3,12 @@
 Generators are named symbols (the lattice variables t, x plus any parameter
 symbols).  A monomial is a sorted tuple of (name, exponent) pairs with
 positive exponents; a polynomial maps monomials to nonzero rationals, each
-an int when integral and a Fraction otherwise. An int equals, orders and
-hashes like the equal Fraction, so keys and printed text are the same either
-way, and int arithmetic skips Fraction's normalising gcd.  Fractions of
-polynomials are kept reduced by polynomial gcd with a monic denominator, so
-equality is structural.
+an int when integral and a Fraction otherwise (expr.AffineExponent keeps its
+coefficients by the same rule). An int equals, orders and hashes like the
+equal Fraction, so keys and printed text are the same either way, and int
+arithmetic skips Fraction's normalising gcd.  Fractions of polynomials are
+kept reduced by polynomial gcd with a monic denominator, so equality is
+structural; the gcd of a nonzero constant with anything is 1.
 """
 from __future__ import annotations
 
@@ -93,8 +94,9 @@ class Poly:
     """Immutable sparse polynomial with exact rational coefficients.
 
     A coefficient is stored as an int when it is integral and as a Fraction
-    otherwise; const_value() and lead_coeff() still return a Fraction. Two
-    raw coefficients must not meet in `/`: int / int is float division.
+    otherwise. const_value() and lead_coeff() return a Fraction whatever the
+    stored type. Two raw coefficients must not meet in `/`: int / int is
+    float division.
     """
 
     __slots__ = ("terms", "key", "_hash")
@@ -241,6 +243,8 @@ class Poly:
 
     def lead_mono(self) -> Mono:
         """Leading monomial under graded lexicographic order."""
+        if len(self.terms) == 1:
+            return next(iter(self.terms))
         return max(self.terms, key=grlex_key(sorted(self.gens())))
 
     def lead_coeff(self) -> Fraction:
@@ -363,6 +367,8 @@ def _primitive_univar(f: dict) -> dict:
 def _normalize_gcd(p: Poly) -> Poly:
     if p.is_zero():
         return p
+    if p.is_const():
+        return P_ONE
     c = p.content()
     if p.lead_coeff() < 0:
         c = -c
@@ -525,7 +531,7 @@ class CoeffFrac:
                 if g != P_ONE:
                     num = poly_divexact(num, g)
                     den = poly_divexact(den, g)
-            lc = den.lead_coeff()
+            lc = den.terms[den.lead_mono()]
             if lc != 1:
                 inv = Fraction(1) / lc
                 num = num.scale(inv)

@@ -36,7 +36,7 @@ def random_fraction(rng: random.Random) -> Fraction:
 
 def random_affine(rng: random.Random, allow_params: bool = True) -> AffineExponent:
     if allow_params and rng.random() < 0.6:
-        return AffineExponent.of(
+        return AffineExponent(
             cp=rng.choice((0, 0, 1, 2, -1)),
             ck=rng.choice((0, 0, 1, -1)),
             cn=0,

@@ -325,7 +325,7 @@ def test_integrate_v_refuses_resonance_and_other_atoms():
 @settings(max_examples=300, deadline=None)
 @given(AFFINE_FORMS, RATIONALS.filter(bool), st.integers(0, 3), RATIONALS.filter(bool))
 @example(
-    AffineExponent.of(cp=1, ck=Fraction(1, 2)), Fraction(3), 0, Fraction(1)
+    AffineExponent(cp=1, ck=Fraction(1, 2)), Fraction(3), 0, Fraction(1)
 )  # p + k/2 against 3p + 3k/2: a ratio of 1/3 from an integral and a half pair
 def test_proportional_is_exact(a, c, index, delta):
     b = a.scale(c)

@@ -166,6 +166,18 @@ def test_parse_error_names_the_flag(argv, flag, capsys):
     assert err == f"error: {flag}: expected a value (at position 0)\n"
 
 
+@pytest.mark.parametrize(
+    ("argv", "err"),
+    [
+        (["split", "V^(1/0)"], "expression 'V^(1/0)': division by zero (at position 4)"),
+        (["check-op", "--xi", "1/0", "--eta", "0"], "--xi '1/0': division by zero (at position 1)"),
+        (["coincide", "--forbidden", "k=1/0"], "--forbidden 'k=1/0': division by zero (at position 1)"),
+    ],
+)
+def test_division_by_zero_is_usage_error(argv, err, capsys):
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
 def test_split_ambiguous_is_usage_error(capsys):
     code, _, err = run(capsys, "split", "g*V^k + h")
     assert code == 2

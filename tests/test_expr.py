@@ -9,7 +9,7 @@ from qcsym.expr import AFF_ONE, AffineExponent, Expr, Term, expr_text
 from qcsym.parser import MAX_POWER, parse, parse_affine
 from qcsym.poly import F_ONE
 
-from conftest import AFFINE_FORMS, random_expr
+from conftest import AFFINE_FORMS, RATIONALS, random_expr
 import random
 
 
@@ -150,6 +150,58 @@ def test_exponent_key_is_canonical(a, b, forms):
     assert same == a and same.key() == a.key()
     assert hash(same) == hash(a) == hash(a.key()) == hash(_fields(a))
     assert sorted(forms, key=AffineExponent.key) == sorted(forms, key=_fields)
+
+
+def _int_when_integral(a: AffineExponent) -> bool:
+    return all(type(c) is int if c.denominator == 1
+               else type(c) is Fraction and c.denominator > 1 for c in _fields(a))
+
+
+def _proportional(fa, fb) -> bool:
+    """fa = r*fb for a nonzero rational r, by Fraction division."""
+    pivot = next((j for j, y in enumerate(fb) if y), None)
+    if pivot is None:
+        return False
+    r = fa[pivot] / fb[pivot]
+    return r != 0 and all(x == r * y for x, y in zip(fa, fb))
+
+
+_BARE_FIELDS = {(1, 0, 0, 0): "p", (0, 1, 0, 0): "k", (0, 0, 1, 0): "n"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(AFFINE_FORMS, AFFINE_FORMS | st.sampled_from([parse_affine(n) for n in "pkn"]),
+       RATIONALS, st.sampled_from("pkn"))
+def test_integral_exponent_coefficients_are_ints(a, b, s, name):
+    # every result against the same computation on Fraction tuples
+    fa, fb = (tuple(Fraction(c) for c in _fields(x)) for x in (a, b))
+    expected = [
+        (a + b, [x + y for x, y in zip(fa, fb)]),
+        (a - b, [x - y for x, y in zip(fa, fb)]),
+        (-a, [-x for x in fa]),
+        (a.scale(s), [x * s for x in fa]),
+        (AffineExponent.from_poly(a.to_poly()), fa),
+        (parse_affine(str(a)), fa),
+    ]
+    i = "pkn".index(name)
+    c = fa[i]
+    rest = [Fraction(0) if j == i else x for j, x in enumerate(fa)]
+    if c:
+        expected.append((a.solve_for(name), [-x / c for x in rest]))
+        expected.append((a.subst(name, b), [x + c * y for x, y in zip(rest, fb)]))
+    else:
+        assert a.solve_for(name) is None and a.subst(name, b) is a
+    for got, want in expected:
+        assert _int_when_integral(got), got
+        assert _fields(got) == tuple(want)
+    # a form built from int fields is the form built from Fraction fields
+    for x, fx in ((a, fa), (b, fb)):
+        built = AffineExponent(*fx)
+        assert _fields(built) == _fields(x) and _int_when_integral(built)
+        assert built.key() == x.key() == fx and hash(built) == hash(x) == hash(fx)
+        assert built.parameter() == x.parameter() == _BARE_FIELDS.get(fx)
+    assert a.proportional_to(b) == AffineExponent(*fa).proportional_to(AffineExponent(*fb))
+    assert a.proportional_to(b) == _proportional(fa, fb)
 
 
 def test_integral_sum_of_halves_merges_with_integer_power():

@@ -1,9 +1,11 @@
 """Numeric verification: evaluation, sampling, solving, flows, substitution."""
 import csv
+import importlib.util
 import io
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,27 +259,28 @@ def test_positivity_guard():
         solve_pde(inst, np.linspace(-1.0, 1.0, 21), 5)
 
 
+def _convergence_study():
+    """scripts/convergence_study.py, loaded by path as the README runs it."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
+    spec = importlib.util.spec_from_file_location("convergence_study", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_exact_feed_convergence_order():
     # V = x/(1-t) solves V_t = V_xx + V V_x; halving dx (dt ~ dx^2)
     # must shrink the discrete residual by at least 3.5
-    def run(nx):
-        dx = 1.0 / (nx - 1)
-        dt = 0.4 * dx * dx
-        steps = int(round(0.1 / dt))
-        inst = simple_instance(
-            grid={"x0": 0.0, "x1": 1.0, "nx": nx, "t0": 0.0, "dt": dt,
-                  "steps": steps}
-        )
-        xs = inst.grid.xs()
-        field = solve_pde(
-            inst, xs.copy(), steps,
-            boundary=lambda t: (0.0, 1.0 / (1.0 - t)),
-        )
-        return invariance_residual(field, inst)
-
+    run = _convergence_study().run
     coarse, fine = run(51), run(101)
     assert coarse / fine >= 3.5
     assert math.log2(coarse / fine) >= 1.9  # observed order in dx
+
+
+def test_convergence_study_observes_second_order():
+    # the study's first refinement step; 2.07 when written
+    run = _convergence_study().run
+    assert 1.9 <= math.log2(run(26) / run(51)) <= 2.2
 
 
 def test_residual_of_noise_is_large():

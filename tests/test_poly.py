@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qcsym.poly import _SCREEN_POINTS, CoeffFrac, Poly, poly_divexact, poly_gcd
+from qcsym.poly import (
+    _SCREEN_POINTS, CoeffFrac, P_ONE, P_ZERO, Poly, grlex_key, poly_divexact, poly_gcd,
+)
 
-from conftest import RATIONALS, random_coeff, random_poly
+from conftest import RATIONALS, random_coeff, random_fraction, random_poly
 
 
 def P(name):
@@ -238,6 +240,36 @@ def test_integral_coefficients_are_ints(seed):
         assert type(p.lead_coeff()) is Fraction
         if p.is_const():
             assert type(p.const_value()) is Fraction
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_lead_mono_is_grlex_max(seed):
+    # one-term and constant polynomials skip the grlex key; all must agree
+    rng = random.Random(seed)
+    polys = [random_poly(rng, max_monos=n) for n in (1, 1, 3, 5)]
+    polys.append(Poly.const(random_fraction(rng)))
+    for p in polys:
+        if p.is_zero():
+            continue
+        assert p.lead_mono() == max(p.terms, key=grlex_key(sorted(p.gens())))
+        assert p.lead_coeff() == p.terms[p.lead_mono()]
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(-1), Fraction(3), Fraction(-2, 3)])
+def test_gcd_with_nonzero_constant_is_one(c):
+    k = Poly.const(c)
+    for other in (P_ZERO, k, P("x") * P("t") - P("p").scale(c)):
+        assert poly_gcd(k, other) == P_ONE
+        assert poly_gcd(other, k) == P_ONE
+
+
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(-1), Fraction(-3, 4)])
+def test_constant_denominator_normalises_to_one(c):
+    num = P("x") + Poly.const(1)
+    f = CoeffFrac(num, Poly.const(c))
+    assert f.den == P_ONE
+    assert f.num == num.scale(1 / c)
 
 
 def test_coefficient_division_is_exact():
