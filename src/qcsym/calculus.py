@@ -14,7 +14,7 @@ from .expr import (
     AFF_ONE,
     AFF_ZERO,
     EXPONENT_PARAMS,
-    FUNCTIONS,
+    PARAMETERS,
     AffineExponent,
     CoeffFrac,
     Expr,
@@ -23,7 +23,7 @@ from .expr import (
     affine_text,
     merge_fns,
 )
-from .parser import parse_affine
+from .parser import function_atom, parse_affine
 from .poly import F_ONE, P_ONE, Poly
 
 # ---------------------------------------------------------------------------
@@ -85,12 +85,24 @@ def diff(e: Expr, var: str) -> Expr:
 # substitution
 
 
-def _parse_binding_key(key: str) -> tuple:
-    """Split 'f_x' into (name, dt, dx, dV); bare names give (name, 0, 0, 0)."""
-    if "_" in key:
-        name, suffix = key.split("_", 1)
-        return (name, suffix.count("t"), suffix.count("x"), suffix.count("V"))
-    return (key, 0, 0, 0)
+def _binding_atom(key: str) -> FnAtom | None:
+    """The function atom a binding key names ('f', 'f_x'); None for a parameter.
+
+    A key is read by the parser's identifier rule, so a key that names no
+    parameter, no function or a derivative its function does not have is a
+    ValueError naming the key.
+    """
+    if key in PARAMETERS:
+        return None
+    try:
+        atom = function_atom(key)
+    except ValueError as exc:
+        raise ValueError(f"bad binding key {key!r}: {exc}") from None
+    if atom is None:
+        raise ValueError(
+            f"binding key {key!r} names no parameter, function or derivative"
+        )
+    return atom
 
 
 def _coerce_expr(value) -> Expr:
@@ -106,22 +118,23 @@ def substitute(e: Expr, bindings: dict) -> Expr:
     'f_x'.  A function takes one key: a bare name rewrites every atom of
     the function, a derivative key every atom carrying at least its
     indices, and the function's other atoms stay; a second key for the
-    same function is a ValueError.  Each distinct atom is replaced once,
-    its binding differentiated up to the atom's indices and raised (or
-    inverted) to its power.  Function bindings are applied first, then
-    parameter bindings are substituted through the whole result, so
-    numeric instantiations see concrete functions.
+    same function is a ValueError, as is a key that names none of these.
+    Each distinct atom is replaced once, its binding differentiated up to
+    the atom's indices and raised (or inverted) to its power.  Function
+    bindings are applied first, then parameter bindings are substituted
+    through the whole result, so numeric instantiations see concrete
+    functions.
     """
     fn_bindings: dict = {}
     param_bindings: dict = {}
     for key, value in bindings.items():
-        name, dt, dx, dV = _parse_binding_key(str(key))
-        if dt or dx or dV or name in FUNCTIONS:
-            if name in fn_bindings:
-                raise ValueError(f"function {name!r} is bound twice")
-            fn_bindings[name] = ((dt, dx, dV), _coerce_expr(value))
+        atom = _binding_atom(str(key))
+        if atom is None:
+            param_bindings[str(key)] = value
+        elif atom.name in fn_bindings:
+            raise ValueError(f"function {atom.name!r} is bound twice")
         else:
-            param_bindings[name] = value
+            fn_bindings[atom.name] = ((atom.dt, atom.dx, atom.dV), _coerce_expr(value))
     if fn_bindings:
         e = _substitute_fns(e, fn_bindings)
     if param_bindings:
@@ -418,24 +431,25 @@ def solve_linear_for(e: Expr, atom_key: str) -> Expr:
     The atom must appear linearly; its total coefficient must be an
     invertible single-term expression.  Returns the solved value.
     """
-    name, dt, dx, dV = _parse_binding_key(atom_key)
-    target = (name, dt, dx, dV)
+    atom = _binding_atom(atom_key)
+    if atom is None:
+        raise ValueError(f"{atom_key!r} names a parameter, not a function atom")
+    target = atom.sort_key()
     with_atom = []
     rest = []
     for t in e.terms:
-        hits = [a for a in t.fns if (a.name, a.dt, a.dx, a.dV) == target]
+        hits = [a for a in t.fns if a.sort_key() == target]
         if not hits:
             rest.append(t)
             continue
         if len(hits) != 1 or hits[0].power != 1:
             raise TermLanguageError(f"{atom_key} does not appear linearly")
-        others = tuple(a for a in t.fns if (a.name, a.dt, a.dx, a.dV) != target)
+        others = tuple(a for a in t.fns if a.sort_key() != target)
         with_atom.append(Term(t.coeff, t.vpow, t.expc, others))
     if not with_atom:
         raise TermLanguageError(f"{atom_key} does not appear in the equation")
     coeff = Expr.from_terms(with_atom)
     solution = -(Expr.from_terms(rest) / coeff)
-    if any((a.name, a.dt, a.dx, a.dV) == target
-           for t in solution.terms for a in t.fns):
+    if any(a.sort_key() == target for t in solution.terms for a in t.fns):
         raise TermLanguageError(f"equation is not linear in {atom_key}")
     return solution

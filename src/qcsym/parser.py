@@ -23,6 +23,25 @@ _TOKEN_RE = re.compile(
 _SUFFIX_RE = re.compile(r"^(?P<base>[A-Za-z][A-Za-z0-9]*)(?:_(?P<suffix>[txV]+))?$")
 
 
+def function_atom(name: str) -> FnAtom | None:
+    """The function atom an identifier names: 'f' is f, 'f_xx' is f_xx.
+
+    None when the identifier is no function name, with or without a
+    derivative suffix. A suffix in a variable the function does not depend
+    on is FnAtom's ValueError.
+    """
+    m = _SUFFIX_RE.fullmatch(name)
+    if m is None or m.group("base") not in FUNCTIONS:
+        return None
+    suffix = m.group("suffix") or ""
+    return FnAtom(
+        m.group("base"),
+        dt=suffix.count("t"),
+        dx=suffix.count("x"),
+        dV=suffix.count("V"),
+    )
+
+
 class _Token:
     __slots__ = ("kind", "value", "pos")
 
@@ -139,26 +158,15 @@ class _Parser:
             return Expr.vpower(AffineExponent.const(1))
         if name in ("t", "x"):
             return Expr.generator(name)
-        m = _SUFFIX_RE.match(name)
-        base = m.group("base")
-        suffix = m.group("suffix") or ""
-        if suffix and base in FUNCTIONS:
-            try:
-                atom = FnAtom(
-                    base,
-                    dt=suffix.count("t"),
-                    dx=suffix.count("x"),
-                    dV=suffix.count("V"),
-                )
-            except ValueError as exc:
-                raise ParseError(str(exc), tok.pos) from None
-            return Expr.atom(atom)
-        if not suffix:
-            if name in PARAMETERS:
-                return Expr.generator(name)
-            if name in FUNCTIONS:
-                return Expr.atom(FnAtom(name))
-        raise UnknownSymbolError(f"unknown symbol {name!r}", tok.pos)
+        if name in PARAMETERS:
+            return Expr.generator(name)
+        try:
+            atom = function_atom(name)
+        except ValueError as exc:
+            raise ParseError(str(exc), tok.pos) from None
+        if atom is None:
+            raise UnknownSymbolError(f"unknown symbol {name!r}", tok.pos)
+        return Expr.atom(atom)
 
     def apply_power(self, base: Expr, exponent: Expr, pos: int) -> Expr:
         if _is_plain_v(base):

@@ -5,10 +5,10 @@ symbols).  A monomial is a sorted tuple of (name, exponent) pairs with
 positive exponents; a polynomial maps monomials to nonzero rationals, each
 an int when integral and a Fraction otherwise (expr.AffineExponent keeps its
 coefficients by the same rule). An int equals, orders and hashes like the
-equal Fraction, so keys and printed text are the same either way, and int
-arithmetic skips Fraction's normalising gcd.  Fractions of polynomials are
-kept reduced by polynomial gcd with a monic denominator, so equality is
-structural; the gcd of a nonzero constant with anything is 1.
+equal Fraction, so equality, hashes and printed text are the same either
+way, and int arithmetic skips Fraction's normalising gcd.  Fractions of
+polynomials are kept reduced by polynomial gcd with a monic denominator, so
+equality is structural; the gcd of a nonzero constant with anything is 1.
 """
 from __future__ import annotations
 
@@ -99,7 +99,7 @@ class Poly:
     float division.
     """
 
-    __slots__ = ("terms", "key", "_hash")
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: dict | None = None):
         t = {}
@@ -113,7 +113,6 @@ class Poly:
                             c = c.numerator
                     t[m] = c
         self.terms = t
-        self.key = tuple(sorted(t.items()))
         self._hash = None  # most polynomials are never hashed
 
     @classmethod
@@ -148,11 +147,11 @@ class Poly:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.key == other.key
+        return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.key)
+            self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -190,7 +189,7 @@ class Poly:
         return Poly(out)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        """self times the rational c, an int or a Fraction."""
         if not c:
             return Poly()
         return Poly({m: co * c for m, co in self.terms.items()})
@@ -291,7 +290,7 @@ class Poly:
         return total
 
     def __repr__(self) -> str:
-        return f"Poly({dict(self.key)!r})"
+        return f"Poly({dict(sorted(self.terms.items()))!r})"
 
 
 P_ZERO = Poly()
@@ -355,13 +354,18 @@ def _prem(f: dict, g: dict, v: str) -> dict:
     return r
 
 
-def _primitive_univar(f: dict) -> dict:
+def _primitive(f: dict) -> tuple:
+    """(content, primitive part) of a univariate view f.
+
+    The content is the normalised gcd of f's coefficients; the primitive
+    part is f divided by it and by the coefficients' shared rational content.
+    """
     if not f:
-        return f
+        return P_ZERO, f
     cont = _gcd_list(f.values())
-    if not cont.is_zero() and cont != P_ONE:
+    if cont != P_ONE:
         f = {e: poly_divexact(c, cont) for e, c in f.items()}
-    return _strip_numeric_content(f)
+    return cont, _strip_numeric_content(f)
 
 
 def _normalize_gcd(p: Poly) -> Poly:
@@ -377,78 +381,16 @@ def _normalize_gcd(p: Poly) -> Poly:
     return p.scale(Fraction(1) / c)
 
 
-_SCREEN_POINTS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _univar_image(p: Poly, v: str, values: dict) -> dict:
-    """Evaluate every generator except v; return degree -> Fraction."""
-    out: dict = {}
-    for m, c in p.terms.items():
-        val = c
-        deg = 0
-        for name, e in m:
-            if name == v:
-                deg = e
-            else:
-                val *= values[name] ** e
-        out[deg] = out.get(deg, 0) + val
-    return {d: c for d, c in out.items() if c}
-
-
-def _univar_gcd_degree(f: dict, g: dict) -> int:
-    """Degree of gcd of two univariate rational polynomials (Euclid)."""
-    while g:
-        dg = max(g)
-        lg = g[dg]
-        r = dict(f)
-        while r and max(r) >= dg:
-            dr = max(r)
-            q = Fraction(r[dr]) / lg
-            for e, c in g.items():
-                shift = e + dr - dg
-                nxt = r.get(shift, 0) - q * c
-                if nxt:
-                    r[shift] = nxt
-                else:
-                    r.pop(shift, None)
-        f, g = g, r
-    return max(f) if f else -1
-
-
-def _gcd_free_of(a: Poly, b: Poly, v: str, gens) -> bool:
-    """Certify that gcd(a, b) does not involve v.
-
-    For an evaluation point r of the other generators: any common divisor G
-    satisfies G(v, r) | gcd(a(v, r), b(v, r)), and lc_v(G)(r) != 0 whenever
-    lc_v(a)(r) != 0 (the leading coefficients multiply).  So if a keeps its
-    v-degree under the evaluation and the univariate image gcd is constant,
-    G has v-degree zero.
-    """
-    da = a.degree(v)
-    others = [g for g in gens if g != v]
-    for trial in range(3):
-        values = {
-            g: Fraction(_SCREEN_POINTS[(i + trial * len(others)) % len(_SCREEN_POINTS)])
-            for i, g in enumerate(others)
-        }
-        fa = _univar_image(a, v, values)
-        if not fa or max(fa) != da:
-            continue  # leading coefficient vanished; try another point
-        fb = _univar_image(b, v, values)
-        if not fb:
-            continue
-        if _univar_gcd_degree(fa, fb) == 0:
-            return True
-        return False  # a genuine common v-factor is plausible; do the work
-    return False
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """The gcd of a and b, with content 1 and a positive leading coefficient.
+
+    After the early outs and the shared monomial content, it recurses on
+    one generator v both inputs have: the gcd of the two v-contents times
+    the primitive part of the last nonzero pseudo-remainder.
+    """
     if a.is_zero():
         return _normalize_gcd(b)
-    if b.is_zero():
-        return _normalize_gcd(a)
-    if a.key == b.key:
+    if b.is_zero() or a == b:
         return _normalize_gcd(a)
     if a.is_const() or b.is_const():
         return P_ONE
@@ -457,34 +399,19 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a = a.div_mono(ma)
     b = b.div_mono(mb)
     shared = Poly({mc: 1}) if mc else P_ONE
-    if a.is_const() or b.is_const():
-        return _normalize_gcd(shared)
-    gens = sorted(a.gens() | b.gens())
-    # screen out generators the gcd provably cannot involve; in the common
-    # coprime case this settles everything without a pseudo-remainder chain
-    live = []
-    for v in gens:
-        if a.degree(v) == 0 or b.degree(v) == 0:
-            continue
-        if a.degree(v) and not _gcd_free_of(a, b, v, gens):
-            live.append(v)
+    # a common factor involves only generators both inputs have
+    live = sorted(a.gens() & b.gens())
     if not live:
         return _normalize_gcd(shared)
     v = min(live, key=lambda g: min(a.degree(g), b.degree(g)))
-    fu = a.coeffs_in(v)
-    gu = b.coeffs_in(v)
-    cf = _gcd_list(fu.values())
-    cg = _gcd_list(gu.values())
-    c = poly_gcd(cf, cg)
-    fu = {e: poly_divexact(p, cf) for e, p in fu.items()}
-    gu = {e: poly_divexact(p, cg) for e, p in gu.items()}
-    if (max(fu) if fu else -1) < (max(gu) if gu else -1):
+    cf, fu = _primitive(a.coeffs_in(v))
+    cg, gu = _primitive(b.coeffs_in(v))
+    if max(fu) < max(gu):
         fu, gu = gu, fu
     while gu:
-        r = _primitive_univar(_prem(fu, gu, v))
-        fu, gu = gu, r
-    core = _from_univar(_primitive_univar(fu), v)
-    return _normalize_gcd(shared * c * core)
+        fu, gu = gu, _primitive(_prem(fu, gu, v))[1]
+    core = _from_univar(fu, v)
+    return _normalize_gcd(shared * poly_gcd(cf, cg) * core)
 
 
 def poly_divexact(f: Poly, g: Poly) -> Poly:
@@ -565,7 +492,7 @@ class CoeffFrac:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.num.key, self.den.key))
+            self._hash = hash((self.num, self.den))
         return self._hash
 
     def __add__(self, other: "CoeffFrac") -> "CoeffFrac":

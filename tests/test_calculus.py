@@ -89,6 +89,17 @@ def test_substitute_refuses_a_function_bound_twice():
         substitute(parse("f_x + f"), {"f": parse("g"), "f_x": parse("h")})
 
 
+@pytest.mark.parametrize("key", ["f_q", "F_x", "zz_t", "p_t"])
+def test_bad_binding_key_is_refused(key):
+    # f_q is no identifier, F does not depend on x, zz is no function and a
+    # parameter takes no derivative suffix
+    e = parse("f + f_x + F + p")
+    with pytest.raises(ValueError, match=repr(key)):
+        substitute(e, {key: parse("t")})
+    with pytest.raises(ValueError, match=repr(key)):
+        solve_linear_for(e, key)
+
+
 # a function key, a derivative key and a parameter; g, whose atoms may carry
 # a negative power, is bound to a single term so each of them inverts
 HOMOMORPHISM_BINDINGS = {

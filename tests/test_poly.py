@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcsym.poly import (
-    _SCREEN_POINTS, CoeffFrac, P_ONE, P_ZERO, Poly, grlex_key, poly_divexact, poly_gcd,
+    CoeffFrac, P_ONE, P_ZERO, Poly, grlex_key, poly_divexact, poly_gcd,
 )
 
 from conftest import RATIONALS, random_coeff, random_fraction, random_poly
@@ -151,8 +151,9 @@ _POLYS = st.lists(st.tuples(_MONOS, RATIONALS), min_size=1, max_size=3).map(
     lambda terms: sum((Poly({m: c}) for m, c in terms), Poly())
 )
 # t - 2, x - 3*p, (t - 2)*p^e + rest and (t - 2)*(p - 3) + rest: factors
-# that vanish, or whose leading coefficients vanish, where the gcd screen
-# evaluates the generators, so the screen must notice a dropped degree
+# that vanish, or whose leading coefficients vanish, at t, x or p = 2 or 3,
+# so the pseudo-remainder chain meets leading coefficients that are
+# polynomials in the other generators
 _SCREENED = st.builds(
     lambda gens, s, s2, e, rest, kind: [
         P(gens[1]) - Poly.const(s),
@@ -161,8 +162,8 @@ _SCREENED = st.builds(
         (P(gens[0]) - Poly.const(s)) * (P(gens[1]) - Poly.const(s2)) + rest,
     ][kind],
     st.permutations(_GENS),
-    st.sampled_from(_SCREEN_POINTS[:2]),
-    st.sampled_from(_SCREEN_POINTS[:2]),
+    st.sampled_from((2, 3)),
+    st.sampled_from((2, 3)),
     st.integers(1, 2),
     st.one_of(RATIONALS.map(Poly.const), _POLYS),
     st.sampled_from((0, 1, 2, 3, 3, 3)),
@@ -180,7 +181,7 @@ def _to_sympy(sympy, p: Poly):
     ))
 
 
-# leading coefficients in t and in p both vanish at the first screen point
+# leading coefficients in t and in p both vanish at t = p = 2
 @example(
     P("x") + Poly.const(1),
     P("x") - Poly.const(1),
@@ -197,6 +198,15 @@ def test_gcd_matches_sympy(a, b, c):
         return
     unit = sympy.cancel(_to_sympy(sympy, got) / want)
     assert unit.is_Rational and unit != 0, (a * c, b * c, got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FACTORS, _FACTORS, _POLYS)
+def test_gcd_is_symmetric_and_normalised(a, b, c):
+    got = poly_gcd(a * c, b * c)
+    assert got == poly_gcd(b * c, a * c)
+    if not got.is_zero():
+        assert got.content() == 1 and got.lead_coeff() > 0, got
 
 
 @settings(max_examples=150, deadline=None)
@@ -279,10 +289,27 @@ def test_coefficient_division_is_exact():
     # int / int is float division; 1/3 has no float, so a float quotient
     # shows as a wrong result
     assert poly_divexact(P("x") * P("t"), P("t").scale(3)) == P("x").scale(Fraction(1, 3))
-    # a univariate gcd takes no screen point, so Euclid sees int coefficients
+    # the pseudo-remainder chain of a univariate gcd sees int coefficients
     assert poly_gcd(lin(7, -9) * lin(8, 6), lin(5, -2) * lin(8, 6)) == lin(4, 3)
 
 
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
         P("p") ** -1
+
+
+def test_equality_and_hash_ignore_term_order_and_coefficient_type():
+    x, t = (("x", 1),), (("t", 2),)
+    forms = [
+        Poly({x: 2, t: Fraction(1, 3), (): -1}),
+        Poly({(): Fraction(-1), t: Fraction(1, 3), x: Fraction(2)}),
+        Poly({t: Fraction(2, 6), x: 2, (): -1}),
+    ]
+    assert all(p == forms[0] and hash(p) == hash(forms[0]) for p in forms)
+    assert len(set(forms)) == 1
+    assert forms[0] != Poly({x: 2, t: Fraction(1, 3)})
+    den = P("p") + Poly.const(1)
+    fracs = [CoeffFrac(p, den) for p in forms]
+    fracs.append(CoeffFrac(forms[1] * P("x"), Poly({(): 1, (("p", 1),): Fraction(1)}) * P("x")))
+    assert all(f == fracs[0] and hash(f) == hash(fracs[0]) for f in fracs)
+    assert len(set(fracs)) == 1
