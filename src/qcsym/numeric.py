@@ -393,12 +393,18 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
 
 
 def _source(inst: Instance):
-    """The instance's source bound to its parameters and compiled; it does
-    not depend on t or x, so callers evaluate ``F(0.0, 0.0, V)[0]``."""
+    """The instance's source bound to its parameters: the compiled function
+    and the V powers of its terms. It does not depend on t or x, so callers
+    evaluate ``F(0.0, 0.0, V)[0]``."""
     bound = substitute(inst.F, inst.param_bindings())
     if any(term.coeff.gens() & {"t", "x"} for term in bound.terms):
         raise UnboundFunctionError("source term must be a concrete function of V")
-    return _compile(bound)
+    return _compile(bound), [term.vpow.c0 for term in bound.terms]
+
+
+def _needs_positive(e) -> bool:
+    """True when the power V**e is real and finite only for V > 0."""
+    return e < 0 or e != int(e)
 
 
 def initial_row(inst: Instance) -> np.ndarray:
@@ -427,18 +433,17 @@ def solve_pde(
 
     Second-order central differences in x, classical fourth-order
     Runge-Kutta in t, Dirichlet boundaries held at the initial end values
-    unless a boundary callable t -> (left, right) is supplied.
+    unless a boundary callable t -> (left, right) is supplied. A row that
+    is not positive stops it when a power of V it takes (p, k or one in F)
+    is negative or not an integer.
     """
     g = inst.grid
     dx = g.dx
     p = float(inst.p)
     k = float(inst.k)
     lam = float(inst.lam)
-    needs_positive = (
-        p < 0 or k < 0 or Fraction(inst.p).denominator != 1
-        or Fraction(inst.k).denominator != 1
-    )
-    F = _source(inst)
+    F, source_powers = _source(inst)
+    needs_positive = any(_needs_positive(e) for e in (inst.p, inst.k, *source_powers))
     row = np.asarray(initial, dtype=float).copy()
     if row.shape != (g.nx,):
         raise ValueError(f"initial row must have {g.nx} points")
@@ -504,7 +509,7 @@ def invariance_residual(field: Field, inst: Instance) -> float:
     p = float(inst.p)
     k = float(inst.k)
     lam = float(inst.lam)
-    F = _source(inst)
+    F, _ = _source(inst)
     mid = V[1:-1, 1:-1]
     vt = (V[2:, 1:-1] - V[:-2, 1:-1]) / (2 * field.dt)
     vx = (V[1:-1, 2:] - V[1:-1, :-2]) / (2 * field.dx)
@@ -584,30 +589,22 @@ def group_transform(
 def substitute_power_log(direction: str, m: float, value):
     """Change of state variable V = U^(m+1) (or ln U at m = -1) and back.
 
-    Accepts floats or arrays; raises on nonpositive inputs where a
-    logarithm or fractional power requires positivity.
+    Accepts floats or arrays. The input must be positive where the power
+    taken is negative or not an integer, and for ln U.
     """
     arr = np.asarray(value, dtype=float)
-    if direction == "u_to_v":
-        if m == -1:
-            if np.any(arr <= 0):
-                raise PositivityError("U must be positive for the log branch")
-            out = np.log(arr)
-        else:
-            e = m + 1
-            if e != int(e) or e < 0:
-                _require_positive(arr, "U")
-            out = np.power(arr, e)
-    elif direction == "v_to_u":
-        if m == -1:
-            out = np.exp(arr)
-        else:
-            e = 1.0 / (m + 1)
-            if e != int(e):
-                _require_positive(arr, "V")
-            out = np.power(arr, e)
-    else:
+    if direction not in ("u_to_v", "v_to_u"):
         raise ValueError("direction must be 'u_to_v' or 'v_to_u'")
+    forward = direction == "u_to_v"
+    if m == -1:
+        if forward:
+            _require_positive(arr, "U", "the log branch")
+        out = np.log(arr) if forward else np.exp(arr)
+    else:
+        e = m + 1 if forward else 1.0 / (m + 1)
+        if _needs_positive(e):
+            _require_positive(arr, "U" if forward else "V", f"the power {e:g}")
+        out = np.power(arr, e)
     if np.ndim(value) == 0:
         return float(out)
     return out
@@ -622,6 +619,6 @@ def power_log_roundtrip(seed: int) -> float:
     return max(float(np.max(np.abs(U2 - U))) for U2 in back)
 
 
-def _require_positive(arr: np.ndarray, name: str):
+def _require_positive(arr: np.ndarray, name: str, what: str):
     if np.any(arr <= 0):
-        raise PositivityError(f"{name} must be positive for fractional powers")
+        raise PositivityError(f"{name} must be positive for {what}")

@@ -7,8 +7,9 @@ an int when integral and a Fraction otherwise (expr.AffineExponent keeps its
 coefficients by the same rule). An int equals, orders and hashes like the
 equal Fraction, so equality, hashes and printed text are the same either
 way, and int arithmetic skips Fraction's normalising gcd.  Fractions of
-polynomials are kept reduced by polynomial gcd with a monic denominator, so
-equality is structural; the gcd of a nonzero constant with anything is 1.
+polynomials are kept reduced with a monic denominator, so equality is
+structural. One rule cancels them (_cancel): a constant denominator is
+kept, any other is divided with its numerator by their poly_gcd.
 """
 from __future__ import annotations
 
@@ -438,10 +439,22 @@ def poly_divexact(f: Poly, g: Poly) -> Poly:
     return Poly(q)
 
 
+def _cancel(num: Poly, den: Poly) -> tuple:
+    """(num, den) divided by their gcd; unchanged when den is constant."""
+    if den.is_const():
+        return num, den
+    g = poly_gcd(num, den)
+    if g == P_ONE:
+        return num, den
+    return poly_divexact(num, g), poly_divexact(den, g)
+
+
 class CoeffFrac:
     """Reduced fraction of polynomials; the coefficient field of the term language.
 
-    Invariants: gcd(num, den) = 1 and den is monic under graded lex.
+    Invariants: gcd(num, den) = 1 and den is monic under graded lex. Every
+    cancellation goes through _cancel: in the constructor unless reduce is
+    False, and on each cross pair in __mul__.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -453,11 +466,8 @@ class CoeffFrac:
         if num.is_zero():
             den = P_ONE
         else:
-            if reduce and not den.is_const():
-                g = poly_gcd(num, den)
-                if g != P_ONE:
-                    num = poly_divexact(num, g)
-                    den = poly_divexact(den, g)
+            if reduce:
+                num, den = _cancel(num, den)
             lc = den.terms[den.lead_mono()]
             if lc != 1:
                 inv = Fraction(1) / lc
@@ -496,9 +506,6 @@ class CoeffFrac:
         return self._hash
 
     def __add__(self, other: "CoeffFrac") -> "CoeffFrac":
-        # Henrici's scheme: with both inputs reduced, only the denominator
-        # gcd and the cofactor gcd are needed; the result is reduced by
-        # construction and the big products never see a gcd.
         if self.is_zero():
             return other
         if other.is_zero():
@@ -506,24 +513,8 @@ class CoeffFrac:
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
         if d1 == d2:
-            num = n1 + n2
-            g = poly_gcd(num, d1)
-            if g != P_ONE:
-                return CoeffFrac(poly_divexact(num, g), poly_divexact(d1, g),
-                                 reduce=False)
-            return CoeffFrac(num, d1, reduce=False)
-        g = poly_gcd(d1, d2)
-        if g == P_ONE:
-            return CoeffFrac(n1 * d2 + n2 * d1, d1 * d2, reduce=False)
-        d1g = poly_divexact(d1, g)
-        d2g = poly_divexact(d2, g)
-        t = n1 * d2g + n2 * d1g
-        h = poly_gcd(t, g)
-        if h == P_ONE:
-            return CoeffFrac(t, d1 * d2g, reduce=False)
-        return CoeffFrac(
-            poly_divexact(t, h), poly_divexact(d1, h) * d2g, reduce=False
-        )
+            return CoeffFrac(n1 + n2, d1)
+        return CoeffFrac(n1 * d2 + n2 * d1, d1 * d2)
 
     def __neg__(self) -> "CoeffFrac":
         return CoeffFrac(-self.num, self.den, reduce=False)
@@ -535,16 +526,8 @@ class CoeffFrac:
         if self.is_zero() or other.is_zero():
             return F_ZERO
         # cross-reduce; the cross-reduced product is reduced by construction
-        n1, d2 = self.num, other.den
-        n2, d1 = other.num, self.den
-        g1 = poly_gcd(n1, d2)
-        if g1 != P_ONE:
-            n1 = poly_divexact(n1, g1)
-            d2 = poly_divexact(d2, g1)
-        g2 = poly_gcd(n2, d1)
-        if g2 != P_ONE:
-            n2 = poly_divexact(n2, g2)
-            d1 = poly_divexact(d1, g2)
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
         return CoeffFrac(n1 * n2, d1 * d2, reduce=False)
 
     def inverse(self) -> "CoeffFrac":

