@@ -171,6 +171,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check_op(args) -> int:
+    if args.equation and args.family != "power":
+        raise ValueError(
+            f"--family {args.family} cannot be used with --equation: "
+            "an instance file gives a power-family equation"
+        )
     op = normalize_operator(SymOperator(
         *(_parsed(f"--{name}", getattr(args, name), parse) for name in ("tau", "xi", "eta"))
     ))

@@ -7,13 +7,12 @@ results into floating-point evaluations on lattices.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .calculus import substitute
 from .determining import EvolutionEq, SymOperator, generate_determining_system
@@ -28,9 +27,29 @@ from .errors import (
 from .expr import Expr
 from .parser import parse
 
+
+def _lazy_numpy():
+    """numpy, executed on the first attribute access rather than here, so
+    the symbolic commands never pay its import; the loaded module when there
+    is one, since executing numpy a second time makes it warn. This is the
+    ``importlib.util.LazyLoader`` recipe of the ``importlib`` docs."""
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
+
 _POLE_FLOOR = 1e-300
 _BLOCK = 1024  # sample points drawn and evaluated at once, bounding the memory
-_MAX_CELLS = 10**7  # largest nx * (steps + 1) lattice an instance may ask for
+_MAX_CELLS = 10**7  # largest nx * (steps + 1) lattice, and most sample points, allowed
 
 
 @dataclass(frozen=True)
@@ -342,7 +361,8 @@ def _compile(e: Expr):
 
 
 def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> float:
-    """Max absolute determining-equation residual over N seeded sample points.
+    """Max absolute determining-equation residual over N seeded sample points,
+    N from 1 to ``_MAX_CELLS``.
 
     Points are drawn uniformly from [0.1, 2]^3, a box clear of the V = 0
     and 2kt + A1 = 0 poles, at most ``_BLOCK`` at a time. A point where a
@@ -355,6 +375,8 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
     """
     if N < 1:
         raise ValueError("need at least one sample point")
+    if N > _MAX_CELLS:
+        raise ValueError(f"at most {_MAX_CELLS} sample points are allowed: {N}")
     system = generate_determining_system(
         EvolutionEq.power(F2=None)
     )

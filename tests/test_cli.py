@@ -256,6 +256,79 @@ def test_split_of_a_huge_power_exits_2_promptly():
     assert f"cap of {MAX_POWER}" in proc.stderr
 
 
+# a fresh interpreter runs one command and reports its exit status and
+# whether numpy executed; numpy's own import loads numpy.linalg, while the
+# lazy numpy entry that importing qcsym.numeric makes does not
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from qcsym import cli
+assert "numpy" in sys.modules and "numpy.linalg" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(code, "numpy.linalg" in sys.modules)
+"""
+
+
+def _numpy_after(argv) -> tuple:
+    """(exit status, numpy executed) of one command in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argv)],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, executed = proc.stdout.split()
+    return int(code), executed == "True"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["derive", "--family", "power"], 0),
+    (["derive", "--family", "exp"], 0),
+    (["coincide"], 0),
+    (["table", "--case", "k=p-1", "--target", "2p+3"], 0),
+    (["split", "lambda*(f_x + k*g)*V^k + lambda*k*h*V^(k-1) + f_t",
+      "--forbidden", "k=0,k=1"], 0),
+    (["check-op", "--xi", "A", "--eta", "0"], 0),
+    (["check-op", "--xi=x/(2*t+1)", "--eta=-V/(2*t+1)", "--equation", _FIXTURE], 0),
+    (["check-op", "--xi", "A", "--eta", "0", "--equation", "missing.json"], 2),
+])
+def test_symbolic_commands_leave_numpy_unexecuted(argv, code):
+    assert _numpy_after(argv) == (code, False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--equation", _FIXTURE],
+    ["check-op-numeric", "--equation", _FIXTURE],
+])
+def test_float_commands_execute_numpy(argv):
+    assert _numpy_after(argv) == (0, True)
+
+
+def test_check_op_refuses_exp_family_with_an_instance(capsys):
+    code, out, err = run(
+        capsys, "check-op", "--equation", _FIXTURE, "--family", "exp",
+        "--xi", "0", "--eta", "0",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--family" in err and "--equation" in err
+
+
+@pytest.mark.parametrize("samples, err", [
+    ("0", "need at least one sample point"),
+    ("10000001", "at most 10000000 sample points are allowed: 10000001"),
+])
+def test_check_op_numeric_refuses_a_sample_count_at_once(capsys, monkeypatch, samples, err):
+    def never(*args):
+        raise AssertionError("a system was generated")
+
+    monkeypatch.setattr(numeric, "generate_determining_system", never)
+    assert run(
+        capsys, "check-op-numeric", "--equation", _FIXTURE, "--samples", samples,
+    ) == (2, "", f"error: {err}\n")
+
+
 def test_transform_command(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(fixture_json("instance_scaling.json")))

@@ -4,6 +4,8 @@ import importlib.util
 import io
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -412,6 +414,20 @@ def test_substitution_negative_power_refuses_zero(direction, name, m):
         substitute_power_log(direction, m, 0.0)
 
 
+def test_power_log_roundtrip_takes_three_powers_both_ways(monkeypatch):
+    calls = []
+
+    def record(direction, m, value):
+        calls.append((direction, m))
+        return substitute_power_log(direction, m, value)
+
+    monkeypatch.setattr(numeric, "substitute_power_log", record)
+    assert numeric.power_log_roundtrip(seed=3) < 1e-12
+    assert sorted(calls) == sorted(
+        (direction, m) for m in (-1, 1, 2) for direction in ("u_to_v", "v_to_u")
+    )
+
+
 def test_eval_matches_exact_rational_oracle():
     # independent re-evaluation: push exact rationals through the symbolic
     # layer and compare the float pipeline against the exact value
@@ -478,3 +494,49 @@ def test_blowup_detected():
     )
     with pytest.raises(InstabilityError):
         solve_pde(inst, np.full(21, 10.0), 60)
+
+
+# ---------------------------------------------------------------------------
+# loading numpy
+
+_LOADED_FIRST = """
+import sys
+import numpy
+from qcsym import numeric
+assert numeric.np is sys.modules["numpy"] is numpy
+"""
+
+# importing numeric leaves numpy unexecuted: numpy's own import loads
+# numpy.linalg; the first attribute access executes it once, in place
+_NUMERIC_FIRST = """
+import sys
+from qcsym import numeric
+assert "numpy.linalg" not in sys.modules
+import numpy
+assert numeric.np is sys.modules["numpy"] is numpy
+numpy.zeros(1)
+assert "numpy.linalg" in sys.modules and numeric.np is sys.modules["numpy"]
+"""
+
+_MISSING = """
+import sys
+sys.modules["numpy"] = None
+try:
+    import qcsym.numeric
+except ModuleNotFoundError:
+    pass
+else:
+    raise AssertionError("qcsym.numeric imported without numpy")
+"""
+
+
+@pytest.mark.parametrize("script", [_LOADED_FIRST, _NUMERIC_FIRST, _MISSING],
+                         ids=["numpy-first", "numeric-first", "numpy-missing"])
+def test_numeric_loads_numpy_once_and_without_warning(script):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
