@@ -14,23 +14,29 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from qcsym.numeric import Instance, invariance_residual, solve_pde  # noqa: E402
 
 
-def run(nx: int) -> float:
+def instance(nx: int) -> Instance:
+    """V_t = V_xx + V V_x on [0, 1], dt = 0.4 dx^2, steps up to t = 0.1."""
     dx = 1.0 / (nx - 1)
     dt = 0.4 * dx * dx
-    steps = int(round(0.1 / dt))
-    inst = Instance.from_json(
+    return Instance.from_json(
         {
             "family": "power", "p": 0, "k": 1, "lambda": 1, "F": "0",
             "operator": {"tau": "1", "xi": "0", "eta": "0"},
             "grid": {"x0": 0.0, "x1": 1.0, "nx": nx, "t0": 0.0,
-                     "dt": dt, "steps": steps},
+                     "dt": dt, "steps": int(round(0.1 / dt))},
             "seed": 0,
         }
     )
-    xs = inst.grid.xs()
-    field = solve_pde(
-        inst, xs.copy(), steps, boundary=lambda t: (0.0, 1.0 / (1.0 - t))
-    )
+
+
+def boundary(t: float) -> tuple:
+    """The exact solution's end values at time t."""
+    return 0.0, 1.0 / (1.0 - t)
+
+
+def run(nx: int) -> float:
+    inst = instance(nx)
+    field = solve_pde(inst, inst.grid.xs(), inst.grid.steps, boundary=boundary)
     return invariance_residual(field, inst)
 
 

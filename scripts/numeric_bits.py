@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""Check that another checkout's numeric output has the same bytes as this one's.
+
+    python scripts/numeric_bits.py OTHER_CHECKOUT
+
+Runs `qcsym transform --out FILE --json` on the scaling fixture and on three
+seeded Gaussian variants of it with each checkout's `src`, and names every run
+whose exit status, stdout, stderr or field CSV differs (exit 1). Float bits
+may depend on the CPU, so run both checkouts on one machine.
+"""
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+FIXTURE = HERE / "src" / "qcsym" / "fixtures" / "instance_scaling.json"
+
+
+def instances(workdir: Path) -> list:
+    """The fixture, then Gaussian initial rows drawn with seeds 1-3."""
+    paths = [FIXTURE]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        doc = json.loads(FIXTURE.read_text())
+        doc["initial"] = {"type": "gaussian", "amplitude": rng.uniform(0.5, 1.5),
+                          "center": rng.uniform(4.0, 6.0), "width": rng.uniform(1.5, 2.5)}
+        paths.append(workdir / f"gaussian_{seed}.json")
+        paths[-1].write_text(json.dumps(doc))
+    return paths
+
+
+def transform(checkout: Path, instance: Path, out: Path) -> dict:
+    out.unlink(missing_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    argv = ["transform", f"--equation={instance}", f"--out={out}", "--json"]
+    proc = subprocess.run([sys.executable, "-m", "qcsym.cli", *argv], capture_output=True, env=env)
+    return {"exit status": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+            "CSV": out.read_bytes() if out.exists() else None}
+
+
+def main(argv: list) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    other = Path(argv[0]).resolve()
+    differ = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for instance in instances(work):
+            ours = transform(HERE, instance, work / "ours.csv")
+            theirs = transform(other, instance, work / "theirs.csv")
+            differ += [f"{instance.name}: {what} differs" for what in ours
+                       if ours[what] != theirs[what]]
+    print("\n".join(differ) or "every byte matches")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

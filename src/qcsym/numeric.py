@@ -10,6 +10,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,15 +100,16 @@ class Field:
     def to_csv(self) -> str:
         """The field as ``t,x,V`` rows, time-major, every number in ``.17g``.
 
-        A ``.17g`` number holds no comma, quote or newline, so no cell
-        needs CSV quoting; each of the nt times and nx positions is
-        formatted once.
+        A ``.17g`` number holds no comma, quote, newline or ``%``, so no
+        cell needs CSV quoting and each time row is one ``%`` operation
+        (``%.17g`` prints the bytes ``format(v, ".17g")`` does); each of
+        the nt times and nx positions is formatted once.
         """
-        ts = [format(t, ".17g") + "," for t in self.times().tolist()]
-        xs = [format(x, ".17g") + "," for x in self.xs().tolist()]
+        # the leading empty cell puts the time before the first position too
+        cells = ["", *(format(x, ".17g") + ",%.17g\n" for x in self.xs().tolist())]
         blocks = ["t,x,V\n"]
-        for t, row in zip(ts, self.values.tolist()):
-            blocks.append("".join([f"{t}{x}{v:.17g}\n" for x, v in zip(xs, row)]))
+        for t, row in zip(self.times().tolist(), self.values.tolist()):
+            blocks.append((format(t, ".17g") + ",").join(cells) % tuple(row))
         return "".join(blocks)
 
     @staticmethod
@@ -368,10 +370,11 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
     and 2kt + A1 = 0 poles, at most ``_BLOCK`` at a time. A point where a
     denominator lies below ``_POLE_FLOOR`` is rejected; at most 10*N points
     are drawn. For an operator the instance admits, such as its true one,
-    the substituted equations are identically zero and the residual is 0.0
-    with no float work; only an operator it does not admit, such as the
-    perturbed one of the ``sampled-residuals`` step, exercises the
-    evaluation. That step's detail stays as it is: the replay digests pin it.
+    the substituted equations are identically zero and the residual is 0.0,
+    returned before any point is drawn; only an operator it does not admit,
+    such as the perturbed one of the ``sampled-residuals`` step, exercises
+    the evaluation. That step's detail stays as it is: the replay digests
+    pin it.
     """
     if N < 1:
         raise ValueError("need at least one sample point")
@@ -386,7 +389,10 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
         "F": inst.F,
         **inst.param_bindings(),
     }
-    compiled = [_compile(substitute(eq, bindings)) for eq in system.equations]
+    equations = [substitute(eq, bindings) for eq in system.equations]
+    compiled = [_compile(e) for e in equations]  # refuses unbound atoms first
+    if not any(e.terms for e in equations):
+        return 0.0
     rng = np.random.default_rng(seed)
     worst = 0.0
     produced = 0
@@ -445,6 +451,16 @@ def initial_row(inst: Instance) -> np.ndarray:
     return a * np.exp(-(((xs - c) / w) ** 2))
 
 
+def _power_of(v: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
+    """``v**e`` in ``out``, or ``v`` itself at e = 1. The in-place ``**=``
+    takes the same numpy path as ``v**e``, which hands e = 1/2, 2 and -1 to
+    sqrt, square and reciprocal, so the bits match it on any CPU."""
+    if e == 1:
+        return v
+    out[...] = v
+    return operator.ipow(out, e)
+
+
 def solve_pde(
     inst: Instance,
     initial: np.ndarray,
@@ -466,7 +482,7 @@ def solve_pde(
     lam = float(inst.lam)
     F, source_powers = _source(inst)
     needs_positive = any(_needs_positive(e) for e in (inst.p, inst.k, *source_powers))
-    row = np.asarray(initial, dtype=float).copy()
+    row = np.asarray(initial, dtype=float)
     if row.shape != (g.nx,):
         raise ValueError(f"initial row must have {g.nx} points")
 
@@ -480,47 +496,71 @@ def solve_pde(
         vp = r**p if p else np.ones_like(r)
         return 0.4 * dx * dx * float(np.min(vp))
 
-    def rhs(r: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(r)
-        vxx = (r[2:] - 2 * r[1:-1] + r[:-2]) / (dx * dx)
-        vx = (r[2:] - r[:-2]) / (2 * dx)
-        mid = r[1:-1]
-        conv = lam * mid**k * vx if k else lam * vx
-        source, _ = F(0.0, 0.0, mid)
-        vp = mid**p if p else 1.0
-        out[1:-1] = (vxx + conv - source) / vp
-        return out
+    # every buffer is allocated once; rhs writes only the interior of its
+    # output, so the k's keep their zero ends
+    k1, k2, k3, k4 = np.zeros((4, g.nx))
+    stage = np.empty(g.nx)
+    vxx, vx, conv, vp = np.empty((4, g.nx - 2))
+    dx2, two_dx = dx * dx, 2 * dx
 
-    def bc(time: float) -> tuple:
-        if boundary is None:
-            return float(initial[0]), float(initial[-1])
-        return boundary(time)
+    def rhs(r: np.ndarray, out: np.ndarray):
+        """out[1:-1] = (((hi - 2*mid) + lo)/dx^2 + (lam*mid^k)*vx - F(mid)) / mid^p,
+        cell by cell in that order; mid^1 and division by mid^0 are skipped."""
+        lo, mid, hi = r[:-2], r[1:-1], r[2:]
+        np.multiply(mid, 2, out=vxx)
+        np.subtract(hi, vxx, out=vxx)
+        np.add(vxx, lo, out=vxx)
+        np.divide(vxx, dx2, out=vxx)
+        np.subtract(hi, lo, out=vx)
+        np.divide(vx, two_dx, out=vx)
+        if k:
+            np.multiply(_power_of(mid, k, conv), lam, out=conv)
+            np.multiply(conv, vx, out=conv)
+        else:
+            np.multiply(vx, lam, out=conv)
+        inner = out[1:-1]
+        np.add(vxx, conv, out=inner)
+        np.subtract(inner, F(0.0, 0.0, mid)[0], out=inner)
+        if p:
+            np.divide(inner, _power_of(mid, p, vp), out=inner)
+
+    ends = (float(initial[0]), float(initial[-1]))
+    bc = (lambda time: ends) if boundary is None else boundary
+
+    def at_stage(base: np.ndarray, scale: float, kk: np.ndarray, time: float) -> np.ndarray:
+        """base + scale*kk with the boundary values at ``time``, in ``stage``."""
+        np.multiply(kk, scale, out=stage)
+        np.add(stage, base, out=stage)
+        stage[0], stage[-1] = bc(time)
+        return stage
 
     check_row(row)
     if inst.grid.dt > stability_bound(row) * (1 + 1e-12):
         raise InstabilityError(
             f"dt={g.dt} violates the bound 0.4*dx^2*min(V^p)={stability_bound(row):.3e}"
         )
-    rows = [row.copy()]
+    values = np.empty((steps + 1, g.nx))
+    values[0] = row
     t = g.t0
-    for _ in range(steps):
-        def stage(base: np.ndarray, scale: float, kk: np.ndarray, time: float):
-            r = base + scale * kk
-            left, right = bc(time)
-            r[0], r[-1] = left, right
-            return r
-
-        k1 = rhs(row)
-        k2 = rhs(stage(row, g.dt / 2, k1, t + g.dt / 2))
-        k3 = rhs(stage(row, g.dt / 2, k2, t + g.dt / 2))
-        k4 = rhs(stage(row, g.dt, k3, t + g.dt))
-        row = row + (g.dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    for i in range(steps):
+        row = values[i]
+        rhs(row, k1)
+        rhs(at_stage(row, g.dt / 2, k1, t + g.dt / 2), k2)
+        rhs(at_stage(row, g.dt / 2, k2, t + g.dt / 2), k3)
+        rhs(at_stage(row, g.dt, k3, t + g.dt), k4)
+        # row + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), summed in that order in k2
+        k2 *= 2
+        k2 += k1
+        k3 *= 2
+        k2 += k3
+        k2 += k4
+        k2 *= g.dt / 6
         t += g.dt
-        left, right = bc(t)
-        row[0], row[-1] = left, right
-        check_row(row)
-        rows.append(row.copy())
-    return Field(g.t0, g.dt, g.x0, dx, np.array(rows))
+        new = values[i + 1]
+        np.add(row, k2, out=new)
+        new[0], new[-1] = bc(t)
+        check_row(new)
+    return Field(g.t0, g.dt, g.x0, dx, values)
 
 
 def invariance_residual(field: Field, inst: Instance) -> float:

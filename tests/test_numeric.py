@@ -217,14 +217,32 @@ def test_sampled_residuals_draw_at_most_a_block(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", Recorder)
     inst = scaling_instance()
     op = normalize_operator(inst.operator)
-    assert sample_residuals(inst, op, 2 * numeric._BLOCK + 5, seed=3) == 0.0
+    bad = SymOperator(op.tau, op.xi, op.eta + parse("1/10*V^2"))
+    assert sample_residuals(inst, bad, 2 * numeric._BLOCK + 5, seed=3) > 1e-3
     assert sizes == [(numeric._BLOCK, 3), (numeric._BLOCK, 3), (5, 3)]
     sizes.clear()
     monkeypatch.setattr(numeric, "_POLE_FLOOR", 1.0)  # rejects about a fifth
-    bad = SymOperator(op.tau, op.xi, op.eta + parse("1/10*V^2"))
     sample_residuals(inst, bad, numeric._BLOCK + 100, seed=3)
     assert len(sizes) > 2
     assert all(m <= numeric._BLOCK for m, _ in sizes)
+
+
+def test_sampled_residuals_of_an_admitted_operator_draw_nothing(monkeypatch):
+    # every substituted equation of the fixture's own operator has no terms,
+    # so the answer is 0.0 before the first draw; the perturbed one samples
+    class Drawn(Exception):
+        pass
+
+    def refuse(seed):
+        raise Drawn
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    inst = scaling_instance()
+    op = normalize_operator(inst.operator)
+    assert sample_residuals(inst, op, 1000, seed=7) == 0.0
+    bad = SymOperator(op.tau, op.xi, op.eta + parse("1/10*V^2"))
+    with pytest.raises(Drawn):
+        sample_residuals(inst, bad, 200, seed=7)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +277,119 @@ def test_positivity_guard():
     inst = simple_instance(p=-1, k=1)
     with pytest.raises(PositivityError):
         solve_pde(inst, np.linspace(-1.0, 1.0, 21), 5)
+
+
+def _reference_solve(inst: Instance, initial, steps: int, boundary=None) -> np.ndarray:
+    """RK4 with a fresh array for every stage, term and row: the reference
+    the solver's preallocated buffers must match bit for bit, since each
+    cell's operations come in the same order. The guards are left out."""
+    g = inst.grid
+    dx = g.dx
+    p, k, lam = float(inst.p), float(inst.k), float(inst.lam)
+    F, _ = numeric._source(inst)
+    row = np.asarray(initial, dtype=float).copy()
+
+    def rhs(r):
+        out = np.zeros_like(r)
+        vxx = (r[2:] - 2 * r[1:-1] + r[:-2]) / (dx * dx)
+        vx = (r[2:] - r[:-2]) / (2 * dx)
+        mid = r[1:-1]
+        conv = lam * mid**k * vx if k else lam * vx
+        source, _ = F(0.0, 0.0, mid)
+        vp = mid**p if p else 1.0
+        out[1:-1] = (vxx + conv - source) / vp
+        return out
+
+    def bc(time):
+        if boundary is None:
+            return float(initial[0]), float(initial[-1])
+        return boundary(time)
+
+    def stage(base, scale, kk, time):
+        r = base + scale * kk
+        r[0], r[-1] = bc(time)
+        return r
+
+    rows = [row.copy()]
+    t = g.t0
+    for _ in range(steps):
+        k1 = rhs(row)
+        k2 = rhs(stage(row, g.dt / 2, k1, t + g.dt / 2))
+        k3 = rhs(stage(row, g.dt / 2, k2, t + g.dt / 2))
+        k4 = rhs(stage(row, g.dt, k3, t + g.dt))
+        row = row + (g.dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += g.dt
+        row[0], row[-1] = bc(t)
+        rows.append(row.copy())
+    return np.array(rows)
+
+
+_LINEAR = {"type": "linear", "slope": 0.5, "offset": 1.0}
+_BUMP = {"type": "gaussian", "amplitude": 1.0, "center": 0.5, "width": 0.3}
+
+
+def _solver_cases():
+    study = _convergence_study()
+    fixture = scaling_instance()
+    cases = {
+        "fixture": (fixture, fixture.grid.steps, None),
+        "steps-0": (fixture, 0, None),
+        "study": (study.instance(26), study.instance(26).grid.steps, study.boundary),
+    }
+    # a large lambda that is no power of two makes convection a large share
+    # of each update, so a change in its operation order shows in the bits
+    for name, p, k, F, initial in [
+        ("p2-k1/2", 2, "1/2", "0", _LINEAR),
+        ("k0", 0, 0, "V^2", _BUMP),
+        ("many-terms", 1, 3, "V^(-1) + 2*V^3 - 1/3*V^(1/2)", _LINEAR),
+    ]:
+        inst = simple_instance(p=p, k=k, lam="100/7", F=F, initial=initial)
+        cases[name] = (inst, inst.grid.steps, None)
+    return cases
+
+
+@pytest.mark.parametrize(
+    "case", ["fixture", "p2-k1/2", "k0", "many-terms", "study", "steps-0"]
+)
+def test_solver_matches_the_allocating_reference_bit_for_bit(case):
+    # both run on this CPU, so numpy's SIMD bits are the same on either side
+    inst, steps, boundary = _solver_cases()[case]
+    initial = initial_row(inst) if boundary is None else inst.grid.xs()
+    field = solve_pde(inst, initial, steps, boundary=boundary)
+    want = _reference_solve(inst, initial, steps, boundary)
+    assert field.values.shape == (steps + 1, inst.grid.nx)
+    assert field.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("boundary", [None, lambda t: (1.0, 2.0 + t)])
+def test_solver_leaves_the_initial_row_alone(boundary):
+    inst = simple_instance(F="V^2")
+    initial = np.linspace(0.5, 1.5, 21)
+    before = initial.copy()
+    field = solve_pde(inst, initial, 10, boundary=boundary)
+    assert initial.tobytes() == before.tobytes()
+    assert field.values[0].tobytes() == before.tobytes()
+    assert not np.shares_memory(field.values, initial)
+
+
+def test_solver_guards_keep_their_order_and_messages():
+    positive = "^V must stay positive for this instance$"
+    magnitude = "^solution magnitude exceeded 1e6$"
+    row = np.full(21, 1.0)
+    # a row both negative and too large fails the positivity guard first,
+    # at the start and after a step, when a power of V needs V > 0
+    with pytest.raises(PositivityError, match=positive):
+        solve_pde(simple_instance(p=-1), np.linspace(-1.0, 2e6, 21), 5)
+    with pytest.raises(PositivityError, match=positive):
+        solve_pde(simple_instance(k="1/2"), row, 5, boundary=lambda t: (-1.0, 2e6))
+    with pytest.raises(InstabilityError, match=magnitude):
+        solve_pde(simple_instance(), row, 5, boundary=lambda t: (-1.0, 2e6))
+    blowup = simple_instance(
+        F="-2*V^3",
+        grid={"x0": 0.0, "x1": 1.0, "nx": 21, "t0": 0.0, "dt": 0.001, "steps": 60},
+    )
+    with pytest.raises(InstabilityError, match=magnitude):
+        solve_pde(blowup, np.full(21, 10.0), 60)
 
 
 def _convergence_study():
@@ -320,6 +451,20 @@ def _random_field() -> Field:
     values = rng.standard_normal((13, 11)) * 10.0 ** rng.integers(-8, 9, (13, 11))
     values.flat[:4] = [1e-300, -1e300, -0.0, 1e300]
     return Field(-0.3, 1.7e-3, -2.5, 0.0371, values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [[math.nan, math.inf, -math.inf, -0.0, 1e-300], [0.0, -1e-300, 5e-324, -math.nan, 1.0]],
+        [[-0.0]],
+        [[math.nan, 1e-300, -0.0, math.inf, 2.5, -1e300, 0.1]],
+    ],
+    ids=["special-2x5", "1x1", "1xN"],
+)
+def test_csv_matches_reference_writer_on_special_and_thin_fields(values):
+    field = Field(-0.0, 1e-3, -1e-300, 0.1, np.array(values))
+    assert field.to_csv() == _reference_csv(field)
 
 
 @pytest.mark.parametrize("which", ["solved", "random"])
