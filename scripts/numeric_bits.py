@@ -4,9 +4,15 @@
     python scripts/numeric_bits.py OTHER_CHECKOUT
 
 Runs `qcsym transform --out FILE --json` on the scaling fixture and on three
-seeded Gaussian variants of it with each checkout's `src`, and names every run
-whose exit status, stdout, stderr or field CSV differs (exit 1). Float bits
-may depend on the CPU, so run both checkouts on one machine.
+seeded Gaussian variants of it, and `qcsym check-op-numeric --json --samples 1`
+at seeds 0-9 on a copy of the fixture whose operator's eta has a term with a
+ten-monomial coefficient added (the fixture's own operator admits the
+equation and draws no point). With one sample, each printed residual is the
+largest equation value at one point, whose low bits depend on the stored
+order of the monomials the sampler sums; a max over many points hides that.
+Each runs with each checkout's `src`; the script names every run whose exit
+status, stdout, stderr or field CSV differs (exit 1). Float bits may depend on
+the CPU, so run both checkouts on one machine.
 """
 import json
 import os
@@ -33,13 +39,29 @@ def instances(workdir: Path) -> list:
     return paths
 
 
+BUMP = "+(t^3+2*t^2*x+3*t*x^2+x^3+t+x+1)/7*V^2"
+
+
+def perturbed(workdir: Path) -> Path:
+    """The fixture with BUMP added to its operator's eta."""
+    doc = json.loads(FIXTURE.read_text())
+    doc["operator"]["eta"] += BUMP
+    path = workdir / "perturbed.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def run(checkout: Path, argv: list) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "qcsym.cli", *argv], capture_output=True, env=env)
+    return {"exit status": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+
+
 def transform(checkout: Path, instance: Path, out: Path) -> dict:
     out.unlink(missing_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
-    argv = ["transform", f"--equation={instance}", f"--out={out}", "--json"]
-    proc = subprocess.run([sys.executable, "-m", "qcsym.cli", *argv], capture_output=True, env=env)
-    return {"exit status": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
-            "CSV": out.read_bytes() if out.exists() else None}
+    result = run(checkout, ["transform", f"--equation={instance}", f"--out={out}", "--json"])
+    result["CSV"] = out.read_bytes() if out.exists() else None
+    return result
 
 
 def main(argv: list) -> int:
@@ -48,13 +70,21 @@ def main(argv: list) -> int:
         return 2
     other = Path(argv[0]).resolve()
     differ = []
+
+    def compare(name: str, ours: dict, theirs: dict):
+        differ.extend(f"{name}: {what} differs" for what in ours if ours[what] != theirs[what])
+
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for instance in instances(work):
-            ours = transform(HERE, instance, work / "ours.csv")
-            theirs = transform(other, instance, work / "theirs.csv")
-            differ += [f"{instance.name}: {what} differs" for what in ours
-                       if ours[what] != theirs[what]]
+            compare(f"transform {instance.name}", transform(HERE, instance, work / "ours.csv"),
+                    transform(other, instance, work / "theirs.csv"))
+        instance = perturbed(work)
+        for seed in range(10):
+            sample = ["check-op-numeric", f"--equation={instance}", "--json", "--samples=1",
+                      f"--seed={seed}"]
+            compare(f"check-op-numeric perturbed.json seed {seed}", run(HERE, sample),
+                    run(other, sample))
     print("\n".join(differ) or "every byte matches")
     return 1 if differ else 0
 

@@ -46,6 +46,11 @@ class AffineExponent:
         return cls(c0=c)
 
     def __add__(self, other: "AffineExponent") -> "AffineExponent":
+        # the form is frozen, so a zero side returns the other as it is
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         return AffineExponent(
             self.cp + other.cp, self.ck + other.ck,
             self.cn + other.cn, self.c0 + other.c0,

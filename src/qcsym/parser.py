@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import comb
 
 from .errors import DivisionError, ParseError, UnknownSymbolError
 from .expr import AFF_ZERO, FUNCTIONS, PARAMETERS, AffineExponent, Expr, FnAtom
@@ -80,6 +81,12 @@ _UNARY_BP = 25
 # sum costs time that grows with the power, so without a cap a text of five
 # characters such as 9^9^9 would ask for more work than any run can finish.
 MAX_POWER = 32
+
+# The most products an integer power may expand to. The n-th power of a base
+# of m pieces (a piece is a term's numerator monomial over one of its
+# denominator monomials) has up to comb(m + n - 1, n) products, so nesting
+# capped powers, as in ((t+x+1)^32)^32, cannot ask for 525,825 monomials.
+MAX_EXPANSION = 2048
 
 
 class _Parser:
@@ -178,6 +185,12 @@ class _Parser:
         if abs(n) > MAX_POWER:
             raise ParseError(
                 f"power {n} exceeds the cap of {MAX_POWER} on integer powers", pos
+            )
+        pieces = sum(len(t.coeff.num.terms) * len(t.coeff.den.terms) for t in base.terms)
+        if n and comb(pieces + abs(n) - 1, abs(n)) > MAX_EXPANSION:
+            raise ParseError(
+                f"power {n} of a base of {pieces} pieces exceeds the cap of "
+                f"{MAX_EXPANSION} expanded products", pos
             )
         try:
             return base ** n

@@ -10,6 +10,14 @@ way, and int arithmetic skips Fraction's normalising gcd.  Fractions of
 polynomials are kept reduced with a monic denominator, so equality is
 structural. One rule cancels them (_cancel): a constant denominator is
 kept, any other is divided with its numerator by their poly_gcd.
+
+Two products return early, each with the value and the stored monomial
+order the general rule gives (numeric sums monomials in that order): a Poly
+times a constant scales the other's coefficients in their stored order, and
+times 1 is the other operand itself, Poly being immutable; a CoeffFrac
+product whose two cross pairs share no factor skips the search for its
+denominator's leading coefficient, because a product of monic denominators
+is monic under graded lex.
 """
 from __future__ import annotations
 
@@ -178,6 +186,14 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
             return Poly()
+        # a constant factor scales the other's coefficients in their stored
+        # order, as the loop below would; the unit 1 returns the other itself
+        if other.is_const():
+            c = other.terms[_EMPTY]
+            return self if c == 1 else self.scale(c)
+        if self.is_const():
+            c = self.terms[_EMPTY]
+            return other if c == 1 else other.scale(c)
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -481,6 +497,15 @@ class CoeffFrac:
     def const(cls, c) -> "CoeffFrac":
         return cls(Poly.const(c))
 
+    @classmethod
+    def _reduced(cls, num: Poly, den: Poly) -> "CoeffFrac":
+        """num/den as given, for a pair already reduced with den monic."""
+        out = object.__new__(cls)
+        out.num = num
+        out.den = den
+        out._hash = None
+        return out
+
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -517,7 +542,7 @@ class CoeffFrac:
         return CoeffFrac(n1 * d2 + n2 * d1, d1 * d2)
 
     def __neg__(self) -> "CoeffFrac":
-        return CoeffFrac(-self.num, self.den, reduce=False)
+        return CoeffFrac._reduced(-self.num, self.den)
 
     def __sub__(self, other: "CoeffFrac") -> "CoeffFrac":
         return self + (-other)
@@ -528,6 +553,9 @@ class CoeffFrac:
         # cross-reduce; the cross-reduced product is reduced by construction
         n1, d2 = _cancel(self.num, other.den)
         n2, d1 = _cancel(other.num, self.den)
+        if d1 is self.den and d2 is other.den:
+            # nothing cancelled, and a product of monic denominators is monic
+            return CoeffFrac._reduced(n1 * n2, d1 * d2)
         return CoeffFrac(n1 * n2, d1 * d2, reduce=False)
 
     def inverse(self) -> "CoeffFrac":

@@ -1,4 +1,5 @@
 """Differentiation, substitution, collection, splitting, Euler ODE solving."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,9 @@ from qcsym.calculus import (
     split,
     substitute,
 )
-from qcsym.errors import AmbiguousGradingError, PoleError, ResonanceError, TermLanguageError
+from qcsym.errors import (
+    AmbiguousGradingError, DivisionError, PoleError, ResonanceError, TermLanguageError,
+)
 from qcsym.expr import AFF_ZERO, AffineExponent, Expr, FnAtom
 from qcsym.parser import parse, parse_affine
 from qcsym.poly import CoeffFrac
@@ -428,3 +431,34 @@ def test_split_separates_only_excluded_keys(problem, shape):
         return
     if len(system) == 2:
         assert (_at(vpow, point), _at(expc, point)) != (0, 0)
+
+
+def _canonical_atoms(e: Expr) -> bool:
+    """Every atom tuple sorted by sort_key, no key twice, no zero power."""
+    for t in e.terms:
+        keys = [a.sort_key() for a in t.fns]
+        if keys != sorted(set(keys)) or not all(a.power for a in t.fns):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_atom_tuples_stay_canonical(seed):
+    # a Term's signature is built from its atom tuple, so like terms
+    # combine, and merge_fns merges, only while every tuple is canonical
+    rng = random.Random(seed)
+    e = random_expr(rng, with_denominator=True)
+    results = [e, e * random_expr(rng)]
+    results += [diff(e, var) for var in ("t", "x", "V")]
+    for key in ("a", "f_x", "F", "xi", "alpha"):
+        try:
+            results.append(substitute(e, {key: random_expr(rng), "p": 2}))
+        except (DivisionError, PoleError):
+            pass  # a negative atom power met a sum, or p = 2 is a pole
+    for t in e.terms:
+        single = Expr((t,))
+        if not any(a.is_derived() for a in t.fns):
+            results += [single.invert(), single * single.invert()]
+    for r in results:
+        assert _canonical_atoms(r), r

@@ -14,7 +14,7 @@ from qcsym.calculus import eq_normalize
 from qcsym.classify import fixture_json
 from qcsym.cli import main, verify_paper
 from qcsym.errors import VerificationError
-from qcsym.parser import MAX_POWER, PARSE_CACHE_SIZE, parse
+from qcsym.parser import MAX_EXPANSION, MAX_POWER, PARSE_CACHE_SIZE, parse
 
 
 _FIXTURE = str(Path(classify.__file__).parent / "fixtures" / "instance_scaling.json")
@@ -244,16 +244,22 @@ def test_check_op_numeric_overflow_exits_2(tmp_path, capsys):
 
 
 def test_split_of_a_huge_power_exits_2_promptly():
-    # 9^9^9 asks for 9^387420489; the power cap refuses it before any work
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "qcsym.cli", "split", "9^9^9"],
-        capture_output=True, text=True, timeout=20,
-        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert f"cap of {MAX_POWER}" in proc.stderr
+    for text, cap in (
+        # 9^9^9 asks for 9^387420489; the power cap refuses it before any work
+        ("9^9^9", f"cap of {MAX_POWER} on integer powers"),
+        # each power is within MAX_POWER, but the outer one asks for
+        # (t+x+1)^1024, 525,825 monomials; the expansion cap refuses it
+        ("((t+x+1)^32)^32", f"cap of {MAX_EXPANSION} expanded products"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcsym.cli", "split", text],
+            capture_output=True, text=True, timeout=20,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), text
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert cap in proc.stderr
 
 
 # a fresh interpreter runs one command and reports its exit status and

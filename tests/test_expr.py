@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcsym.errors import ParseError, UnknownSymbolError
 from qcsym.expr import AFF_ONE, AffineExponent, Expr, Term, expr_text
-from qcsym.parser import MAX_POWER, parse, parse_affine
+from qcsym.parser import MAX_EXPANSION, MAX_POWER, parse, parse_affine
 from qcsym.poly import F_ONE
 
 from conftest import AFFINE_FORMS, RATIONALS, random_expr
@@ -73,6 +73,13 @@ def test_integer_powers_are_capped():
     for text in (f"(a+f)^{MAX_POWER + 1}", f"a^(-{MAX_POWER + 1})", "9^9^9"):
         with pytest.raises(ParseError, match=f"cap of {MAX_POWER}"):
             parse(text)
+    # a power of a capped power is refused by the size of its expansion:
+    # (t+x+1)^32 has 561 monomials, and its 32nd power would have 525,825
+    assert len(parse("(t+x+1)^32").terms[0].coeff.num.terms) == 561
+    for text in ("((t+x+1)^32)^32", "((t+x+1)^(-32))^32", "(t+x+p+k+n)^(-13)"):
+        with pytest.raises(ParseError, match=f"cap of {MAX_EXPANSION} expanded"):
+            parse(text)
+    assert parse("0^0") == parse("1")
     assert parse("V^99999") == Expr.vpower(AffineExponent.const(99999))
 
 
@@ -177,6 +184,8 @@ def test_integral_exponent_coefficients_are_ints(a, b, s, name):
     fa, fb = (tuple(Fraction(c) for c in _fields(x)) for x in (a, b))
     expected = [
         (a + b, [x + y for x, y in zip(fa, fb)]),
+        (a + AffineExponent(), fa),
+        (AffineExponent() + a, fa),
         (a - b, [x - y for x, y in zip(fa, fb)]),
         (-a, [-x for x in fa]),
         (a.scale(s), [x * s for x in fa]),

@@ -337,3 +337,84 @@ def test_constant_denominators_never_reach_poly_gcd(monkeypatch):
     for zero in (a + (-a), c + (-c), r + (-r)):
         assert zero == F_ZERO and zero.den == P_ONE
     assert calls == []
+
+
+def _convolution(a: Poly, b: Poly) -> list:
+    """a*b by the general rule, as (monomial, coefficient) pairs in the
+    order the product stores them: a's monomials outer, b's inner."""
+    out: dict = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            powers = dict(m1)
+            for name, e in m2:
+                powers[name] = powers.get(name, 0) + e
+            m = tuple(sorted(powers.items()))
+            new = out.get(m, 0) + c1 * c2
+            if new:
+                out[m] = new
+            else:
+                out.pop(m, None)
+    return list(Poly(out).terms.items())
+
+
+def _reference_product(a: CoeffFrac, b: CoeffFrac) -> CoeffFrac:
+    """a*b by the general rule: cancel each cross pair, multiply by
+    convolution, then take the product's denominator monic."""
+    n1, d2 = poly._cancel(a.num, b.den)
+    n2, d1 = poly._cancel(b.num, a.den)
+    return CoeffFrac(Poly(dict(_convolution(n1, n2))), Poly(dict(_convolution(d1, d2))),
+                     reduce=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+@example(0)
+def test_products_with_trivial_factors_match_the_general_rule(seed):
+    # a constant or unit factor takes an early return in Poly.__mul__, on
+    # its own and inside fraction products; each must give what the general
+    # rule gives, down to the stored monomial order that numeric compiles in
+    rng = random.Random(seed)
+    c = random_fraction(rng)
+    polys = [P_ZERO, P_ONE, Poly.const(c), random_poly(rng), random_poly(rng, max_monos=4)]
+    for a in polys:
+        for b in polys:
+            got = a * b
+            assert list(got.terms.items()) == _convolution(a, b), (a, b)
+            assert _int_when_integral(got)
+        if not a.is_const():
+            assert P_ONE * a is a and a * P_ONE is a
+    t, p = P("t"), P("p")
+    shared = random_poly(rng, gens=("t", "p"))
+    if shared.is_zero():
+        shared = t + Poly.const(2)
+    fracs = [
+        F_ZERO, poly.F_ONE, CoeffFrac.const(c), random_coeff(rng),
+        random_coeff(rng, with_denominator=True), random_coeff(rng, with_denominator=True),
+        # these two cancel against each other across the product
+        CoeffFrac(random_poly(rng), (t + p.scale(2)) * shared),
+        CoeffFrac(shared * random_poly(rng), t.scale(3) + Poly.const(1)),
+        CoeffFrac(t + Poly.const(1), t.scale(2) + Poly.const(1)),
+        CoeffFrac(t.scale(2) + Poly.const(1), t + Poly.const(1)),
+    ]
+    for a in fracs:
+        for b in fracs:
+            got = a * b
+            if a.is_zero() or b.is_zero():
+                assert got == F_ZERO and got.den == P_ONE
+                continue
+            want = _reference_product(a, b)
+            assert list(got.num.terms.items()) == list(want.num.terms.items()), (a, b)
+            assert list(got.den.terms.items()) == list(want.den.terms.items()), (a, b)
+            assert poly_gcd(got.num, got.den) == P_ONE
+            assert got.den.lead_coeff() == 1
+            assert got == CoeffFrac(a.num * b.num, a.den * b.den)
+
+
+def test_cross_cancelled_product_is_renormalised():
+    # (t+1)/(2t+1) is stored as (t/2+1/2)/(t+1/2); times its inverse, both
+    # cross pairs cancel and leave 1/2 over 1/2, which must become 1/1
+    t, one = P("t"), P_ONE
+    a = CoeffFrac(t + one, t.scale(2) + one)
+    b = CoeffFrac(t.scale(2) + one, t + one)
+    assert a * b == poly.F_ONE and (a * b).den == P_ONE
+    assert b * a == poly.F_ONE and (b * a).den == P_ONE
