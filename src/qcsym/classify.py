@@ -316,15 +316,10 @@ def _euler_form(e: Expr) -> tuple:
     """Rewrite A*F_V + B*F + R = 0 as F_V - (s/V) F = rhs; return (s, rhs)."""
     solved = solve_linear_for(e, "F_V")
     rhs = substitute(solved, {"F": 0})
-    s_expr = (solved - rhs) * parse("V/F")
-    if len(s_expr.terms) != 1:
-        raise VerificationError("euler-form", "equation is not of Euler type")
-    st = s_expr.terms[0]
-    if st.fns or not st.expc.is_zero() or not st.vpow.is_zero():
-        raise VerificationError("euler-form", "equation is not of Euler type")
-    s = AffineExponent.from_poly(st.coeff.num)
-    if s is None or not st.coeff.den.is_const():
-        raise VerificationError("euler-form", "homogeneous exponent not affine")
+    try:
+        s = AffineExponent.from_expr((solved - rhs) * parse("V/F"))
+    except ValueError as exc:
+        raise VerificationError("euler-form", f"equation is not of Euler type: {exc}") from None
     return s, rhs
 
 

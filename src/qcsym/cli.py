@@ -320,7 +320,7 @@ def _suite_steps(seed: int, corrupt: str | None):
 
     # Each derivation chain runs once per suite. Its own step reports the
     # whole chain; a later step reports the verdict of one check inside it.
-    # A chain that raised leaves its error as the verdict of both.
+    # A chain that raised raises its error again for both.
     verdicts = {}
 
     def chain_steps(chain):
@@ -329,21 +329,19 @@ def _suite_steps(seed: int, corrupt: str | None):
                 verdicts[chain] = chain()
             except (TermLanguageError, NumericError) as exc:
                 verdicts[chain] = exc
+        if isinstance(verdicts[chain], Exception):
+            raise verdicts[chain]
         return verdicts[chain]
 
     def whole_chain(chain):
         def step():
             steps = chain_steps(chain)
-            if isinstance(steps, Exception):
-                return False, str(steps)
             return all(s.passed for s in steps), f"{len(steps)} steps"
         return step
 
     def chain_check(chain, check_id, detail):
         def step():
             steps = chain_steps(chain)
-            if isinstance(steps, Exception):
-                return False, str(steps)
             return any(s.id == check_id and s.passed for s in steps), detail
         return step
 

@@ -1,107 +1,42 @@
 """Determining systems for unit-time-component symmetry operators.
 
 For an evolution equation V_xx = F0(V) V_t + F1(V) V_x + F2(V) and the
-operator Q = d/dt + xi(t,x,V) d/dx + eta(t,x,V) d/dV, the invariance
-identity is prolonged to second order, V_xx is eliminated through the
-equation and V_t through the invariant-surface condition V_t = eta - xi V_x,
-and the remaining cubic polynomial identity in V_x is split by powers.
-The four coefficient equations are the determining system.
+operator Q = d/dt + xi(t,x,V) d/dx + eta(t,x,V) d/dV, the second
+prolongation of Q applied to the equation is written as a polynomial in V_x
+with expression coefficients, a list indexed by the power of V_x. The total
+derivative D_x c = c_x + c_V V_x builds eta^x and the part of eta^xx free of
+V_xx; V_xx in the rest of eta^xx is replaced through the equation. The
+condition is gathered as rest + c_t V_t, and V_t = eta - xi V_x, the
+invariant-surface condition, is substituted once at the end. What remains is
+a cubic in V_x; its four coefficients are the determining system.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .calculus import EquationSystem, diff, eq_normalize, substitute
 from .errors import DivisionError, OperatorFormError
 from .expr import Expr, FnAtom
 from .parser import parse
-from .poly import mono_div, mono_mul, mono_split, mono_var
-
-# ---------------------------------------------------------------------------
-# a minimal jet layer: polynomials in V_t, V_x, V_xx with Expr coefficients
-
-_NEXT_JET = {
-    ("Vx", "x"): "Vxx",
-    ("Vx", "t"): "Vtx",
-    ("Vt", "x"): "Vtx",
-    ("Vt", "t"): "Vtt",
-}
 
 
-class JetPoly:
-    """Polynomial in jet variables with expression coefficients."""
+def _add(*polys: list) -> list:
+    """Sum polynomials in V_x given as coefficient lists, lowest power first."""
+    out = [Expr.zero()] * max(map(len, polys))
+    for poly in polys:
+        for d, c in enumerate(poly):
+            out[d] = out[d] + c
+    return out
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
-
-    @staticmethod
-    def lift(e: Expr) -> "JetPoly":
-        return JetPoly({(): e})
-
-    @staticmethod
-    def jet(name: str) -> "JetPoly":
-        return JetPoly({mono_var(name): Expr.one()})
-
-    def __add__(self, other: "JetPoly") -> "JetPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out[m] + c if m in out else c
-        return JetPoly(out)
-
-    def __neg__(self) -> "JetPoly":
-        return JetPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "JetPoly") -> "JetPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "JetPoly") -> "JetPoly":
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                out[m] = out[m] + c if m in out else c
-        return JetPoly(out)
-
-    def total(self, var: str) -> "JetPoly":
-        """Total derivative D_t or D_x on the lattice."""
-        vjet = mono_var("Vt" if var == "t" else "Vx")
-        out = JetPoly()
-        for m, c in self.terms.items():
-            # derivative of the coefficient: partial + V-slope * first jet
-            dc = JetPoly({m: diff(c, var)}) + JetPoly(
-                {mono_mul(m, vjet): diff(c, "V")}
-            )
-            out = out + dc
-            # derivative of the jet monomial, product rule
-            for name, power in m:
-                nxt = mono_var(_NEXT_JET[(name, var)])
-                mono = mono_mul(mono_div(m, mono_var(name)), nxt)
-                out = out + JetPoly({mono: c.scale(Fraction(power))})
-        return out
-
-    def subst_jet(self, name: str, value: "JetPoly") -> "JetPoly":
-        out = JetPoly()
-        for m, c in self.terms.items():
-            power, rest = mono_split(m, name)
-            piece = JetPoly({rest: c})
-            for _ in range(power):
-                piece = piece * value
-            out = out + piece
-        return out
-
-    def collect_jet(self, name: str) -> dict:
-        out: dict = {}
-        for m, c in self.terms.items():
-            power, others = mono_split(m, name)
-            if others:
-                raise ValueError(f"unexpected jet variables {list(others)}")
-            out[power] = out[power] + c if power in out else c
-        return out
+def _mul(p: list, q: list) -> list:
+    """Product of two polynomials in V_x given as coefficient lists."""
+    out = [Expr.zero()] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,32 +135,30 @@ def generate_determining_system(eq: EvolutionEq) -> EquationSystem:
     dF0 = diff(F0, "V")
     dF1 = diff(F1, "V")
 
-    Vx = JetPoly.jet("Vx")
-    Vt = JetPoly.jet("Vt")
-    Vxx = JetPoly.jet("Vxx")
-    xi_j = JetPoly.lift(xi)
-    eta_j = JetPoly.lift(eta)
+    xi_t, xi_x, xi_V = (diff(xi, v) for v in "txV")
+    eta_t, eta_x, eta_V = (diff(eta, v) for v in "txV")
 
-    eta_x = eta_j.total("x") - Vx * xi_j.total("x")
-    eta_t = eta_j.total("t") - Vx * xi_j.total("t")
-    eta_xx = eta_x.total("x") - Vxx * xi_j.total("x")
+    # eta^x = D_x eta - V_x D_x xi
+    prolong_x = [eta_x, eta_V - xi_x, -xi_V]
+    # eta^xx = D_x eta^x - V_xx D_x xi: the part free of V_xx, and the
+    # coefficient of V_xx
+    free = _add([diff(c, "x") for c in prolong_x],
+                [Expr.zero()] + [diff(c, "V") for c in prolong_x])
+    at_vxx = [prolong_x[1] - xi_x, prolong_x[2].scale(2) - xi_V]
 
-    invariance = (
-        eta_xx
-        - JetPoly.lift(dF0 * eta) * Vt
-        - JetPoly.lift(F0) * eta_t
-        - JetPoly.lift(dF1 * eta) * Vx
-        - JetPoly.lift(F1) * eta_x
-        - JetPoly.lift(dF2 * eta)
+    # eta^xx - F0' eta V_t - F0 eta^t - F1' eta V_x - F1 eta^x - F2' eta with
+    # V_xx = F0 V_t + F1 V_x + F2, as rest + c_t V_t
+    rest = _add(
+        free,
+        _mul(at_vxx, [F2, F1]),
+        _mul([F0], [-eta_t, xi_t]),
+        [Expr.zero(), -(dF1 * eta)],
+        _mul([-F1], prolong_x),
+        [-(dF2 * eta)],
     )
-    invariance = invariance.subst_jet(
-        "Vxx", JetPoly.lift(F0) * Vt + JetPoly.lift(F1) * Vx + JetPoly.lift(F2)
-    )
-    invariance = invariance.subst_jet(
-        "Vt", JetPoly.lift(eta) - JetPoly.lift(xi) * Vx
-    )
-    coeffs = invariance.collect_jet("Vx")
-    degrees = sorted(coeffs, reverse=True)
+    c_t = _add(_mul(at_vxx, [F0]), [-(dF0 * eta)], _mul([F0], [-eta_V, xi_V]))
+    coeffs = _add(rest, _mul(c_t, [eta, -xi]))
+    degrees = [d for d in reversed(range(len(coeffs))) if not coeffs[d].is_zero()]
     return EquationSystem(
         equations=tuple(eq_normalize(coeffs[d]) for d in degrees),
         grading=tuple(f"Vx^{d}" for d in degrees),

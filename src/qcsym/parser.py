@@ -13,8 +13,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import DivisionError, ParseError, UnknownSymbolError
-from .expr import AFF_ZERO, FUNCTIONS, PARAMETERS, AffineExponent, Expr, FnAtom
-from .poly import F_ONE
+from .expr import AFF_ONE, FUNCTIONS, PARAMETERS, AffineExponent, Expr, FnAtom
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*(?:_[txV]+)?)"
@@ -82,11 +81,20 @@ _UNARY_BP = 25
 # characters such as 9^9^9 would ask for more work than any run can finish.
 MAX_POWER = 32
 
-# The most products an integer power may expand to. The n-th power of a base
-# of m pieces (a piece is a term's numerator monomial over one of its
-# denominator monomials) has up to comb(m + n - 1, n) products, so nesting
-# capped powers, as in ((t+x+1)^32)^32, cannot ask for 525,825 monomials.
+# The most products a product or an integer power may expand to. A piece is
+# a term's numerator monomial over one of its denominator monomials. A
+# product of bases of a and b pieces has up to a * b products and the n-th
+# power of a base of m pieces up to comb(m + n - 1, n), so neither nesting
+# capped powers, as in ((t+x+1)^32)^32, nor multiplying them, as in
+# (a+f+g+h)^9*(a+f+g+h+1)^9, can ask for hundreds of thousands of monomials.
 MAX_EXPANSION = 2048
+
+# the field variable V, which the identifier V stands for
+_V = Expr.vpower(AFF_ONE)
+
+
+def _pieces(e: Expr) -> int:
+    return sum(len(t.coeff.num.terms) * len(t.coeff.den.terms) for t in e.terms)
 
 
 class _Parser:
@@ -127,6 +135,12 @@ class _Parser:
                 elif tok.value == "-":
                     lhs = lhs - rhs
                 elif tok.value == "*":
+                    size = _pieces(lhs) * _pieces(rhs)
+                    if size > MAX_EXPANSION:
+                        raise ParseError(
+                            f"product of {size} pieces exceeds the cap of "
+                            f"{MAX_EXPANSION} expanded products", tok.pos
+                        )
                     lhs = lhs * rhs
                 else:
                     try:
@@ -162,7 +176,7 @@ class _Parser:
                 return Expr.exp_atom(self._as_exp_argument(inner, tok.pos))
             raise ParseError("exp must be called as exp(...)", tok.pos)
         if name == "V":
-            return Expr.vpower(AffineExponent.const(1))
+            return _V
         if name in ("t", "x"):
             return Expr.generator(name)
         if name in PARAMETERS:
@@ -176,7 +190,7 @@ class _Parser:
         return Expr.atom(atom)
 
     def apply_power(self, base: Expr, exponent: Expr, pos: int) -> Expr:
-        if _is_plain_v(base):
+        if base == _V:
             try:
                 return Expr.vpower(AffineExponent.from_expr(exponent))
             except ValueError as exc:
@@ -186,7 +200,7 @@ class _Parser:
             raise ParseError(
                 f"power {n} exceeds the cap of {MAX_POWER} on integer powers", pos
             )
-        pieces = sum(len(t.coeff.num.terms) * len(t.coeff.den.terms) for t in base.terms)
+        pieces = _pieces(base)
         if n and comb(pieces + abs(n) - 1, abs(n)) > MAX_EXPANSION:
             raise ParseError(
                 f"power {n} of a base of {pieces} pieces exceeds the cap of "
@@ -199,44 +213,23 @@ class _Parser:
 
     def _as_exp_argument(self, inner: Expr, pos: int) -> AffineExponent:
         # the argument must be (affine) * V
-        for t in inner.terms:
-            if t.vpow.key() != (0, 0, 0, 1) or t.fns or not t.expc.is_zero():
-                raise ParseError("exp argument must be affine * V", pos)
-        total = AFF_ZERO
-        for t in inner.terms:
-            try:
-                total = total + AffineExponent.from_expr(Expr.from_coeff(t.coeff))
-            except ValueError as exc:
-                raise ParseError(f"bad exp argument: {exc}", pos) from None
-        if total.is_zero():
+        try:
+            arg = AffineExponent.from_expr(inner / _V)
+        except ValueError as exc:
+            raise ParseError(f"bad exp argument: {exc}", pos) from None
+        if arg.is_zero():
             raise ParseError("exp argument must be nonzero", pos)
-        return total
-
-
-def _is_plain_v(e: Expr) -> bool:
-    if len(e.terms) != 1:
-        return False
-    t = e.terms[0]
-    return (
-        t.vpow.key() == (0, 0, 0, 1)
-        and t.expc.is_zero()
-        and not t.fns
-        and t.coeff == F_ONE
-    )
+        return arg
 
 
 def _as_integer(e: Expr, pos: int) -> int:
-    if e.is_zero():
-        return 0
-    if len(e.terms) != 1:
+    try:
+        n = AffineExponent.from_expr(e)
+    except ValueError:
+        raise ParseError("power must be an integer", pos) from None
+    if not n.is_const() or n.c0.denominator != 1:
         raise ParseError("power must be an integer", pos)
-    t = e.terms[0]
-    if not t.vpow.is_zero() or not t.expc.is_zero() or t.fns or not t.coeff.is_const():
-        raise ParseError("power must be an integer", pos)
-    v = t.coeff.const_value()
-    if v.denominator != 1:
-        raise ParseError("power must be an integer", pos)
-    return int(v)
+    return int(n.c0)
 
 
 # A warm verify-paper replay parses about 80 distinct texts; a sweep over

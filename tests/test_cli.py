@@ -251,6 +251,11 @@ def test_split_of_a_huge_power_exits_2_promptly():
         # each power is within MAX_POWER, but the outer one asks for
         # (t+x+1)^1024, 525,825 monomials; the expansion cap refuses it
         ("((t+x+1)^32)^32", f"cap of {MAX_EXPANSION} expanded products"),
+        # each factor is within both caps, but their product asks for
+        # 220 * 715 and 969 * 969 products; the expansion cap refuses it
+        ("(a+f+g+h)^9*(a+f+g+h+1)^9", f"cap of {MAX_EXPANSION} expanded products"),
+        ("(t+x+p+1)^16*(t+x+p+2)^16*(t+x+p+3)^16",
+         f"cap of {MAX_EXPANSION} expanded products"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "qcsym.cli", "split", text],

@@ -1,9 +1,10 @@
 """Determining-system generation and operator checking."""
 import random
+from fractions import Fraction
 
 import pytest
 
-from qcsym.calculus import eq_normalize
+from qcsym.calculus import eq_normalize, substitute
 from qcsym.classify import fixture_json
 from qcsym.determining import (
     EvolutionEq,
@@ -41,6 +42,32 @@ def test_exponential_system_matches_catalogue(exponential_system):
     assert len(exponential_system.equations) == 4
     for got, text in zip(exponential_system.equations, fixture):
         assert got == eq_normalize(parse(text))
+
+
+# (p, k) as the sweep draws them: denominators 1-3 in [-12, 12], away from
+# the exponents where the source or the convection term degenerates
+_VALUES = sorted({Fraction(n, d) for d in (1, 2, 3) for n in range(-12 * d, 12 * d + 1)})
+_PAIRS = random.Random(0).sample(
+    [(p, k) for p in _VALUES for k in _VALUES
+     if k not in (0, p, p + 1) and p != -1 and 2 * k != p],
+    60,
+)
+
+
+@pytest.mark.parametrize("source", ["lambda1*V^(2*k+1)", "lambda1*V^(2*k+1) + lambda2*V^(p+3)"])
+def test_concrete_derivation_equals_the_general_one(power_system, source):
+    # deriving for concrete (p, k, F) gives the general system with p, k and
+    # F substituted, less the equations that vanish there
+    for p, k in _PAIRS:
+        bindings = {"F": parse(source), "p": p, "k": k}
+        concrete = EvolutionEq.power(p, k, substitute(parse(source), {"p": p, "k": k}))
+        system = generate_determining_system(concrete)
+        want = [
+            (g, eq_normalize(substitute(e, bindings)))
+            for g, e in zip(power_system.grading, power_system.equations)
+        ]
+        want = [(g, e) for g, e in want if not e.is_zero()]
+        assert list(zip(system.grading, system.equations)) == want, (p, k)
 
 
 def test_leading_equations_shape(power_system):

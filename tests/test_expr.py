@@ -79,6 +79,10 @@ def test_integer_powers_are_capped():
     for text in ("((t+x+1)^32)^32", "((t+x+1)^(-32))^32", "(t+x+p+k+n)^(-13)"):
         with pytest.raises(ParseError, match=f"cap of {MAX_EXPANSION} expanded"):
             parse(text)
+    # so is a product of capped powers: 1024 * 2 products pass, 1024 * 3 do not
+    assert len(parse("(t+x)^31*(p+k)^31*(n+m)").terms[0].coeff.num.terms) == 2048
+    with pytest.raises(ParseError, match=f"cap of {MAX_EXPANSION} expanded"):
+        parse("(t+x)^31*(p+k)^31*(n+m+A)")
     assert parse("0^0") == parse("1")
     assert parse("V^99999") == Expr.vpower(AffineExponent.const(99999))
 
