@@ -8,16 +8,17 @@ derivative D_x c = c_x + c_V V_x builds eta^x and the part of eta^xx free of
 V_xx; V_xx in the rest of eta^xx is replaced through the equation. The
 condition is gathered as rest + c_t V_t, and V_t = eta - xi V_x, the
 invariant-surface condition, is substituted once at the end. What remains is
-a cubic in V_x; its four coefficients are the determining system.
+a cubic in V_x; its four coefficients are the determining system. It is
+derived once per family; a concrete equation is a set of bindings into it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cache
 
 from .calculus import EquationSystem, diff, eq_normalize, substitute
 from .errors import DivisionError, OperatorFormError
-from .expr import Expr, FnAtom
+from .expr import Expr
 from .parser import parse
 
 
@@ -43,39 +44,43 @@ def _mul(p: list, q: list) -> list:
 # equations and operators
 
 
+# F0 and F1 of each family, whose source F(V) is an unknown function
+_FAMILIES = {
+    "power": ("V^p", "-lambda*V^k"),
+    "exponential": ("exp(V)", "-lambda*exp((n+1)*V)"),
+}
+
+
 @dataclass(frozen=True)
 class EvolutionEq:
-    """The equation V_xx = F0(V) V_t + F1(V) V_x + F2(V).
-
-    F2 is None for the unknown source term F(V).
+    """An equation V_xx = F0(V) V_t + F1(V) V_x + F(V) of a family: the values
+    bound to some of the family's parameters (p, k, n, lambda) and to F. What
+    is unbound stays a symbol, and F2 is None while F is unbound.
     """
 
     family: str
-    F0: Expr
-    F1: Expr
-    F2: Expr | None = None
+    bindings: dict = field(default_factory=dict)
 
     @staticmethod
     def power(p=None, k=None, F2: Expr | None = None) -> "EvolutionEq":
-        F0 = parse("V^p")
-        F1 = parse("-lambda*V^k")
-        subs = {}
-        if p is not None:
-            subs["p"] = p
-        if k is not None:
-            subs["k"] = k
-        if subs:
-            F0 = substitute(F0, subs)
-            F1 = substitute(F1, subs)
-        return EvolutionEq(family="power", F0=F0, F1=F1, F2=F2)
+        given = {"p": p, "k": k, "F": F2}
+        return EvolutionEq("power", {name: v for name, v in given.items() if v is not None})
 
     @staticmethod
     def exponential() -> "EvolutionEq":
-        return EvolutionEq(
-            family="exponential",
-            F0=parse("exp(V)"),
-            F1=parse("-lambda*exp((n+1)*V)"),
-        )
+        return EvolutionEq("exponential")
+
+    @property
+    def F0(self) -> Expr:
+        return substitute(parse(_FAMILIES[self.family][0]), self.bindings)
+
+    @property
+    def F1(self) -> Expr:
+        return substitute(parse(_FAMILIES[self.family][1]), self.bindings)
+
+    @property
+    def F2(self) -> Expr | None:
+        return self.bindings.get("F")
 
 
 @dataclass(frozen=True)
@@ -111,29 +116,20 @@ def normalize_operator(op: SymOperator) -> SymOperator:
     return SymOperator(Expr.one(), op.xi * inv, op.eta * inv)
 
 
-# A verify-paper replay derives three distinct equations; a sweep over
-# concrete (p, k) never repeats one, so the bound is what keeps a long sweep
-# from growing memory.
-@lru_cache(maxsize=16)
 def generate_determining_system(eq: EvolutionEq) -> EquationSystem:
-    """Derive the determining system for the generic unit-time operator: the
-    four coefficient equations, graded ``Vx^3`` down to ``Vx^0``.
-
-    Each equation is normalized so its leading canonical term has unit
-    coefficient, which makes systems directly comparable.  The result is
-    memoised on the (frozen, hashable) equation and shared by every caller.
+    """The determining system of eq's family for the generic unit-time
+    operator, derived once per family and shared: the four coefficient
+    equations, graded ``Vx^3`` down to ``Vx^0``, each scaled so its leading
+    canonical term has unit coefficient. F is unknown and every parameter
+    free; check_operator applies eq's bindings.
     """
-    xi = Expr.atom(FnAtom("xi"))
-    eta = Expr.atom(FnAtom("eta"))
-    F0, F1 = eq.F0, eq.F1
-    if eq.F2 is None:
-        F2 = Expr.atom(FnAtom("F"))
-        dF2 = Expr.atom(FnAtom("F", dV=1))
-    else:
-        F2 = eq.F2
-        dF2 = diff(eq.F2, "V")
-    dF0 = diff(F0, "V")
-    dF1 = diff(F1, "V")
+    return _derive(eq.family)
+
+
+@cache  # one entry per family
+def _derive(family: str) -> EquationSystem:
+    xi, eta, F0, F1, F2 = map(parse, ("xi", "eta", *_FAMILIES[family], "F"))
+    dF0, dF1, dF2 = (diff(f, "V") for f in (F0, F1, F2))
 
     xi_t, xi_x, xi_V = (diff(xi, v) for v in "txV")
     eta_t, eta_x, eta_V = (diff(eta, v) for v in "txV")
@@ -158,23 +154,23 @@ def generate_determining_system(eq: EvolutionEq) -> EquationSystem:
     )
     c_t = _add(_mul(at_vxx, [F0]), [-(dF0 * eta)], _mul([F0], [-eta_V, xi_V]))
     coeffs = _add(rest, _mul(c_t, [eta, -xi]))
-    degrees = [d for d in reversed(range(len(coeffs))) if not coeffs[d].is_zero()]
     return EquationSystem(
-        equations=tuple(eq_normalize(coeffs[d]) for d in degrees),
-        grading=tuple(f"Vx^{d}" for d in degrees),
+        equations=tuple(eq_normalize(c) for c in reversed(coeffs)),
+        grading=tuple(f"Vx^{d}" for d in reversed(range(len(coeffs)))),
     )
 
 
 def check_operator(eq: EvolutionEq, op: SymOperator) -> list:
-    """Substitute an operator into the determining system; return residuals.
+    """Bind eq's values and the operator's xi and eta into the determining
+    system of eq's family in one substitution; return the four residuals,
+    graded as that system is.
 
     All four residuals vanish exactly when the operator satisfies the
-    determining equations identically in (t, x, V).
+    determining equations of eq identically in (t, x, V).
     """
     if not op.is_normalized():
         raise OperatorFormError(
             "operator must be normalized (unit time component) before checking"
         )
-    system = generate_determining_system(eq)
-    bindings = {"xi": op.xi, "eta": op.eta}
-    return [substitute(e, bindings) for e in system.equations]
+    bindings = {**eq.bindings, "xi": op.xi, "eta": op.eta}
+    return [substitute(e, bindings) for e in generate_determining_system(eq).equations]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .calculus import substitute
-from .determining import EvolutionEq, SymOperator, generate_determining_system
+from .determining import EvolutionEq, SymOperator, check_operator
 from .errors import (
     EvalPoleError,
     InstabilityError,
@@ -296,7 +296,7 @@ class Instance:
         return {"p": self.p, "k": self.k, "lambda": self.lam}
 
     def equation(self) -> EvolutionEq:
-        return EvolutionEq.power(p=self.p, k=self.k, F2=self.F)
+        return EvolutionEq("power", {**self.param_bindings(), "F": self.F})
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +380,7 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
         raise ValueError("need at least one sample point")
     if N > _MAX_CELLS:
         raise ValueError(f"at most {_MAX_CELLS} sample points are allowed: {N}")
-    system = generate_determining_system(
-        EvolutionEq.power(F2=None)
-    )
-    bindings = {
-        "xi": op.xi,
-        "eta": op.eta,
-        "F": inst.F,
-        **inst.param_bindings(),
-    }
-    equations = [substitute(eq, bindings) for eq in system.equations]
+    equations = check_operator(inst.equation(), op)
     compiled = [_compile(e) for e in equations]  # refuses unbound atoms first
     if not any(e.terms for e in equations):
         return 0.0

@@ -86,7 +86,8 @@ MAX_POWER = 32
 # product of bases of a and b pieces has up to a * b products and the n-th
 # power of a base of m pieces up to comb(m + n - 1, n), so neither nesting
 # capped powers, as in ((t+x+1)^32)^32, nor multiplying them, as in
-# (a+f+g+h)^9*(a+f+g+h+1)^9, can ask for hundreds of thousands of monomials.
+# (a+f+g+h)^9*(a+f+g+h+1)^9, nor dividing by a negative power, as in
+# (t+x+p+1)^16/(t+x+p+2)^(-16), can ask for hundreds of thousands of monomials.
 MAX_EXPANSION = 2048
 
 # the field variable V, which the identifier V stands for
@@ -95,6 +96,21 @@ _V = Expr.vpower(AFF_ONE)
 
 def _pieces(e: Expr) -> int:
     return sum(len(t.coeff.num.terms) * len(t.coeff.den.terms) for t in e.terms)
+
+
+def _quotient_pieces(e: Expr, d) -> int:
+    # dividing by the coefficient d multiplies numerators by its denominator
+    # and denominators by its numerator
+    return sum(len(t.coeff.num.terms) * len(d.den.terms)
+               + len(t.coeff.den.terms) * len(d.num.terms) for t in e.terms)
+
+
+def _cap(what: str, size: int, pos: int) -> None:
+    if size > MAX_EXPANSION:
+        raise ParseError(
+            f"{what} of {size} pieces exceeds the cap of "
+            f"{MAX_EXPANSION} expanded products", pos
+        )
 
 
 class _Parser:
@@ -135,14 +151,11 @@ class _Parser:
                 elif tok.value == "-":
                     lhs = lhs - rhs
                 elif tok.value == "*":
-                    size = _pieces(lhs) * _pieces(rhs)
-                    if size > MAX_EXPANSION:
-                        raise ParseError(
-                            f"product of {size} pieces exceeds the cap of "
-                            f"{MAX_EXPANSION} expanded products", tok.pos
-                        )
+                    _cap("product", _pieces(lhs) * _pieces(rhs), tok.pos)
                     lhs = lhs * rhs
                 else:
+                    if len(rhs.terms) == 1:
+                        _cap("quotient", _quotient_pieces(lhs, rhs.terms[0].coeff), tok.pos)
                     try:
                         lhs = lhs / rhs
                     except DivisionError as exc:

@@ -416,6 +416,23 @@ def test_excluded_by_is_sound(problem):
 
 
 @settings(max_examples=300, deadline=None)
+@given(exclusion_problems(), RATIONALS.filter(bool), RATIONALS, st.integers(0, 2))
+def test_excluded_by_is_complete(problem, scale, move, index):
+    # after the equalities are applied, a nonzero constant is always ruled
+    # out, and so is a nonzero multiple of a forbidden relation: that one is
+    # nonzero at the point where the equalities hold, so its reduced form is
+    # too. Each form is moved by a multiple of the first equality, which the
+    # reduction removes.
+    point, assumptions, _ = problem
+    forbidden = [c.form() for c in assumptions if c.kind == "forbidden"]
+    equal = [c.form() for c in assumptions if c.kind == "equal"]
+    moved = equal[0].scale(move) if equal else AFF_ZERO
+    assert excluded_by(AffineExponent.const(scale) + moved, assumptions)
+    if forbidden:
+        assert excluded_by(forbidden[index % len(forbidden)].scale(scale) + moved, assumptions)
+
+
+@settings(max_examples=300, deadline=None)
 @given(exclusion_problems(), st.integers(0, 3))
 def test_split_separates_only_excluded_keys(problem, shape):
     # split keeps a*V^v*exp(c*V) apart from f only when (v, c) cannot be

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qcsym import classify, numeric, parser
-from qcsym.calculus import eq_normalize
+from qcsym import classify, determining, numeric, parser
+from qcsym.calculus import eq_normalize, substitute
 from qcsym.classify import fixture_json
 from qcsym.cli import main, verify_paper
+from qcsym.determining import EvolutionEq, SymOperator, check_operator, normalize_operator
 from qcsym.errors import VerificationError
 from qcsym.parser import MAX_EXPANSION, MAX_POWER, PARSE_CACHE_SIZE, parse
 
@@ -256,6 +257,8 @@ def test_split_of_a_huge_power_exits_2_promptly():
         ("(a+f+g+h)^9*(a+f+g+h+1)^9", f"cap of {MAX_EXPANSION} expanded products"),
         ("(t+x+p+1)^16*(t+x+p+2)^16*(t+x+p+3)^16",
          f"cap of {MAX_EXPANSION} expanded products"),
+        # dividing by a negative power multiplies: 969 * 969 products again
+        ("(t+x+p+1)^16/(t+x+p+2)^(-16)", f"cap of {MAX_EXPANSION} expanded products"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "qcsym.cli", "split", text],
@@ -335,12 +338,63 @@ def test_check_op_refuses_exp_family_with_an_instance(capsys):
 ])
 def test_check_op_numeric_refuses_a_sample_count_at_once(capsys, monkeypatch, samples, err):
     def never(*args):
-        raise AssertionError("a system was generated")
+        raise AssertionError("an operator was checked")
 
-    monkeypatch.setattr(numeric, "generate_determining_system", never)
+    monkeypatch.setattr(numeric, "check_operator", never)
     assert run(
         capsys, "check-op-numeric", "--equation", _FIXTURE, "--samples", samples,
     ) == (2, "", f"error: {err}\n")
+
+
+def _instance_file(tmp_path, **entries) -> str:
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({**fixture_json("instance_scaling.json"), **entries}))
+    return str(path)
+
+
+def test_check_op_binds_the_instance_lambda(tmp_path, capsys):
+    # V_t = V_xx + V_x, the instance at p = k = 0, F = 0 and lambda = 1,
+    # admits the Galilean boost xi = 2t, eta = -(x+t)V
+    path = _instance_file(
+        tmp_path, p=0, k=0, F="0", **{"lambda": 1},
+        operator={"tau": "1", "xi": "2*t", "eta": "-(x+t)*V"},
+    )
+    assert run(capsys, "check-op", f"--equation={path}", "--xi=2*t", "--eta=-(x+t)*V")[0] == 0
+    assert run(capsys, "check-op-numeric", f"--equation={path}")[0] == 0
+
+
+def _catalogued(name: str, k) -> tuple:
+    """An operator of operators.json with k and its constants A, A1, A2 given values."""
+    values = {"k": k, "A": 1, "A1": 1, "A2": 2}
+    return tuple(str(substitute(parse(text), values))
+                 for text in fixture_json("operators.json")[name].values())
+
+
+# instances with lambda != 1: V_xx = V_t - lambda V V_x + 2 V^3, which the
+# catalogued operators fit, and V_xx = V_t - lambda V_x, which also admits
+# the Galilean boost (1, 2t, -(x + lambda t)V) and not the boost of lambda = 1
+_AGREEMENT_CASES = [
+    ({"p": 0, "k": 1, "lambda": lam, "F": "2*V^3"}, op)
+    for lam in (2, "-1/2", 0)
+    for op in (_catalogued("translation", 1), _catalogued("scaling", 1))
+] + [
+    ({"p": 0, "k": 0, "lambda": lam, "F": "0"}, op)
+    for lam in (3, "-2")
+    for op in (_catalogued("translation", 0), ("1", "2*t", f"-(x+({lam})*t)*V"),
+               ("1", "2*t", "-(x+t)*V"))
+]
+
+
+@pytest.mark.parametrize("entries, op", _AGREEMENT_CASES)
+def test_check_op_and_check_op_numeric_agree(tmp_path, capsys, entries, op):
+    for dxi, deta in (("0", "0"), ("0", "1/10*V^2"), ("1/5*t", "0"), ("0", "V")):
+        tau, xi, eta = op[0], f"{op[1]} + {dxi}", f"{op[2]} + {deta}"
+        path = _instance_file(tmp_path, **entries, operator={"tau": tau, "xi": xi, "eta": eta})
+        symbolic = run(capsys, "check-op", f"--equation={path}",
+                       f"--tau={tau}", f"--xi={xi}", f"--eta={eta}")[0]
+        numeric_code = run(capsys, "check-op-numeric", f"--equation={path}", "--samples", "200")[0]
+        assert symbolic in (0, 1)
+        assert symbolic == numeric_code, (entries, tau, xi, eta)
 
 
 def test_transform_command(tmp_path, capsys):
@@ -733,6 +787,16 @@ def test_cached_parses_are_shared_and_never_change(monkeypatch):
     for i in range(2 * PARSE_CACHE_SIZE):
         parse(f"{i}*V")
     assert parse.cache_info().currsize <= PARSE_CACHE_SIZE
+
+
+def test_determining_systems_are_derived_once_per_family():
+    determining._derive.cache_clear()
+    verify_paper(0)
+    op = normalize_operator(SymOperator.of(**fixture_json("operators.json")["scaling"]))
+    for j in range(50):
+        eq = EvolutionEq.power(p=j % 3, k=j, F2=parse(f"lambda1*V^{2 * j + 1}"))
+        check_operator(eq, op)
+    assert determining._derive.cache_info().misses <= 2
 
 
 def test_case_b_derivations_run_once_per_replay():

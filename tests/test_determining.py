@@ -55,19 +55,23 @@ _PAIRS = random.Random(0).sample(
 
 
 @pytest.mark.parametrize("source", ["lambda1*V^(2*k+1)", "lambda1*V^(2*k+1) + lambda2*V^(p+3)"])
-def test_concrete_derivation_equals_the_general_one(power_system, source):
-    # deriving for concrete (p, k, F) gives the general system with p, k and
-    # F substituted, less the equations that vanish there
+def test_concrete_check_equals_the_general_one(source):
+    # binding (p, k, F), xi and eta in one substitution gives the family's
+    # residuals with (p, k, F) bound afterwards; the sweep's scaling operator
+    # passes exactly when every power of the source is V^(2k+1), and its
+    # perturbation fails
+    F = parse(source)
     for p, k in _PAIRS:
-        bindings = {"F": parse(source), "p": p, "k": k}
-        concrete = EvolutionEq.power(p, k, substitute(parse(source), {"p": p, "k": k}))
-        system = generate_determining_system(concrete)
-        want = [
-            (g, eq_normalize(substitute(e, bindings)))
-            for g, e in zip(power_system.grading, power_system.equations)
-        ]
-        want = [(g, e) for g, e in want if not e.is_zero()]
-        assert list(zip(system.grading, system.equations)) == want, (p, k)
+        scaling = normalize_operator(SymOperator.of(f"({2 * k - p})*t+A1", f"({k})*x+A2", "-V"))
+        bumped = SymOperator(scaling.tau, scaling.xi, scaling.eta + parse("1/10*V^2"))
+        concrete = EvolutionEq.power(p, k, F)
+        for op in (scaling, bumped):
+            general = check_operator(EvolutionEq.power(), op)
+            got = check_operator(concrete, op)
+            assert got == [substitute(r, {"F": F, "p": p, "k": k}) for r in general], (p, k)
+        scales = "lambda2" not in source or p + 3 == 2 * k + 1
+        assert all(r.is_zero() for r in check_operator(concrete, scaling)) == scales, (p, k)
+        assert not all(r.is_zero() for r in check_operator(concrete, bumped)), (p, k)
 
 
 def test_leading_equations_shape(power_system):
@@ -86,7 +90,8 @@ def test_translation_operator_both_families():
 
 
 def test_heat_type_translation():
-    eq = EvolutionEq("concrete", Expr.one(), Expr.zero(), Expr.zero())
+    # the power family at p = 0, lambda = 0, F = 0 is the heat equation
+    eq = EvolutionEq("power", {"p": 0, "lambda": 0, "F": Expr.zero()})
     residuals = check_operator(eq, SymOperator.of("1", "A", "0"))
     assert all(r.is_zero() for r in residuals)
 
@@ -152,13 +157,15 @@ def test_residual_zero_set_invariant_under_rescaling():
     assert all(r.is_zero() for r in res2)
 
 
-def test_derivation_is_shared_per_equation():
-    assert generate_determining_system(EvolutionEq.power()) is generate_determining_system(
-        EvolutionEq.power()
-    )
-    cubic = generate_determining_system(EvolutionEq.power(p=0, k=1, F2=parse("lambda1*V^3")))
-    quintic = generate_determining_system(EvolutionEq.power(p=0, k=2, F2=parse("lambda1*V^5")))
-    assert cubic.equations != quintic.equations
+def test_derivation_is_shared_per_family():
+    cubic = EvolutionEq.power(p=0, k=1, F2=parse("lambda1*V^3"))
+    quintic = EvolutionEq.power(p=0, k=2, F2=parse("lambda1*V^5"))
+    family = generate_determining_system(EvolutionEq.power())
+    assert generate_determining_system(cubic) is family
+    assert generate_determining_system(quintic) is family
+    assert generate_determining_system(EvolutionEq.exponential()) is not family
+    op = SymOperator.of("1", "0", "V")
+    assert check_operator(cubic, op) != check_operator(quintic, op)
 
 
 def test_system_serialization(power_system):

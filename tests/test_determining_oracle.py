@@ -20,13 +20,14 @@ sp = pytest.importorskip("sympy")
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "qcsym" / "fixtures"
 
 t, x, V, VX = sp.symbols("t x V V_x")
-p, k, n, lam = sp.symbols("p k n lambda")
+p, k, n, lam, lam1, A1, A2 = sp.symbols("p k n lambda lambda1 A1 A2")
 FUNCTIONS = {
     "xi": sp.Function("xi")(t, x, V),
     "eta": sp.Function("eta")(t, x, V),
     "F": sp.Function("F")(V),
 }
-NAMES = {"t": t, "x": x, "V": V, "p": p, "k": k, "n": n, "lambda": lam, "exp": sp.exp}
+NAMES = {"t": t, "x": x, "V": V, "p": p, "k": k, "n": n, "lambda": lam, "lambda1": lam1,
+         "A1": A1, "A2": A2, "exp": sp.exp}
 IDENTIFIER = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:_([txV]+))?")
 
 FAMILIES = {
@@ -56,10 +57,11 @@ def read(text: str):
     return sp.parse_expr(IDENTIFIER.sub(name, text).replace("^", "**"), local_dict=names)
 
 
-def compatibility(F0, F1):
-    """The coefficients of D_t(V_xx) - D_x^2(V_t) by power of V_x."""
-    H = FUNCTIONS["eta"] - FUNCTIONS["xi"] * VX
-    G = F0 * H + F1 * VX + FUNCTIONS["F"]
+def compatibility(F0, F1, F=FUNCTIONS["F"], xi=FUNCTIONS["xi"], eta=FUNCTIONS["eta"]):
+    """The coefficients of D_t(V_xx) - D_x^2(V_t) by power of V_x, for the
+    unknown source and operator or for given ones."""
+    H = eta - xi * VX
+    G = F0 * H + F1 * VX + F
 
     def Dx(f):
         return f.diff(x) + f.diff(V) * VX + f.diff(VX) * G
@@ -70,8 +72,9 @@ def compatibility(F0, F1):
 
 
 def vanishes(e) -> bool:
-    # powsimp merges V^p/V into V^(p-1) and exp(V)*exp(n*V) into one exp
-    return sp.expand(sp.powsimp(sp.expand(e))) == 0
+    # the numerator over a common denominator; powsimp merges V^p/V into
+    # V^(p-1), V*V^(k+1) into V^(k+2) and exp(V)*exp(n*V) into one exp
+    return sp.expand(sp.powsimp(sp.numer(sp.together(sp.expand(e))), force=True)) == 0
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -91,3 +94,21 @@ def test_reader_and_oracle_catch_a_changed_coefficient():
     changed = read(text.replace("- 2*xi_xV", "- 3*xi_xV"))
     got = compatibility(*FAMILIES["power"]).coeff_monomial(VX**2)
     assert not vanishes(got - changed) and not vanishes(got + changed)
+
+
+def test_catalogued_scaling_operator_solves_its_equation():
+    # the scaling operator of operators.json, normalized to unit time
+    # component, on V_xx = V_t - lambda V^k V_x + F at p = 0 with the source
+    # of chain_p0.json: all four coefficients vanish, and with eta changed
+    # to -V + V^2/10 not all of them do
+    op = json.loads((FIXTURES / "operators.json").read_text())["scaling"]
+    source = read(json.loads((FIXTURES / "chain_p0.json").read_text())["source_term"])
+    F0, F1 = (f.subs(p, 0) for f in FAMILIES["power"])
+    tau, xi = read(op["tau"]), read(op["xi"])
+
+    def coefficients(eta):
+        condition = compatibility(F0, F1, source, xi / tau, read(eta) / tau)
+        return [condition.coeff_monomial(VX**d) for d in range(4)]
+
+    assert all(vanishes(c) for c in coefficients(op["eta"]))
+    assert not all(vanishes(c) for c in coefficients("-V + 1/10*V^2"))

@@ -83,6 +83,12 @@ def test_integer_powers_are_capped():
     assert len(parse("(t+x)^31*(p+k)^31*(n+m)").terms[0].coeff.num.terms) == 2048
     with pytest.raises(ParseError, match=f"cap of {MAX_EXPANSION} expanded"):
         parse("(t+x)^31*(p+k)^31*(n+m+A)")
+    # a quotient by a negative power multiplies, 969 * 969 products; by a
+    # positive one it only puts 969 monomials over 969
+    with pytest.raises(ParseError, match=f"cap of {MAX_EXPANSION} expanded"):
+        parse("(t+x+p+1)^16/(t+x+p+2)^(-16)")
+    quotient = parse("(t+x+p+1)^16/(t+x+p+2)^16").terms[0].coeff
+    assert (len(quotient.num.terms), len(quotient.den.terms)) == (969, 969)
     assert parse("0^0") == parse("1")
     assert parse("V^99999") == Expr.vpower(AffineExponent.const(99999))
 
