@@ -111,20 +111,23 @@ def _coerce_expr(value) -> Expr:
     return Expr.const(Fraction(value))
 
 
-def substitute(e: Expr, bindings: dict) -> Expr:
-    """Substitute function atoms and parameter symbols.
+def substitute(e, bindings: dict):
+    """Substitute function atoms and parameter symbols into one Expr, or into
+    each Expr of a sequence (returning a list).
 
     Keys are parameter names, function names, or derivative keys such as
     'f_x'.  A function takes one key: a bare name rewrites every atom of
     the function, a derivative key every atom carrying at least its
     indices, and the function's other atoms stay; a second key for the
     same function is a ValueError, as is a key that names none of these.
-    Each distinct atom is replaced once, its binding differentiated up to
-    the atom's indices and raised (or inverted) to its power.  Function
-    bindings are applied first, then parameter bindings are substituted
-    through the whole result, so numeric instantiations see concrete
-    functions.
+    Each distinct atom is replaced once per call, across all expressions
+    given, by its binding differentiated up to the atom's indices and
+    raised (or inverted) to its power; each derivative of a binding is
+    taken once.  Function bindings are applied first, then parameter
+    bindings are substituted through the whole result, so numeric
+    instantiations see concrete functions.
     """
+    exprs = [e] if isinstance(e, Expr) else list(e)
     fn_bindings: dict = {}
     param_bindings: dict = {}
     for key, value in bindings.items():
@@ -136,35 +139,34 @@ def substitute(e: Expr, bindings: dict) -> Expr:
         else:
             fn_bindings[atom.name] = ((atom.dt, atom.dx, atom.dV), _coerce_expr(value))
     if fn_bindings:
-        e = _substitute_fns(e, fn_bindings)
+        replaced: dict = {}
+        derived: dict = {}
+        exprs = [_substitute_fns(x, fn_bindings, replaced, derived) for x in exprs]
     if param_bindings:
-        e = _substitute_params(e, param_bindings)
-    return e
+        affine = {name: _coerce_affine(value) for name, value in param_bindings.items()}
+        exprs = [_substitute_params(x, affine) for x in exprs]
+    return exprs[0] if isinstance(e, Expr) else exprs
 
 
-def _substitute_fns(e: Expr, bindings: dict) -> Expr:
-    replaced: dict = {}
+def _substitute_fns(e: Expr, bindings: dict, replaced: dict, derived: dict) -> Expr:
     out = []
     for t in e.terms:
         product = Expr((Term(t.coeff, t.vpow, t.expc, ()),))
         for a in t.fns:
             rep = replaced.get(a)
             if rep is None:
-                rep = replaced[a] = _replace_atom(a, bindings.get(a.name))
+                rep = replaced[a] = _replace_atom(a, bindings.get(a.name), derived)
             product = product * rep
         out.extend(product.terms)
     return Expr.from_terms(out)
 
 
-def _replace_atom(a: FnAtom, binding) -> Expr:
+def _replace_atom(a: FnAtom, binding, derived: dict) -> Expr:
     """The atom with its function's binding, or the atom itself when unbound."""
     indices = (a.dt, a.dx, a.dV)
     if binding is None or any(i < b for i, b in zip(indices, binding[0])):
         return Expr.atom(a)
-    orders, rep = binding
-    for var, i, b in zip("txV", indices, orders):
-        for _ in range(i - b):
-            rep = diff(rep, var)
+    rep = _derivative(a.name, indices, binding, derived)
     if a.power > 0:
         return rep ** a.power
     try:
@@ -176,14 +178,26 @@ def _replace_atom(a: FnAtom, binding) -> Expr:
         ) from None
 
 
+def _derivative(name: str, indices: tuple, binding, derived: dict) -> Expr:
+    """The binding differentiated up to indices, taken once per memo: from its
+    parent on the path that differentiates in t, then x, then V."""
+    rep = derived.get((name, indices))
+    if rep is None:
+        orders, rep = binding
+        for k in (2, 1, 0):
+            if indices[k] > orders[k]:
+                parent = indices[:k] + (indices[k] - 1,) + indices[k + 1:]
+                rep = diff(_derivative(name, parent, binding, derived), "txV"[k])
+                break
+        derived[(name, indices)] = rep
+    return rep
+
+
 def _substitute_params(e: Expr, bindings: dict) -> Expr:
-    affine_bindings = {
-        name: _coerce_affine(value) for name, value in bindings.items()
-    }
     out = []
     for t in e.terms:
         coeff, vpow, expc = t.coeff, t.vpow, t.expc
-        for name, (aff, poly) in affine_bindings.items():
+        for name, (aff, poly) in bindings.items():
             if name in coeff.gens():
                 coeff = coeff.subst(name, poly)
             if name in EXPONENT_PARAMS:

@@ -328,10 +328,9 @@ def case_c_chain_p0() -> tuple:
     one StepResult per check."""
     fx = fixture_json("chain_p0.json")
     steps = []
-    sysd = power_system()
     assumptions = (Constraint.parse("k!=0"), Constraint.parse("k!=1"))
 
-    eq3 = substitute(sysd.equations[2], {**CASE_C_ANSATZ, "p": 0})
+    eq3, eq4 = substitute(power_system().equations[2:], {**CASE_C_ANSATZ, "p": 0})
     steps.append(StepResult(
         "reduce-eq3",
         "third determining equation under xi=f, eta=gV+h, p=0",
@@ -353,7 +352,6 @@ def case_c_chain_p0() -> tuple:
         h_solved.is_zero() and fx_solved == parse("-k*g"),
     ))
 
-    eq4 = substitute(sysd.equations[3], {**CASE_C_ANSATZ, "p": 0})
     eq4 = substitute(eq4, {"h": 0, "f_x": parse("-k*g")})
     steps.append(StepResult(
         "reduce-eq4",

@@ -341,8 +341,8 @@ def _suite_steps(seed: int, corrupt: str | None):
 
     def chain_check(chain, check_id, detail):
         def step():
-            steps = chain_steps(chain)
-            return any(s.id == check_id and s.passed for s in steps), detail
+            ok = any(s.id == check_id and s.passed for s in chain_steps(chain))
+            return ok, detail if ok else f"check {check_id!r} failed"
         return step
 
     def numeric_sampled():

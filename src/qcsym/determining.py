@@ -173,4 +173,4 @@ def check_operator(eq: EvolutionEq, op: SymOperator) -> list:
             "operator must be normalized (unit time component) before checking"
         )
     bindings = {**eq.bindings, "xi": op.xi, "eta": op.eta}
-    return [substitute(e, bindings) for e in generate_determining_system(eq).equations]
+    return substitute(generate_determining_system(eq).equations, bindings)

@@ -448,8 +448,10 @@ class Expr:
     def __pow__(self, n: int) -> "Expr":
         if n < 0:
             return self.invert() ** (-n)
-        out = E_ONE
-        for _ in range(n):
+        if n == 0:
+            return E_ONE
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 

@@ -18,6 +18,10 @@ from qcsym.calculus import (
     split,
     substitute,
 )
+from qcsym.classify import fixture_json
+from qcsym.determining import (
+    EvolutionEq, SymOperator, generate_determining_system, normalize_operator,
+)
 from qcsym.errors import (
     AmbiguousGradingError, DivisionError, PoleError, ResonanceError, TermLanguageError,
 )
@@ -87,9 +91,18 @@ def test_substitute_derivative_key():
     assert got == parse("f_t - 2*k*f*g + k*g_x + 2*g_x")
 
 
+def _refusal(e, bindings) -> str:
+    with pytest.raises(ValueError) as info:
+        substitute(e, bindings)
+    return str(info.value)
+
+
 def test_substitute_refuses_a_function_bound_twice():
-    with pytest.raises(ValueError, match="bound twice"):
-        substitute(parse("f_x + f"), {"f": parse("g"), "f_x": parse("h")})
+    e = parse("f_x + f")
+    bindings = {"f": parse("g"), "f_x": parse("h")}
+    assert "bound twice" in _refusal(e, bindings)
+    # a sequence is refused as one expression is
+    assert _refusal([e, parse("g")], bindings) == _refusal(e, bindings)
 
 
 @pytest.mark.parametrize("key", ["f_q", "F_x", "zz_t", "p_t"])
@@ -97,8 +110,8 @@ def test_bad_binding_key_is_refused(key):
     # f_q is no identifier, F does not depend on x, zz is no function and a
     # parameter takes no derivative suffix
     e = parse("f + f_x + F + p")
-    with pytest.raises(ValueError, match=repr(key)):
-        substitute(e, {key: parse("t")})
+    assert repr(key) in _refusal(e, {key: parse("t")})
+    assert _refusal([e, e], {key: parse("t")}) == _refusal(e, {key: parse("t")})
     with pytest.raises(ValueError, match=repr(key)):
         solve_linear_for(e, key)
 
@@ -121,6 +134,47 @@ def test_substitute_is_a_ring_homomorphism(rng):
     for e1, e2 in pairs:
         assert s(e1 + e2) == s(e1) + s(e2)
         assert s(e1 * e2) == s(e1) * s(e2)
+
+
+def stored(e: Expr) -> list:
+    """Each term with its coefficient's monomials in stored order, the order
+    numeric evaluation sums them in."""
+    return [
+        (t.signature, list(t.coeff.num.terms.items()), list(t.coeff.den.terms.items()))
+        for t in e.terms
+    ]
+
+
+# bare-name keys, derivative keys and parameters; a bare-name function whose
+# atoms may carry a negative power is bound to a single term, so they invert
+SEQUENCE_BINDINGS = [
+    HOMOMORPHISM_BINDINGS,
+    {"f": parse("t*x*a"), "h_x": parse("k*a + g"), "a_t": parse("x"), "k": 2},
+    {"xi": parse("k*x*V/(2*k*t+A1)"), "F": parse("lambda1*V^(2*k+1)"),
+     "alpha": parse("-1/(2*k*t+A1)"), "p": parse_affine("2*k+1")},
+]
+
+
+@pytest.mark.parametrize("bindings", SEQUENCE_BINDINGS)
+def test_a_sequence_is_substituted_as_its_elements_are(rng, bindings):
+    exprs = [random_expr(rng, with_denominator=True) for _ in range(60)]
+    got = substitute(tuple(exprs), bindings)
+    assert isinstance(got, list)
+    assert [stored(e) for e in got] == [stored(substitute(e, bindings)) for e in exprs]
+
+
+@pytest.mark.parametrize("name", ["translation", "scaling"])
+def test_catalogued_operators_substitute_as_a_sequence(name):
+    op = normalize_operator(SymOperator.of(**fixture_json("operators.json")[name]))
+    equations = generate_determining_system(EvolutionEq.power()).equations
+    bindings = {
+        "F": parse(fixture_json("chain_p0.json")["source_term"]),
+        "p": 0,
+        "xi": op.xi,
+        "eta": op.eta,
+    }
+    got = substitute(equations, bindings)
+    assert [stored(e) for e in got] == [stored(substitute(e, bindings)) for e in equations]
 
 
 def test_substitute_k1_p2_chain_steps():

@@ -557,8 +557,10 @@ def test_suite_reuses_chain_verdicts(monkeypatch, chain, check, chain_step, depe
     report, ok = verify_paper(keep_going=True)
     assert not ok
     assert calls == [chain]
-    failed = [step["id"] for step in report if step["status"] != "pass"]
-    assert failed == [chain_step, dependent_step]
+    failed = [step for step in report if step["status"] != "pass"]
+    assert [step["id"] for step in failed] == [chain_step, dependent_step]
+    # the dependent step names the check that failed, not its pass text
+    assert failed[1]["detail"] == f"check {check!r} failed"
 
 
 def test_suite_step_fails_when_its_chain_raises(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcsym import calculus
 from qcsym.calculus import eq_normalize, substitute
 from qcsym.classify import fixture_json
 from qcsym.determining import (
@@ -102,6 +103,31 @@ def test_scaling_operator_symbolic():
     eq = EvolutionEq.power(p=0, F2=parse("lambda1*V^(2*k+1)"))
     residuals = check_operator(eq, op)
     assert all(r.is_zero() for r in residuals)
+
+
+def test_check_operator_takes_each_derivative_and_replaces_each_atom_once(monkeypatch):
+    op = normalize_operator(SymOperator.of(**fixture_json("operators.json")["scaling"]))
+    eq = EvolutionEq.power(p=0, F2=parse(fixture_json("chain_p0.json")["source_term"]))
+    equations = generate_determining_system(eq).equations
+    diffs, replaced = [], []
+    real_diff, real_replace = calculus.diff, calculus._replace_atom
+
+    def counting_diff(e, var):
+        diffs.append((id(e), var))
+        return real_diff(e, var)
+
+    def counting_replace(a, *rest):
+        replaced.append(a)
+        return real_replace(a, *rest)
+
+    monkeypatch.setattr(calculus, "diff", counting_diff)
+    monkeypatch.setattr(calculus, "_replace_atom", counting_replace)
+    assert all(r.is_zero() for r in check_operator(eq, op))
+    # each expression differentiated stays alive in the call's memo, so its
+    # id names it for the whole call
+    assert diffs and len(set(diffs)) == len(diffs)
+    atoms = {a for e in equations for t in e.terms for a in t.fns}
+    assert len(replaced) == len(atoms) and set(replaced) == atoms
 
 
 def test_perturbed_operator_detected():

@@ -229,3 +229,35 @@ def test_integral_sum_of_halves_merges_with_integer_power():
     assert len(e.terms) == 1
     assert e.terms[0].coeff.const_value() == 2
     assert str(e) == "2*V"
+
+
+def _pow_from_one(e: Expr, n: int) -> Expr:
+    """The power as the product that starts from one, the reference for __pow__."""
+    if n < 0:
+        return _pow_from_one(e.invert(), -n)
+    out = Expr.one()
+    for _ in range(n):
+        out = out * e
+    return out
+
+
+def _stored(e: Expr) -> list:
+    return [
+        (t.signature, list(t.coeff.num.terms.items()), list(t.coeff.den.terms.items()))
+        for t in e.terms
+    ]
+
+
+def test_power_is_the_product_from_one():
+    rng = random.Random(7)
+    for _ in range(150):
+        e = random_expr(rng, with_denominator=True)
+        for n in (0, 1, 2, 3):
+            assert _stored(e ** n) == _stored(_pow_from_one(e, n))
+        single = Expr(e.terms[:1])
+        if single.terms and not any(a.is_derived() for a in single.terms[0].fns):
+            for n in (-1, -2, -3):
+                assert _stored(single ** n) == _stored(_pow_from_one(single, n))
+        assert e ** 1 is e
+    assert Expr.zero() ** 0 == Expr.one()
+    assert Expr.zero() ** 2 == Expr.zero()
