@@ -156,7 +156,11 @@ def _substitute_fns(e: Expr, bindings: dict, replaced: dict, derived: dict) -> E
             rep = replaced.get(a)
             if rep is None:
                 rep = replaced[a] = _replace_atom(a, bindings.get(a.name), derived)
-            product = product * rep
+            # a vanishing factor, such as xi_V of a V-free xi, empties the
+            # product, which then takes no more factors; every atom is
+            # still replaced
+            if product.terms:
+                product = product * rep if rep.terms else rep
         out.extend(product.terms)
     return Expr.from_terms(out)
 

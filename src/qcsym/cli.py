@@ -414,8 +414,8 @@ def _cmd_verify_paper(args) -> int:
     report, ok = verify_paper(args.seed, args.keep_going, args.corrupt)
     lines = []
     for step in report:
-        status = step["status"].upper()
-        lines.append(f"[{status:>4}] {step['id']:<28} {step['detail']}")
+        status = step["status"][:4].upper()  # PASS, FAIL or SKIP: ids in one column
+        lines.append(f"[{status}] {step['id']:<28} {step['detail']}")
     lines.append(
         f"{sum(1 for s in report if s['status'] == 'pass')}/{len(report)} steps passed"
     )

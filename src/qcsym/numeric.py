@@ -477,10 +477,13 @@ def solve_pde(
     if row.shape != (g.nx,):
         raise ValueError(f"initial row must have {g.nx} points")
 
+    magnitude = np.empty(g.nx)
+
     def check_row(r: np.ndarray):
-        if needs_positive and np.any(r <= 0):
+        if needs_positive and (r <= 0).any():
             raise PositivityError("V must stay positive for this instance")
-        if np.any(np.abs(r) > 1e6) or not np.all(np.isfinite(r)):
+        # a nan, or an infinity, fails the comparison as well
+        if not np.abs(r, out=magnitude).max() <= 1e6:
             raise InstabilityError("solution magnitude exceeded 1e6")
 
     def stability_bound(r: np.ndarray) -> float:

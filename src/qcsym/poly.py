@@ -9,7 +9,18 @@ equal Fraction, so equality, hashes and printed text are the same either
 way, and int arithmetic skips Fraction's normalising gcd.  Fractions of
 polynomials are kept reduced with a monic denominator, so equality is
 structural. One rule cancels them (_cancel): a constant denominator is
-kept, any other is divided with its numerator by their poly_gcd.
+kept, any other is divided with its numerator by their gcd.
+
+One gcd kernel (_gcd_cofactors) serves poly_gcd and _cancel. Most pairs
+are proved coprime without gcd work: they share no generator, one is a
+monomial, or _coprime finds the gcd of degree 0 in each shared generator
+modulo a prime, with the other generators at fixed points. A shared factor
+is found with its cofactors by GCDHEU on integer images (each generator a
+power of one integer), proved by multiplying back, so nothing is divided;
+the pseudo-remainder chain answers only what GCDHEU gives up on. A pair
+with nothing to cancel comes back as the same two objects, and cancelled
+parts are stored in descending graded lex order, as exact division builds
+a quotient.
 
 Two products return early, each with the value and the stored monomial
 order the general rule gives (numeric sums monomials in that order): a Poly
@@ -22,7 +33,7 @@ is monic under graded lex.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, prod
 
 from .errors import PoleError
 
@@ -398,25 +409,18 @@ def _normalize_gcd(p: Poly) -> Poly:
     return p.scale(Fraction(1) / c)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """The gcd of a and b, with content 1 and a positive leading coefficient.
+def _prs_gcd(a: Poly, b: Poly) -> Poly:
+    """poly_gcd by the pseudo-remainder chain, for when the heuristic gives up.
 
-    After the early outs and the shared monomial content, it recurses on
-    one generator v both inputs have: the gcd of the two v-contents times
-    the primitive part of the last nonzero pseudo-remainder.
+    After the shared monomial content, it recurses on one generator v both
+    inputs have: the gcd of the two v-contents times the primitive part of
+    the last nonzero pseudo-remainder.
     """
-    if a.is_zero():
-        return _normalize_gcd(b)
-    if b.is_zero() or a == b:
-        return _normalize_gcd(a)
-    if a.is_const() or b.is_const():
-        return P_ONE
     ma, mb = a.mono_content(), b.mono_content()
     mc = mono_gcd(ma, mb)
     a = a.div_mono(ma)
     b = b.div_mono(mb)
     shared = Poly({mc: 1}) if mc else P_ONE
-    # a common factor involves only generators both inputs have
     live = sorted(a.gens() & b.gens())
     if not live:
         return _normalize_gcd(shared)
@@ -429,6 +433,212 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         fu, gu = gu, _primitive(_prem(fu, gu, v))[1]
     core = _from_univar(fu, v)
     return _normalize_gcd(shared * poly_gcd(cf, cg) * core)
+
+
+# _coprime reads gcd degrees modulo this prime, 2^61 - 1
+_PRIME = (1 << 61) - 1
+
+
+def _point(name: str) -> int:
+    """The fixed point, modulo _PRIME, at which _coprime puts a generator."""
+    return int.from_bytes(name.encode(), "little") * 0x9E3779B97F4A7C15 % _PRIME
+
+
+def _image(p: Poly, v: str, point: dict) -> list:
+    """p modulo _PRIME with every generator but v at its point: the
+    coefficients of the powers of v, lowest first, up to p's degree in v."""
+    out = [0] * (p.degree(v) + 1)
+    for m, c in p.terms.items():
+        r = c if type(c) is int else c.numerator * pow(c.denominator, -1, _PRIME)
+        e = 0
+        for name, k in m:
+            if name == v:
+                e = k
+            else:
+                r *= pow(point[name], k, _PRIME)
+        out[e] += r
+    return [c % _PRIME for c in out]
+
+
+def _gcd_degree(f: list, g: list) -> int:
+    """The degree of gcd(f, g) over the integers modulo _PRIME, for
+    coefficient lists as _image gives them; f must not be zero."""
+    f = f[:]
+    g = g[:]
+    while g and not g[-1]:
+        g.pop()
+    while g:
+        dg = len(g) - 1
+        inv = pow(g[-1], -1, _PRIME)
+        lower = g[:-1]
+        for top in range(len(f) - 1, dg - 1, -1):
+            q = f[top] * inv % _PRIME
+            if q:
+                for i, c in enumerate(lower, top - dg):
+                    f[i] = (f[i] - q * c) % _PRIME
+        del f[dg:]
+        while f and not f[-1]:
+            f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _coprime(a: Poly, b: Poly) -> bool:
+    """True when gcd(a, b) is proved constant; False proves nothing.
+
+    A common factor h involves only generators both have. For each such v,
+    put every other generator at its _point. If a's leading coefficient in
+    v survives (or b's), so does h's, which divides it, and the images of a
+    and b share a factor of h's degree in v. A gcd of images of degree 0
+    for every v proves h constant.
+    """
+    ga, gb = a.gens(), b.gens()
+    point = {g: _point(g) for g in ga | gb}
+    for v in sorted(ga & gb):
+        try:
+            fa = _image(a, v, point)
+            fb = _image(b, v, point)
+        except ValueError:  # a denominator the prime divides has no image
+            return False
+        if not fa[-1]:
+            if not fb[-1]:
+                return False
+            fa, fb = fb, fa
+        if _gcd_degree(fa, fb):
+            return False
+    return True
+
+
+def _descending(p: Poly, scale) -> Poly:
+    """p times the rational scale, stored in descending graded lex order as
+    poly_divexact stores a quotient."""
+    key = grlex_key(sorted(p.gens()))
+    return Poly({m: p.terms[m] * scale for m in sorted(p.terms, key=key, reverse=True)})
+
+
+def _heuristic_gcd(a: Poly, b: Poly) -> tuple | None:
+    """(g, a/g, b/g) by GCDHEU (Char, Geddes & Gonnet 1989), or None when
+    four evaluation points give no answer.
+
+    Each generator becomes a power of y, in mixed radix by its degree so
+    that distinct monomials get distinct powers: a and b over their
+    contents become integer polynomials A and B in y, and at y = xi,
+    integers. The symmetric base-xi digits of gcd(A(xi), B(xi)) over their
+    content c are read back as a polynomial h, and those of A(xi) and
+    B(xi) over h(xi) as its cofactors. When multiplying back returns a and
+    b, h divides both, and it is their gcd, since a common factor of a and
+    b maps to one of A and B. For if gcd(A, B) were h*e with e not
+    constant, e(xi) would divide c, which is at most xi/2; but the roots of
+    e are roots of A and of B, so they lie below N + 1 for the smaller norm
+    N of the two, and xi > 2N + 2 makes |e(xi)| > xi/2.
+    """
+    gens = sorted(a.gens() | b.gens())
+    bases = [max(a.degree(g), b.degree(g)) + 1 for g in gens]
+    radix = list(zip(reversed(gens), reversed(bases)))
+    size = prod(bases)
+
+    def integral(p: Poly) -> tuple:
+        """(p over its content, as a Poly and as {power of xi: coefficient};
+        the content)."""
+        u = p.content()
+        n, d = u.numerator, u.denominator
+        q = {}
+        image = {}
+        for m, c in p.terms.items():
+            c = c * d // n if type(c) is int else c.numerator * (d // c.denominator) // n
+            q[m] = c
+            powers = dict(m)
+            j = 0
+            for g, base in radix:
+                j = j * base + powers.get(g, 0)
+            image[j] = c
+        return Poly(q), image, (n if d == 1 else u)
+
+    def digits(n: int) -> Poly | None:
+        """The polynomial whose image has n's symmetric base-xi digits; None
+        when they run past the largest power a monomial maps to."""
+        out = {}
+        j = 0
+        while n:
+            digit = n % xi
+            if digit > xi // 2:
+                digit -= xi
+            n = (n - digit) // xi
+            if digit:
+                if j >= size:
+                    return None
+                m = []
+                rest = j
+                for g, base in zip(gens, bases):
+                    rest, e = divmod(rest, base)
+                    if e:
+                        m.append((g, e))
+                out[tuple(m)] = digit
+            j += 1
+        return Poly(out)
+
+    pa, ka, ua = integral(a)
+    pb, kb, ub = integral(b)
+    xi = 2 * min(max(map(abs, ka.values())), max(map(abs, kb.values()))) + 29
+    for _ in range(4):
+        va = sum(c * xi ** j for j, c in ka.items())
+        vb = sum(c * xi ** j for j, c in kb.items())
+        gamma = _int_gcd(va, vb)
+        h = digits(gamma)
+        if h is not None:
+            if h.is_const():
+                return P_ONE, a, b
+            unit = _int_gcd(*h.terms.values())
+            if unit != 1:
+                h = Poly({m: c // unit for m, c in h.terms.items()})
+            qa = digits(va * unit // gamma)
+            qb = digits(vb * unit // gamma)
+            if qa is not None and qb is not None and h * qa == pa and h * qb == pb:
+                sign = -1 if h.lead_coeff() < 0 else 1
+                return h.scale(sign), _descending(qa, sign * ua), _descending(qb, sign * ub)
+        xi = 2 * xi + 1
+    return None
+
+
+def _gcd_cofactors(a: Poly, b: Poly) -> tuple:
+    """(g, a/g, b/g) with g = poly_gcd(a, b), for a and b nonzero.
+
+    When g is 1 the cofactors are a and b themselves; otherwise they are
+    stored in descending graded lex order, as poly_divexact builds them.
+    Inputs with no shared generator, a monomial, equal inputs and inputs
+    _coprime proves coprime take no gcd work; GCDHEU answers the rest, and
+    the pseudo-remainder chain only what it gives up on.
+    """
+    ga, gb = a.gens(), b.gens()
+    if ga.isdisjoint(gb):  # a common factor needs a generator both have
+        return P_ONE, a, b
+    if len(a.terms) == 1 or len(b.terms) == 1:  # a monomial's factors are monomials
+        m = mono_gcd(a.mono_content(), b.mono_content())
+        if not m:
+            return P_ONE, a, b
+        return Poly({m: 1}), _descending(a.div_mono(m), 1), _descending(b.div_mono(m), 1)
+    if a == b:
+        g = _normalize_gcd(a)
+        unit = Poly.const(a.lead_coeff() / g.lead_coeff())
+        return g, unit, unit
+    if _coprime(a, b):
+        return P_ONE, a, b
+    found = _heuristic_gcd(a, b)
+    if found is None:
+        g = _prs_gcd(a, b)
+        if g == P_ONE:
+            return P_ONE, a, b
+        found = g, poly_divexact(a, g), poly_divexact(b, g)
+    return found
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """The gcd of a and b, with content 1 and a positive leading coefficient."""
+    if a.is_zero():
+        return _normalize_gcd(b)
+    if b.is_zero():
+        return _normalize_gcd(a)
+    return _gcd_cofactors(a, b)[0]
 
 
 def poly_divexact(f: Poly, g: Poly) -> Poly:
@@ -456,13 +666,11 @@ def poly_divexact(f: Poly, g: Poly) -> Poly:
 
 
 def _cancel(num: Poly, den: Poly) -> tuple:
-    """(num, den) divided by their gcd; unchanged when den is constant."""
+    """(num, den) divided by their gcd, for num nonzero: the same two
+    objects when den is constant or nothing cancels."""
     if den.is_const():
         return num, den
-    g = poly_gcd(num, den)
-    if g == P_ONE:
-        return num, den
-    return poly_divexact(num, g), poly_divexact(den, g)
+    return _gcd_cofactors(num, den)[1:]
 
 
 class CoeffFrac:

@@ -455,8 +455,13 @@ def test_verify_paper_skips_after_a_failure(capsys, monkeypatch):
     assert [(r["status"], r["detail"]) for r in rows[1:]] == [("skipped", "")] * 13
     code, out, _ = run(capsys, *argv)
     assert code == 1
-    assert out.count("[SKIPPED]") == 13
-    assert out.splitlines()[-1] == "0/14 steps passed"
+    lines = out.splitlines()
+    assert out.count("[SKIP]") == 13 and "[SKIPPED]" not in out
+    # every row's step id starts in the same column, skipped or not
+    assert lines[0].startswith("[FAIL] determining-systems ")
+    assert {line.index("] ") for line in lines[:-1]} == {5}
+    assert [line[7:].split()[0] for line in lines[1:-1]] == [r["id"] for r in rows[1:]]
+    assert lines[-1] == "0/14 steps passed"
     assert calls == []
 
 

@@ -182,23 +182,155 @@ def _to_sympy(sympy, p: Poly):
     ))
 
 
-# leading coefficients in t and in p both vanish at t = p = 2
-@example(
-    P("x") + Poly.const(1),
-    P("x") - Poly.const(1),
-    (P("t") - Poly.const(2)) * (P("p") - Poly.const(2)) + Poly.const(1),
+def _product(factors) -> Poly:
+    out = P_ONE
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _univariate(coeffs) -> Poly:
+    return sum((Poly({(("p", e),) if e else (): c}) for e, c in enumerate(coeffs)), Poly())
+
+
+# the gcd's inputs, as (a, b) pairs: products with a shared factor
+_SHARED = st.builds(lambda a, b, c: (a * c, b * c), _POLYS, _POLYS, _FACTORS)
+# a generator that only the first input has
+_ONE_SIDED = st.builds(
+    lambda f, g, h, c, y: ((f + P(y) * g) * c, h * c),
+    _POLYS, _POLYS, _POLYS, _FACTORS, st.sampled_from(("A1", "lambda")),
 )
-@settings(max_examples=100, deadline=None)
-@given(_POLYS, _POLYS, _FACTORS)
-def test_gcd_matches_sympy(a, b, c):
+# univariate in p, degree at most 4, rational coefficients, with or
+# without a shared factor
+_UNIVARIATE = st.one_of(
+    st.builds(
+        lambda f, g, c: (f * c, g * c),
+        *(st.lists(RATIONALS, min_size=1, max_size=3).map(_univariate) for _ in range(3)),
+    ),
+    st.tuples(*(st.lists(RATIONALS, min_size=1, max_size=5).map(_univariate) for _ in range(2))),
+)
+# products of linear factors in k and p, such as (k+1)(k+2)(p+2)(p+3),
+# some shared, the first input sometimes times lambda
+_LINEAR = st.builds(
+    lambda v, c: P(v) + Poly.const(c), st.sampled_from(("k", "p")), st.integers(-3, 3)
+)
+_PRODUCTS = st.builds(
+    lambda fs, gs, shared, lam: (
+        _product(fs + shared) * (P("lambda") if lam else P_ONE), _product(gs + shared)
+    ),
+    *(st.lists(_LINEAR, max_size=2) for _ in range(3)),
+    st.booleans(),
+)
+
+
+def _slow_inputs():
+    """Two coprime pairs on which the pseudo-remainder chain took 0.25-0.7 ms."""
+    k, p, lam = P("k"), P("p"), P("lambda")
+    one = Poly.const
+    f = lam * (one(24) + p.scale(8) - (p ** 2).scale(6) - (p ** 3).scale(2)
+               - k.scale(4) - (k ** 2).scale(6) - (k ** 3).scale(2))
+    g = (k + one(1)) * (k + one(2)) * (p + one(2)) * (p + one(3))
+    return [
+        (f, g),
+        (k * P("x") + P("A2"), k * P("t") + P("A1").scale(Fraction(1, 2))),
+    ]
+
+
+# leading coefficients in t and in p both vanish at t = p = 2
+_VANISHING_LEADS = (P("t") - Poly.const(2)) * (P("p") - Poly.const(2)) + Poly.const(1)
+
+
+@example(((P("x") + Poly.const(1)) * _VANISHING_LEADS, (P("x") - Poly.const(1)) * _VANISHING_LEADS))
+@example(_slow_inputs()[0])
+@example(_slow_inputs()[1])
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(_SHARED, _ONE_SIDED, _UNIVARIATE, _PRODUCTS))
+def test_gcd_matches_sympy(pair):
+    # against sympy's gcd; _cancel hands back its inputs themselves when
+    # nothing cancels, and the exact quotients when something does
     sympy = pytest.importorskip("sympy")
-    got = poly_gcd(a * c, b * c)
-    want = sympy.gcd(_to_sympy(sympy, a * c), _to_sympy(sympy, b * c))
+    a, b = pair
+    got = poly_gcd(a, b)
+    want = sympy.gcd(_to_sympy(sympy, a), _to_sympy(sympy, b))
     if want == 0:
         assert got.is_zero()
         return
     unit = sympy.cancel(_to_sympy(sympy, got) / want)
-    assert unit.is_Rational and unit != 0, (a * c, b * c, got, want)
+    assert unit.is_Rational and unit != 0, (a, b, got, want)
+    if a.is_zero() or b.is_zero():
+        return
+    num, den = poly._cancel(a, b)
+    if got == P_ONE or b.is_const():
+        assert num is a and den is b
+    else:
+        assert list(num.terms.items()) == list(poly_divexact(a, got).terms.items())
+        assert list(den.terms.items()) == list(poly_divexact(b, got).terms.items())
+
+
+def test_cancelled_parts_are_stored_in_descending_graded_lex_order():
+    # each input is stored lowest degree first; the cancelled parts are
+    # stored as poly_divexact builds a quotient, which numeric sums in order
+    k, lam = P("k"), P("lambda")
+    ascending = Poly({(): 2, (("p", 1),): 3, (("p", 2),): 1})  # (p + 1)(p + 2)
+    kt = Poly({(("A1", 1),): Fraction(1, 2), (("k", 1), ("t", 1)): 1})
+    pairs = [
+        (ascending, Poly({(): 3, (("p", 1),): 4, (("p", 2),): 1})),  # (p + 1)(p + 3)
+        (Poly({(): 1, (("p", 1),): 1}) * lam, ascending * k),
+        (kt * Poly({(): 1, (("t", 1),): 1}), kt * kt),
+        (Poly({(("lambda", 1),): 2, (("lambda", 1), ("p", 1)): 1}), lam.scale(3)),
+        (ascending, ascending),
+    ]
+    for a, b in pairs:
+        g = poly_gcd(a, b)
+        assert not g.is_const()
+        for part, whole in zip(poly._cancel(a, b), (a, b)):
+            key = grlex_key(sorted(part.gens()))
+            assert list(part.terms) == sorted(part.terms, key=key, reverse=True), part
+            assert list(part.terms.items()) == list(poly_divexact(whole, g).terms.items())
+
+
+def test_gcd_falls_back_to_the_pseudo_remainder_chain(monkeypatch):
+    # each evaluation maps k*x + A2 and k*t + A1 to integers that share a
+    # power of the evaluation point, which no common factor explains, so no
+    # GCDHEU candidate divides and the pseudo-remainder chain answers
+    calls = []
+    real = poly._prs_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(poly, "_prs_gcd", counted)
+    k1 = P("k") + Poly.const(1)
+    a = k1 * (P("k") * P("x") + P("A2"))
+    b = k1 * (P("k") * P("t") + P("A1"))
+    assert poly._heuristic_gcd(a, b) is None
+    assert poly_gcd(a, b) == k1
+    assert calls[0] == (a, b)
+    num, den = poly._cancel(a, b)
+    assert list(num.terms.items()) == list(poly_divexact(a, k1).terms.items())
+    assert list(den.terms.items()) == list(poly_divexact(b, k1).terms.items())
+
+
+def test_a_leading_coefficient_that_vanishes_at_the_point_proves_nothing():
+    # h's images in k and in x are the constant 1, and so are the leading
+    # coefficients of a and b there, so only the check on those leading
+    # coefficients keeps the images from "proving" gcd(a, b) = 1
+    rk, rx = (Poly.const(poly._point(g)) for g in ("k", "x"))
+    h = (P("x") - rx) * (P("k") - rk) + Poly.const(1)
+    a = h * (P("x") + Poly.const(2))
+    b = h * (P("x") + Poly.const(3))
+    assert not poly._coprime(a, b)
+    assert poly_gcd(a, b) == h
+
+
+def test_a_denominator_the_test_prime_divides():
+    # such a coefficient has no image modulo the prime, which proves nothing
+    x, t, one = P("x"), P("t"), Poly.const(1)
+    a = x.scale(Fraction(1, poly._PRIME)) + t
+    b = x + t
+    assert poly_gcd(a, b) == P_ONE
+    assert poly_gcd(a * (x + one), b * (x + one)) == x + one
 
 
 @settings(max_examples=100, deadline=None)
@@ -321,13 +453,14 @@ def test_constant_denominators_never_reach_poly_gcd(monkeypatch):
     t, x = P("t"), P("x")
     r = CoeffFrac(t, t + x)
     calls = []
-    real = poly.poly_gcd
+    # the gcd kernel, which poly_gcd and the cancelling of fractions share
+    real = poly._gcd_cofactors
 
     def counted(a, b):
         calls.append((a, b))
         return real(a, b)
 
-    monkeypatch.setattr(poly, "poly_gcd", counted)
+    monkeypatch.setattr(poly, "_gcd_cofactors", counted)
     a = CoeffFrac((t * x + P("p")).scale(Fraction(3, 2)))
     b = CoeffFrac(t - x.scale(2))
     c = CoeffFrac.const(Fraction(-5, 7))
