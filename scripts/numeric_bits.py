@@ -3,8 +3,12 @@
 
     python scripts/numeric_bits.py OTHER_CHECKOUT
 
-Runs `qcsym transform --out FILE --json` on the scaling fixture and on three
-seeded Gaussian variants of it, and `qcsym check-op-numeric --json --samples 1`
+Runs `qcsym transform --out FILE --json` on the scaling fixture, on three
+seeded Gaussian variants of it and on an instance with p = 1, k = 2,
+lambda = 3/2 and the source 1 - V^(-1), whose solver and residual take the
+branches the fixture never does (a division by V^p, a power for the
+convection, a multiply by lambda, a constant summed before a negative power);
+and `qcsym check-op-numeric --json --samples 1`
 at seeds 0-9 on a copy of the fixture whose operator's eta has a term with a
 ten-monomial coefficient added (the fixture's own operator admits the
 equation and draws no point). With one sample, each printed residual is the
@@ -26,8 +30,17 @@ HERE = Path(__file__).resolve().parents[1]
 FIXTURE = HERE / "src" / "qcsym" / "fixtures" / "instance_scaling.json"
 
 
+# V stays in [1, 1.5], and dt is below the bound 0.4*dx^2*min(V^p) = 2.5e-4
+BRANCHES = {
+    "family": "power", "p": 1, "k": 2, "lambda": "3/2", "F": "1 - V^(-1)",
+    "operator": {"tau": "1", "xi": "0", "eta": "0"},
+    "grid": {"x0": 0.0, "x1": 1.0, "nx": 41, "t0": 0.0, "dt": 0.0002, "steps": 200},
+    "initial": {"type": "linear", "slope": 0.5, "offset": 1.0},
+}
+
+
 def instances(workdir: Path) -> list:
-    """The fixture, then Gaussian initial rows drawn with seeds 1-3."""
+    """The fixture, Gaussian initial rows drawn with seeds 1-3, then BRANCHES."""
     paths = [FIXTURE]
     for seed in (1, 2, 3):
         rng = random.Random(seed)
@@ -36,6 +49,8 @@ def instances(workdir: Path) -> list:
                           "center": rng.uniform(4.0, 6.0), "width": rng.uniform(1.5, 2.5)}
         paths.append(workdir / f"gaussian_{seed}.json")
         paths[-1].write_text(json.dumps(doc))
+    paths.append(workdir / "branches.json")
+    paths[-1].write_text(json.dumps(BRANCHES))
     return paths
 
 

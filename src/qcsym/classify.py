@@ -424,14 +424,15 @@ def case_c_chain_k1_p2() -> tuple:
     steps = []
     sysd = power_system()
 
-    eq3_k1 = substitute(sysd.equations[2], {**CASE_C_ANSATZ, "k": 1})
+    # the ansatz and k = 1 are bound once for both equations, then p = 2
+    eq3_k1, eq4_k1 = substitute(sysd.equations[2:4], {**CASE_C_ANSATZ, "k": 1})
+    eq3, eq4 = substitute([eq3_k1, eq4_k1], {"p": 2})
     steps.append(StepResult(
         "reduce-eq3-k1",
         "third determining equation under k=1",
         equal_up_to_unit(eq3_k1, parse(fx["eq3_k1"])),
     ))
 
-    eq3 = substitute(eq3_k1, {"p": 2})
     steps.append(StepResult(
         "reduce-eq3-p2",
         "specializing p=2 merges the linear-in-V terms",
@@ -445,7 +446,6 @@ def case_c_chain_k1_p2() -> tuple:
         len(system) == 3 and _match_system(system, fx["system_k1_p2"]),
     ))
 
-    eq4 = substitute(sysd.equations[3], {**CASE_C_ANSATZ, "k": 1, "p": 2})
     steps.append(StepResult(
         "reduce-eq4",
         "fourth determining equation with the source still unknown",

@@ -320,7 +320,16 @@ def _compile(e: Expr):
     where a denominator that is not constant lies below ``_POLE_FLOOR``,
     and is False when every denominator is constant. Each term is
     ``n / d * V**a * exp(b*V)`` in that order, with n and d summed in stored
-    monomial order, and the terms are summed from 0.0 in their order.
+    monomial order, and the terms are summed from 0.0 in their order. A
+    coefficient free of t and x is folded here to the one float that
+    quotient is at every point.
+
+    Given ``out``, an array of the values' shape, the function writes the
+    values there and returns it; the first term that varies is built in
+    ``out`` too, and each later one in ``work``, another such array, when
+    given; then only a coefficient that varies and an exponential factor
+    are new arrays. The float operations, and so the bits, are those of the
+    call without buffers.
     """
     compiled = []
     for term in e.terms:
@@ -340,26 +349,58 @@ def _compile(e: Expr):
              for m, c in poly.terms.items()]
             for poly in (term.coeff.num, term.coeff.den)
         )
+        folded = None
+        if not term.coeff.gens():
+            folded = _poly_value(num, 0.0, 0.0) / _poly_value(den, 0.0, 0.0)
         compiled.append(
-            (num, den, not term.coeff.den.is_const(),
+            (folded, num, den, not term.coeff.den.is_const(),
              float(term.vpow.c0), float(term.expc.c0))
         )
 
-    def evaluate(t, x, V):
+    def evaluate(t, x, V, out=None, work=None):
         total, pole = 0.0, False
-        for num, den, den_varies, a, b in compiled:
-            d = _poly_value(den, t, x)
-            if den_varies:
-                pole = pole | (np.abs(d) < _POLE_FLOOR)
-            value = _poly_value(num, t, x) / d
+        for value, num, den, den_varies, a, b in compiled:
+            if value is None:
+                d = _poly_value(den, t, x)
+                if den_varies:
+                    pole = pole | (np.abs(d) < _POLE_FLOOR)
+                value = _poly_value(num, t, x) / d
+            buf = None if out is None else work if total is out else out
             if a:
-                value = value * V**a
+                value = _product(value, _power_of(V, a, buf), buf)
             if b:
-                value = value * np.exp(b * V)
-            total = total + value
+                value = _product(value, np.exp(b * V), buf)
+            if out is None or isinstance(value, float) and total is not out:
+                total = total + value
+            else:
+                total = np.add(total, value, out=out)
+        if out is not None and total is not out:  # no term varies
+            out[...] = total
+            total = out
         return total, pole
 
     return evaluate
+
+
+def _product(a, b, out):
+    """a * b, in ``out`` when it is not None."""
+    return a * b if out is None else np.multiply(a, b, out=out)
+
+
+def _power_of(v, e: float, out=None):
+    """``v**e``, in ``out`` when it is not None, or ``v`` itself at e = 1;
+    e is a float other than 0. ``v**e`` calls ``np.power`` except where
+    numpy's ``**`` hands e = 1/2, and in some versions 2 and -1, to sqrt,
+    square and reciprocal; there the in-place ``**=`` takes the same path,
+    so the bits match ``v**e`` on any CPU."""
+    if e == 1:
+        return v
+    if out is None:
+        return v**e
+    if e in (0.5, 2, -1):
+        out[...] = v
+        return operator.ipow(out, e)
+    return np.power(v, e, out=out)
 
 
 def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> float:
@@ -442,16 +483,6 @@ def initial_row(inst: Instance) -> np.ndarray:
     return a * np.exp(-(((xs - c) / w) ** 2))
 
 
-def _power_of(v: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
-    """``v**e`` in ``out``, or ``v`` itself at e = 1. The in-place ``**=``
-    takes the same numpy path as ``v**e``, which hands e = 1/2, 2 and -1 to
-    sqrt, square and reciprocal, so the bits match it on any CPU."""
-    if e == 1:
-        return v
-    out[...] = v
-    return operator.ipow(out, e)
-
-
 def solve_pde(
     inst: Instance,
     initial: np.ndarray,
@@ -493,40 +524,37 @@ def solve_pde(
     # every buffer is allocated once; rhs writes only the interior of its
     # output, so the k's keep their zero ends
     k1, k2, k3, k4 = np.zeros((4, g.nx))
+    inner1, inner2, inner3, inner4 = (kk[1:-1] for kk in (k1, k2, k3, k4))
     stage = np.empty(g.nx)
-    vxx, vx, conv, vp = np.empty((4, g.nx - 2))
+    stencil = stage[:-2], stage[1:-1], stage[2:]
+    vxx, vx, conv, vp, source, work = np.empty((6, g.nx - 2))
     dx2, two_dx = dx * dx, 2 * dx
 
-    def rhs(r: np.ndarray, out: np.ndarray):
-        """out[1:-1] = (((hi - 2*mid) + lo)/dx^2 + (lam*mid^k)*vx - F(mid)) / mid^p,
-        cell by cell in that order; mid^1 and division by mid^0 are skipped."""
-        lo, mid, hi = r[:-2], r[1:-1], r[2:]
+    def rhs(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray, inner: np.ndarray):
+        """inner = (((hi - 2*mid) + lo)/dx^2 + (lam*mid^k)*vx - F(mid)) / mid^p,
+        cell by cell in that order, where vx = (hi - lo)/(2*dx); what
+        ``_drift`` skips, an F without terms and division by mid^0 are
+        skipped, since each leaves every bit as it is."""
         np.multiply(mid, 2, out=vxx)
         np.subtract(hi, vxx, out=vxx)
         np.add(vxx, lo, out=vxx)
         np.divide(vxx, dx2, out=vxx)
         np.subtract(hi, lo, out=vx)
         np.divide(vx, two_dx, out=vx)
-        if k:
-            np.multiply(_power_of(mid, k, conv), lam, out=conv)
-            np.multiply(conv, vx, out=conv)
-        else:
-            np.multiply(vx, lam, out=conv)
-        inner = out[1:-1]
-        np.add(vxx, conv, out=inner)
-        np.subtract(inner, F(0.0, 0.0, mid)[0], out=inner)
+        np.add(vxx, _drift(mid, vx, k, lam, conv), out=inner)
+        if source_powers:
+            np.subtract(inner, F(0.0, 0.0, mid, source, work)[0], out=inner)
         if p:
             np.divide(inner, _power_of(mid, p, vp), out=inner)
 
     ends = (float(initial[0]), float(initial[-1]))
     bc = (lambda time: ends) if boundary is None else boundary
 
-    def at_stage(base: np.ndarray, scale: float, kk: np.ndarray, time: float) -> np.ndarray:
-        """base + scale*kk with the boundary values at ``time``, in ``stage``."""
+    def to_stage(base: np.ndarray, scale: float, kk: np.ndarray, time: float):
+        """stage = base + scale*kk, with the boundary values at ``time``."""
         np.multiply(kk, scale, out=stage)
         np.add(stage, base, out=stage)
         stage[0], stage[-1] = bc(time)
-        return stage
 
     check_row(row)
     if inst.grid.dt > stability_bound(row) * (1 + 1e-12):
@@ -536,19 +564,23 @@ def solve_pde(
     values = np.empty((steps + 1, g.nx))
     values[0] = row
     t = g.t0
+    half, sixth = g.dt / 2, g.dt / 6
     for i in range(steps):
         row = values[i]
-        rhs(row, k1)
-        rhs(at_stage(row, g.dt / 2, k1, t + g.dt / 2), k2)
-        rhs(at_stage(row, g.dt / 2, k2, t + g.dt / 2), k3)
-        rhs(at_stage(row, g.dt, k3, t + g.dt), k4)
+        rhs(row[:-2], row[1:-1], row[2:], inner1)
+        to_stage(row, half, k1, t + half)
+        rhs(*stencil, inner2)
+        to_stage(row, half, k2, t + half)
+        rhs(*stencil, inner3)
+        to_stage(row, g.dt, k3, t + g.dt)
+        rhs(*stencil, inner4)
         # row + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), summed in that order in k2
         k2 *= 2
         k2 += k1
         k3 *= 2
         k2 += k3
         k2 += k4
-        k2 *= g.dt / 6
+        k2 *= sixth
         t += g.dt
         new = values[i + 1]
         np.add(row, k2, out=new)
@@ -557,23 +589,49 @@ def solve_pde(
     return Field(g.t0, g.dt, g.x0, dx, values)
 
 
+def _drift(mid: np.ndarray, vx: np.ndarray, k: float, lam: float, out: np.ndarray):
+    """(lam * mid**k) * vx cell by cell, in ``out`` or, at k = 0 and lam = 1,
+    ``vx`` itself: mid**0 = 1 and x * 1.0 = x leave every bit as it is, so
+    those factors are skipped."""
+    if k:
+        factor = _power_of(mid, k, out)
+        if lam != 1:
+            factor = np.multiply(factor, lam, out=out)
+        return np.multiply(factor, vx, out=out)
+    return vx if lam == 1 else np.multiply(vx, lam, out=out)
+
+
 def invariance_residual(field: Field, inst: Instance) -> float:
-    """Max |V_xx - V^p V_t + lam V^k V_x - F(V)| over interior lattice points."""
+    """Max |V_xx - V^p V_t + lam V^k V_x - F(V)| over interior lattice points.
+
+    Each cell takes ((vxx - vp*vt) + (lam*vk)*vx) - F(V) in that order, in
+    three lattice buffers; vp = V^0, what ``_drift`` skips and an F without
+    terms are skipped, since each leaves every bit as it is.
+    """
     if field.nt < 3 or field.nx < 3:
         raise ValueError("need at least a 3x3 field")
     V = field.values
     p = float(inst.p)
     k = float(inst.k)
     lam = float(inst.lam)
-    F, _ = _source(inst)
-    mid = V[1:-1, 1:-1]
-    vt = (V[2:, 1:-1] - V[:-2, 1:-1]) / (2 * field.dt)
-    vx = (V[1:-1, 2:] - V[1:-1, :-2]) / (2 * field.dx)
-    vxx = (V[1:-1, 2:] - 2 * mid + V[1:-1, :-2]) / (field.dx**2)
-    vp = mid**p if p else 1.0
-    vk = mid**k if k else 1.0
-    res = vxx - vp * vt + lam * vk * vx - F(0.0, 0.0, mid)[0]
-    return float(np.max(np.abs(res)))
+    F, source_powers = _source(inst)
+    left, mid, right = V[1:-1, :-2], V[1:-1, 1:-1], V[1:-1, 2:]
+    res, a, b = np.empty((3,) + mid.shape)
+    np.subtract(V[2:, 1:-1], V[:-2, 1:-1], out=a)  # vt
+    np.divide(a, 2 * field.dt, out=a)
+    if p:
+        np.multiply(_power_of(mid, p, b), a, out=a)
+    np.multiply(mid, 2, out=res)  # vxx
+    np.subtract(right, res, out=res)
+    np.add(res, left, out=res)
+    np.divide(res, field.dx**2, out=res)
+    np.subtract(res, a, out=res)
+    np.subtract(right, left, out=a)  # vx
+    np.divide(a, 2 * field.dx, out=a)
+    np.add(res, _drift(mid, a, k, lam, b), out=res)
+    if source_powers:
+        np.subtract(res, F(0.0, 0.0, mid, a, b)[0], out=res)
+    return float(np.abs(res, out=res).max())
 
 
 # ---------------------------------------------------------------------------

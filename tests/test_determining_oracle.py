@@ -112,3 +112,38 @@ def test_catalogued_scaling_operator_solves_its_equation():
 
     assert all(vanishes(c) for c in coefficients(op["eta"]))
     assert not all(vanishes(c) for c in coefficients("-V + 1/10*V^2"))
+
+
+def test_sampled_residuals_match_the_catalogued_equations_in_floats():
+    # a float path that does not go through qcsym's substitute: the four
+    # catalogued equations, read here, with the scaling fixture's source and
+    # its operator's eta plus V^2/10 bound by sympy, evaluated at the points
+    # sample_residuals draws (one block of uniform (t, x, V) in [0.1, 2]^3)
+    np = pytest.importorskip("numpy")
+    from qcsym import numeric
+    from qcsym.determining import SymOperator
+    from qcsym.parser import parse
+
+    doc = json.loads((FIXTURES / "instance_scaling.json").read_text())
+    op = doc["operator"]
+    bound = {
+        FUNCTIONS["xi"]: read(op["xi"]) / read(op["tau"]),
+        FUNCTIONS["eta"]: (read(op["eta"]) + V**2 / 10) / read(op["tau"]),
+        FUNCTIONS["F"]: read(doc["F"]),
+    }
+    params = {p: doc["p"], k: doc["k"], lam: doc["lambda"]}
+    equations = json.loads((FIXTURES / "determining_power.json").read_text())["equations"]
+    fns = [
+        sp.lambdify((t, x, V), read(text).subs(bound).doit().subs(params), "numpy")
+        for text in equations
+    ]
+    inst = numeric.Instance.from_json(doc)
+    perturbed = SymOperator(inst.operator.tau, inst.operator.xi,
+                            inst.operator.eta + parse("1/10*V^2"))
+    for seed, m in ((7, 200), (11, 1000)):
+        points = np.random.default_rng(seed).uniform(0.1, 2.0, (m, 3)).T
+        worst = max(float(np.max(np.abs(np.broadcast_to(fn(*points), m)))) for fn in fns)
+        assert worst > 1e-3
+        assert numeric.sample_residuals(inst, perturbed, m, seed) == pytest.approx(
+            worst, rel=1e-9
+        )

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcsym import numeric
 from qcsym.calculus import substitute
@@ -96,6 +97,90 @@ def test_eval_rejects_unbound_and_poles():
     with pytest.raises(EvalPoleError):
         eval_point(parse("1/(2*t+1)") * parse("V"), {"t": -0.5, "x": 0, "V": 1.0},
                    scaling_instance())
+
+
+def _allocating_compile(e):
+    """``_compile`` as it was before it folded coefficients free of t and x
+    and took buffers, every value a new array: the reference the compiled
+    evaluator must match bit for bit. Unbound atoms are not checked."""
+    compiled = []
+    for term in e.terms:
+        num, den = (
+            [(float(c), dict(m).get("t", 0), dict(m).get("x", 0))
+             for m, c in poly.terms.items()]
+            for poly in (term.coeff.num, term.coeff.den)
+        )
+        compiled.append((num, den, not term.coeff.den.is_const(),
+                         float(term.vpow.c0), float(term.expc.c0)))
+
+    def evaluate(t, x, V):
+        total, pole = 0.0, False
+        for num, den, den_varies, a, b in compiled:
+            d = numeric._poly_value(den, t, x)
+            if den_varies:
+                pole = pole | (np.abs(d) < numeric._POLE_FLOOR)
+            value = numeric._poly_value(num, t, x) / d
+            if a:
+                value = value * V**a
+            if b:
+                value = value * np.exp(b * V)
+            total = total + value
+        return total, pole
+
+    return evaluate
+
+
+# coefficients with t and x, with poles on the lattice below, and constants;
+# V powers negative, fractional and the ones numpy's ** hands to sqrt,
+# square or reciprocal; exponential slopes
+_COEFFS = ["3", "-1/3", "2/7", "t", "x^2*t - 2", "1/(2*t + x + 1)",
+           "(t^2 + x)/(t - x + 1/2)", "-(3*t + 1)/7"]
+_POWERS = ["0", "1", "2", "3", "-1", "-2", "1/2", "3/2", "-1/2", "-5/3"]
+_SLOPES = ["0", "1", "-1/2", "2"]
+_TERMS = st.lists(
+    st.tuples(st.sampled_from(_COEFFS), st.sampled_from(_POWERS), st.sampled_from(_SLOPES)),
+    min_size=1, max_size=4,
+)
+
+
+def _term_text(coeff: str, power: str, slope: str) -> str:
+    factors = [f"({coeff})"]
+    if power != "0":
+        factors.append(f"V^({power})")
+    if slope != "0":
+        factors.append(f"exp(({slope})*V)")
+    return "*".join(factors)
+
+
+# terms are stored by descending V power, so only a negative power comes
+# after a constant: a sum that starts as a float and meets an array
+@example([("3", "0", "0"), ("-1/3", "-1", "0")], 0, True)
+@example([("x^2*t - 2", "0", "0"), ("-1/3", "-1/2", "0")], 0, False)
+@settings(max_examples=200, deadline=None)
+@given(_TERMS, st.integers(0, 2**32 - 1), st.booleans())
+def test_compiled_evaluator_matches_the_allocating_one_bit_for_bit(terms, seed, at_origin):
+    # at (0, 0), as the solver's source is called, or on arrays of (t, x)
+    # that hit the poles t = -1/2, x = 0 and t = 0, x = 1/2
+    e = parse(" + ".join(_term_text(*term) for term in terms))
+    rng = np.random.default_rng(seed)
+    V = rng.uniform(0.1, 3.0, 9)
+    if at_origin:
+        t = x = 0.0
+    else:
+        t, x = rng.uniform(-1.0, 1.0, (2, 9))
+        t[:2], x[:2] = (-0.5, 0.0), (0.0, 0.5)
+    fn = _compile(e)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want, want_pole = _allocating_compile(e)(t, x, V)
+        calls = [fn(t, x, V)]
+        for work in (np.full(9, 7.0), None):  # filled, so a read before a write shows
+            out = np.full(9, 7.0)
+            values, pole = fn(t, x, V, out, work)
+            assert values is out
+            calls.append((values, pole))
+    for values, pole in calls:
+        assert np.broadcast_to(values, 9).tobytes() == np.broadcast_to(want, 9).tobytes()
+        assert np.array_equal(np.broadcast_to(pole, 9), np.broadcast_to(want_pole, 9))
 
 
 def _interval_mul(a, b):
@@ -338,19 +423,26 @@ def _solver_cases():
     }
     # a large lambda that is no power of two makes convection a large share
     # of each update, so a change in its operation order shows in the bits
-    for name, p, k, F, initial in [
-        ("p2-k1/2", 2, "1/2", "0", _LINEAR),
-        ("k0", 0, 0, "V^2", _BUMP),
-        ("many-terms", 1, 3, "V^(-1) + 2*V^3 - 1/3*V^(1/2)", _LINEAR),
+    for name, p, k, lam, F, initial in [
+        ("p2-k1/2", 2, "1/2", "100/7", "0", _LINEAR),
+        ("k0", 0, 0, "100/7", "V^2", _BUMP),
+        ("many-terms", 1, 3, "100/7", "V^(-1) + 2*V^3 - 1/3*V^(1/2)", _LINEAR),
+        # the constant term is stored, and summed, before the array term
+        ("constant-first", 1, 2, "100/7", "1 - V^(-1)", _LINEAR),
+        # lam = 1 skips its multiply, at a power of V and without one
+        ("lam1-k3", 0, 3, 1, "V^2", _LINEAR),
+        ("lam1-k0", 0, 0, 1, "V^2", _BUMP),
     ]:
-        inst = simple_instance(p=p, k=k, lam="100/7", F=F, initial=initial)
+        inst = simple_instance(p=p, k=k, lam=lam, F=F, initial=initial)
         cases[name] = (inst, inst.grid.steps, None)
     return cases
 
 
-@pytest.mark.parametrize(
-    "case", ["fixture", "p2-k1/2", "k0", "many-terms", "study", "steps-0"]
-)
+_SOLVER_CASES = ["fixture", "p2-k1/2", "k0", "many-terms", "constant-first", "lam1-k3",
+                 "lam1-k0", "study", "steps-0"]
+
+
+@pytest.mark.parametrize("case", _SOLVER_CASES)
 def test_solver_matches_the_allocating_reference_bit_for_bit(case):
     # both run on this CPU, so numpy's SIMD bits are the same on either side
     inst, steps, boundary = _solver_cases()[case]
@@ -359,6 +451,40 @@ def test_solver_matches_the_allocating_reference_bit_for_bit(case):
     want = _reference_solve(inst, initial, steps, boundary)
     assert field.values.shape == (steps + 1, inst.grid.nx)
     assert field.values.tobytes() == want.tobytes()
+
+
+def _reference_residual(field: Field, inst: Instance) -> float:
+    """``invariance_residual`` with a fresh array for every term, and the
+    source through the allocating call of the compiled evaluator."""
+    V = field.values
+    p, k, lam = float(inst.p), float(inst.k), float(inst.lam)
+    F, _ = numeric._source(inst)
+    mid = V[1:-1, 1:-1]
+    vt = (V[2:, 1:-1] - V[:-2, 1:-1]) / (2 * field.dt)
+    vx = (V[1:-1, 2:] - V[1:-1, :-2]) / (2 * field.dx)
+    vxx = (V[1:-1, 2:] - 2 * mid + V[1:-1, :-2]) / (field.dx**2)
+    vp = mid**p if p else 1.0
+    vk = mid**k if k else 1.0
+    res = vxx - vp * vt + lam * vk * vx - F(0.0, 0.0, mid)[0]
+    return float(np.max(np.abs(res)))
+
+
+@pytest.mark.parametrize("case", [*_SOLVER_CASES, "moved", "wrong-weight"])
+def test_residual_matches_the_allocating_reference_bit_for_bit(case):
+    # the solver's cases, and the fields the replay's group-flow step moves
+    # the fixture's solution to with the true and a wrong V weight
+    flows = {"moved": (ScalingFlow(), 0.1), "wrong-weight": (ScalingFlow(v_weight=2.0), 0.2)}
+    inst, steps, boundary = _solver_cases()["fixture" if case in flows else case]
+    initial = initial_row(inst) if boundary is None else inst.grid.xs()
+    field = solve_pde(inst, initial, steps, boundary=boundary)
+    if case in flows:
+        field = group_transform(field, *flows[case], inst)
+    if field.nt < 3:
+        with pytest.raises(ValueError, match="3x3"):
+            invariance_residual(field, inst)
+        return
+    got = invariance_residual(field, inst)
+    assert got.hex() == _reference_residual(field, inst).hex()
 
 
 @pytest.mark.parametrize("boundary", [None, lambda t: (1.0, 2.0 + t)])
@@ -384,6 +510,22 @@ def test_solver_guards_keep_their_order_and_messages():
         solve_pde(simple_instance(k="1/2"), row, 5, boundary=lambda t: (-1.0, 2e6))
     with pytest.raises(InstabilityError, match=magnitude):
         solve_pde(simple_instance(), row, 5, boundary=lambda t: (-1.0, 2e6))
+    # a nan does not hide a non-positive value from the positivity guard,
+    # and a nan alone fails the magnitude guard. Both hold because
+    # (r <= 0).any() ignores a nan; a guard on r.min() would not, since
+    # ndarray.min() propagates nan (np.fmin.reduce does not)
+    with_nan = np.linspace(0.5, 1.5, 21)
+    with_nan[3] = math.nan
+    not_positive = with_nan.copy()
+    not_positive[7] = 0.0
+    with pytest.raises(PositivityError, match=positive):
+        solve_pde(simple_instance(p=-1), not_positive, 5)
+    with pytest.raises(PositivityError, match=positive):
+        solve_pde(simple_instance(k="1/2"), row, 5, boundary=lambda t: (math.nan, -1.0))
+    with pytest.raises(InstabilityError, match=magnitude):
+        solve_pde(simple_instance(p=-1), with_nan, 5)
+    with pytest.raises(InstabilityError, match=magnitude):
+        solve_pde(simple_instance(k="1/2"), row, 5, boundary=lambda t: (math.nan, 1.0))
     blowup = simple_instance(
         F="-2*V^3",
         grid={"x0": 0.0, "x1": 1.0, "nx": 21, "t0": 0.0, "dt": 0.001, "steps": 60},
