@@ -12,8 +12,9 @@ and `qcsym check-op-numeric --json --samples 1`
 at seeds 0-9 on a copy of the fixture whose operator's eta has a term with a
 ten-monomial coefficient added (the fixture's own operator admits the
 equation and draws no point). With one sample, each printed residual is the
-largest equation value at one point, whose low bits depend on the stored
-order of the monomials the sampler sums; a max over many points hides that.
+largest equation value at one point, so these runs guard the sampler's bits
+across checkouts down to the order it sums a coefficient's monomials in; a
+max over many points would hide a change in the low bits.
 Each runs with each checkout's `src`; the script names every run whose exit
 status, stdout, stderr or field CSV differs (exit 1). Float bits may depend on
 the CPU, so run both checkouts on one machine.

@@ -336,7 +336,8 @@ def _suite_steps(seed: int, corrupt: str | None):
     def whole_chain(chain):
         def step():
             steps = chain_steps(chain)
-            return all(s.passed for s in steps), f"{len(steps)} steps"
+            failed = "; ".join(f"check {s.id!r} failed" for s in steps if not s.passed)
+            return not failed, failed or f"{len(steps)} steps"
         return step
 
     def chain_check(chain, check_id, detail):

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .expr import Expr
 from .parser import parse
+from .poly import grlex_key
 
 
 def _lazy_numpy():
@@ -248,6 +249,10 @@ class Instance:
         })
         if grid.nx < 2:
             raise NumericError("instance entry 'grid.nx' must be at least 2")
+        if not grid.x1 > grid.x0:
+            raise NumericError(
+                f"instance entry 'grid.x1' must be above 'grid.x0': {grid.x1!r} <= {grid.x0!r}"
+            )
         if grid.dt <= 0:
             raise NumericError(f"instance entry 'grid.dt' must be positive: {grid.dt!r}")
         if grid.steps < 0:
@@ -315,22 +320,22 @@ def _compile(e: Expr):
     """Compile a fully substituted expression to a numpy function of (t, x, V).
 
     The expression may contain only coefficient polynomials in t and x,
-    constant V powers and constant exponential slopes. The function takes
-    arrays or scalars and returns (values, pole): pole marks the points
-    where a denominator that is not constant lies below ``_POLE_FLOOR``,
-    and is False when every denominator is constant. Each term is
-    ``n / d * V**a * exp(b*V)`` in that order, with n and d summed in stored
-    monomial order, and the terms are summed from 0.0 in their order. A
-    coefficient free of t and x is folded here to the one float that
-    quotient is at every point.
+    constant V powers and constant exponential slopes. ``evaluate(t, x, V,
+    out, work)`` takes arrays or scalars, and two arrays of the values'
+    shape (0-d for scalars); it writes the values into ``out`` and returns
+    (out, pole). pole marks the points where a denominator that is not
+    constant lies below ``_POLE_FLOOR``, and is False when every denominator
+    is constant.
 
-    Given ``out``, an array of the values' shape, the function writes the
-    values there and returns it; the first term that varies is built in
-    ``out`` too, and each later one in ``work``, another such array, when
-    given; then only a coefficient that varies and an exponential factor
-    are new arrays. The float operations, and so the bits, are those of the
-    call without buffers.
+    The float order is decided here: each coefficient's numerator and
+    denominator are summed from 0.0 in the order ``poly_text`` prints them
+    (descending graded lex over t, x), whatever order the Poly stores; each
+    term is ``n / d * V**a * exp(b*V)`` in that order, and the terms are
+    summed from 0.0 in their order. A coefficient free of t and x is folded
+    here to one float. The first term that varies is built in ``out``, each
+    later one in ``work``.
     """
+    order = grlex_key(("t", "x"))
     compiled = []
     for term in e.terms:
         if term.fns:
@@ -345,8 +350,8 @@ def _compile(e: Expr):
         if extra:
             raise UnboundFunctionError(f"unbound symbols {sorted(extra)}")
         num, den = (
-            [(float(c), dict(m).get("t", 0), dict(m).get("x", 0))
-             for m, c in poly.terms.items()]
+            [(float(poly.terms[m]), dict(m).get("t", 0), dict(m).get("x", 0))
+             for m in sorted(poly.terms, key=order, reverse=True)]
             for poly in (term.coeff.num, term.coeff.den)
         )
         folded = None
@@ -357,7 +362,7 @@ def _compile(e: Expr):
              float(term.vpow.c0), float(term.expc.c0))
         )
 
-    def evaluate(t, x, V, out=None, work=None):
+    def evaluate(t, x, V, out, work):
         total, pole = 0.0, False
         for value, num, den, den_varies, a, b in compiled:
             if value is None:
@@ -365,38 +370,30 @@ def _compile(e: Expr):
                 if den_varies:
                     pole = pole | (np.abs(d) < _POLE_FLOOR)
                 value = _poly_value(num, t, x) / d
-            buf = None if out is None else work if total is out else out
+            buf = work if total is out else out
             if a:
-                value = _product(value, _power_of(V, a, buf), buf)
+                value = np.multiply(value, _power_of(V, a, buf), out=buf)
             if b:
-                value = _product(value, np.exp(b * V), buf)
-            if out is None or isinstance(value, float) and total is not out:
+                value = np.multiply(value, np.exp(b * V), out=buf)
+            if isinstance(value, float) and total is not out:
                 total = total + value
             else:
                 total = np.add(total, value, out=out)
-        if out is not None and total is not out:  # no term varies
+        if total is not out:  # no term varies
             out[...] = total
-            total = out
-        return total, pole
+        return out, pole
 
     return evaluate
 
 
-def _product(a, b, out):
-    """a * b, in ``out`` when it is not None."""
-    return a * b if out is None else np.multiply(a, b, out=out)
-
-
-def _power_of(v, e: float, out=None):
-    """``v**e``, in ``out`` when it is not None, or ``v`` itself at e = 1;
-    e is a float other than 0. ``v**e`` calls ``np.power`` except where
-    numpy's ``**`` hands e = 1/2, and in some versions 2 and -1, to sqrt,
-    square and reciprocal; there the in-place ``**=`` takes the same path,
-    so the bits match ``v**e`` on any CPU."""
+def _power_of(v, e: float, out):
+    """``v**e`` in ``out``, or ``v`` itself at e = 1; e is a float other
+    than 0. ``v**e`` calls ``np.power`` except where numpy's ``**`` hands
+    e = 1/2, and in some versions 2 and -1, to sqrt, square and reciprocal;
+    there the in-place ``**=`` takes the same path, so the bits match
+    ``v**e`` on any CPU."""
     if e == 1:
         return v
-    if out is None:
-        return v**e
     if e in (0.5, 2, -1):
         out[...] = v
         return operator.ipow(out, e)
@@ -426,6 +423,7 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
     if not any(e.terms for e in equations):
         return 0.0
     rng = np.random.default_rng(seed)
+    *rows, work = np.empty((len(compiled) + 1, min(N, _BLOCK)))
     worst = 0.0
     produced = 0
     attempts = 0
@@ -438,13 +436,13 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
         attempts += m
         try:
             with np.errstate(over="raise", divide="ignore", invalid="ignore"):
-                results = [fn(t, x, V) for fn in compiled]
+                results = [fn(t, x, V, row[:m], work[:m]) for fn, row in zip(compiled, rows)]
         except FloatingPointError:
             raise NumericError("a sampled residual is outside the float range") from None
         keep = ~np.logical_or.reduce([np.broadcast_to(pole, m) for _, pole in results])
         produced += int(np.count_nonzero(keep))
         for values, _ in results:
-            worst = np.max(np.broadcast_to(np.abs(values), m)[keep], initial=worst)
+            worst = np.max(np.abs(values)[keep], initial=worst)
     return float(worst)
 
 
@@ -455,7 +453,7 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
 def _source(inst: Instance):
     """The instance's source bound to its parameters: the compiled function
     and the V powers of its terms. It does not depend on t or x, so callers
-    evaluate ``F(0.0, 0.0, V)[0]``."""
+    evaluate ``F(0.0, 0.0, V, out, work)[0]``."""
     bound = substitute(inst.F, inst.param_bindings())
     if any(term.coeff.gens() & {"t", "x"} for term in bound.terms):
         raise UnboundFunctionError("source term must be a concrete function of V")
@@ -469,18 +467,24 @@ def _needs_positive(e) -> bool:
 
 def initial_row(inst: Instance) -> np.ndarray:
     """Build the initial data described by the instance file, whose fields
-    ``Instance.from_json`` has checked."""
+    ``Instance.from_json`` has checked; a NumericError refuses a row that is
+    not finite. A Gaussian exponent that overflows to -inf gives its limit 0."""
     xs = inst.grid.xs()
     desc = inst.initial or {"type": "constant", "value": 1.0}
     kind = desc.get("type", "constant")
-    if kind == "constant":
-        return np.full_like(xs, float(desc.get("value", 1.0)))
-    if kind == "linear":
-        return float(desc.get("slope", 1.0)) * xs + float(desc.get("offset", 0.0))
-    c = float(desc.get("center", 0.5 * (xs[0] + xs[-1])))
-    w = float(desc.get("width", 1.0))
-    a = float(desc.get("amplitude", 1.0))
-    return a * np.exp(-(((xs - c) / w) ** 2))
+    with np.errstate(over="ignore"):
+        if kind == "constant":
+            row = np.full_like(xs, float(desc.get("value", 1.0)))
+        elif kind == "linear":
+            row = float(desc.get("slope", 1.0)) * xs + float(desc.get("offset", 0.0))
+        else:
+            c = float(desc.get("center", 0.5 * (xs[0] + xs[-1])))
+            w = float(desc.get("width", 1.0))
+            a = float(desc.get("amplitude", 1.0))
+            row = a * np.exp(-(((xs - c) / w) ** 2))
+    if not np.isfinite(row).all():
+        raise NumericError("instance entry 'initial' gives a row outside the float range")
+    return row
 
 
 def solve_pde(

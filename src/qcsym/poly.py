@@ -18,17 +18,17 @@ modulo a prime, with the other generators at fixed points. A shared factor
 is found with its cofactors by GCDHEU on integer images (each generator a
 power of one integer), proved by multiplying back, so nothing is divided;
 the pseudo-remainder chain answers only what GCDHEU gives up on. A pair
-with nothing to cancel comes back as the same two objects, and cancelled
-parts are stored in descending graded lex order, as exact division builds
-a quotient.
+with nothing to cancel comes back as the same two objects.
 
-Two products return early, each with the value and the stored monomial
-order the general rule gives (numeric sums monomials in that order): a Poly
-times a constant scales the other's coefficients in their stored order, and
-times 1 is the other operand itself, Poly being immutable; a CoeffFrac
-product whose two cross pairs share no factor skips the search for its
-denominator's leading coefficient, because a product of monic denominators
-is monic under graded lex.
+A Poly promises no order of its stored monomials: equality and hashes
+ignore it, poly_text prints in descending graded lex order, and numeric
+sums floats in that printed order whatever the storage.
+
+Two products return early: a Poly times 1 is the other operand itself,
+Poly being immutable, and times another constant scales the other's
+coefficients; a CoeffFrac product whose two cross pairs share no factor
+skips the search for its denominator's leading coefficient, because a
+product of monic denominators is monic under graded lex.
 """
 from __future__ import annotations
 
@@ -197,8 +197,8 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
             return Poly()
-        # a constant factor scales the other's coefficients in their stored
-        # order, as the loop below would; the unit 1 returns the other itself
+        # a constant factor scales the other's coefficients; the unit 1
+        # returns the other itself
         if other.is_const():
             c = other.terms[_EMPTY]
             return self if c == 1 else self.scale(c)
@@ -509,13 +509,6 @@ def _coprime(a: Poly, b: Poly) -> bool:
     return True
 
 
-def _descending(p: Poly, scale) -> Poly:
-    """p times the rational scale, stored in descending graded lex order as
-    poly_divexact stores a quotient."""
-    key = grlex_key(sorted(p.gens()))
-    return Poly({m: p.terms[m] * scale for m in sorted(p.terms, key=key, reverse=True)})
-
-
 def _heuristic_gcd(a: Poly, b: Poly) -> tuple | None:
     """(g, a/g, b/g) by GCDHEU (Char, Geddes & Gonnet 1989), or None when
     four evaluation points give no answer.
@@ -595,7 +588,7 @@ def _heuristic_gcd(a: Poly, b: Poly) -> tuple | None:
             qb = digits(vb * unit // gamma)
             if qa is not None and qb is not None and h * qa == pa and h * qb == pb:
                 sign = -1 if h.lead_coeff() < 0 else 1
-                return h.scale(sign), _descending(qa, sign * ua), _descending(qb, sign * ub)
+                return h.scale(sign), qa.scale(sign * ua), qb.scale(sign * ub)
         xi = 2 * xi + 1
     return None
 
@@ -603,11 +596,10 @@ def _heuristic_gcd(a: Poly, b: Poly) -> tuple | None:
 def _gcd_cofactors(a: Poly, b: Poly) -> tuple:
     """(g, a/g, b/g) with g = poly_gcd(a, b), for a and b nonzero.
 
-    When g is 1 the cofactors are a and b themselves; otherwise they are
-    stored in descending graded lex order, as poly_divexact builds them.
-    Inputs with no shared generator, a monomial, equal inputs and inputs
-    _coprime proves coprime take no gcd work; GCDHEU answers the rest, and
-    the pseudo-remainder chain only what it gives up on.
+    When g is 1 the cofactors are a and b themselves. Inputs with no
+    shared generator, a monomial, equal inputs and inputs _coprime proves
+    coprime take no gcd work; GCDHEU answers the rest, and the
+    pseudo-remainder chain only what it gives up on.
     """
     ga, gb = a.gens(), b.gens()
     if ga.isdisjoint(gb):  # a common factor needs a generator both have
@@ -616,7 +608,7 @@ def _gcd_cofactors(a: Poly, b: Poly) -> tuple:
         m = mono_gcd(a.mono_content(), b.mono_content())
         if not m:
             return P_ONE, a, b
-        return Poly({m: 1}), _descending(a.div_mono(m), 1), _descending(b.div_mono(m), 1)
+        return Poly({m: 1}), a.div_mono(m), b.div_mono(m)
     if a == b:
         g = _normalize_gcd(a)
         unit = Poly.const(a.lead_coeff() / g.lead_coeff())

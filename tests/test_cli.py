@@ -556,7 +556,9 @@ def test_suite_reuses_chain_verdicts(monkeypatch, chain, check, chain_step, depe
 
     def stub():
         calls.append(chain)
-        return (classify.StepResult(check, "stubbed", False),)
+        return (classify.StepResult("before", "stubbed", True),
+                classify.StepResult(check, "stubbed", False),
+                classify.StepResult("after", "stubbed", False))
 
     monkeypatch.setattr(classify, chain, stub)
     report, ok = verify_paper(keep_going=True)
@@ -564,7 +566,9 @@ def test_suite_reuses_chain_verdicts(monkeypatch, chain, check, chain_step, depe
     assert calls == [chain]
     failed = [step for step in report if step["status"] != "pass"]
     assert [step["id"] for step in failed] == [chain_step, dependent_step]
-    # the dependent step names the check that failed, not its pass text
+    # the chain's step names each check that failed, in order, and the
+    # dependent step the one it reports; neither gives its pass text
+    assert failed[0]["detail"] == f"check {check!r} failed; check 'after' failed"
     assert failed[1]["detail"] == f"check {check!r} failed"
 
 
@@ -579,6 +583,26 @@ def test_suite_step_fails_when_its_chain_raises(monkeypatch):
     for step_id in ("chain-k1-p2", "cubic-source-split"):
         assert by_id[step_id]["status"] == "fail"
         assert by_id[step_id]["detail"] == "step 'reduce-eq3' failed: stubbed"
+
+
+@pytest.mark.parametrize("initial, code", [
+    # the Gaussian's exponent overflows to -inf, whose limit 0 is the row
+    ({"type": "gaussian", "width": 1e-300}, 0),
+    ({"type": "linear", "slope": 1e308, "offset": 1e308}, 2),
+])
+def test_transform_initial_row_beyond_the_float_range(tmp_path, capsys, initial, code):
+    # pytest turns numpy's overflow RuntimeWarning into an error
+    data = fixture_json("instance_scaling.json")
+    data["initial"] = initial
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    got, out, err = run(capsys, "transform", "--equation", str(path))
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == "error: instance entry 'initial' gives a row outside the float range\n"
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize("source", ["t*V", "V^2 + x"])
@@ -663,6 +687,8 @@ class _Literal(str):
             ("grid.nx", 1), ("p", "1/0"), ("m", "1/0"), ("k", "1/0"),
             ("lambda", "1/0"), ("lambda", "inf"),
             ("grid.dt", 0), ("grid.dt", -0.001), ("grid.dt", float("nan")),
+            # an empty and a reversed x-range; the fixture's is [0, 10]
+            ("grid.x1", 0.0), ("grid.x0", 20.0),
             ("family", "exponential"), ("initial", [1, 2]), ("initial", "gaussian"),
             ("grid.steps", -1),
             # over 10**7 lattice cells; refused before anything is allocated

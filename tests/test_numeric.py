@@ -23,6 +23,7 @@ from qcsym.errors import (
     PositivityError,
     UnboundFunctionError,
 )
+from qcsym.expr import Expr
 from qcsym.numeric import (
     Field,
     Instance,
@@ -36,6 +37,7 @@ from qcsym.numeric import (
     substitute_power_log,
 )
 from qcsym.parser import parse
+from qcsym.poly import CoeffFrac, Poly, grlex_key
 
 
 def scaling_instance() -> Instance:
@@ -73,7 +75,7 @@ def eval_point(e, point, inst):
     # the sampler's error state: a masked point may divide by zero
     with np.errstate(divide="ignore", invalid="ignore"):
         value, pole = _compile(substitute(e, bindings))(
-            *(np.float64(point[name]) for name in ("t", "x", "V"))
+            *(np.float64(point[name]) for name in ("t", "x", "V")), np.empty(()), np.empty(())
         )
     if pole:
         raise EvalPoleError(f"denominator ~ 0 at {point}")
@@ -100,14 +102,16 @@ def test_eval_rejects_unbound_and_poles():
 
 
 def _allocating_compile(e):
-    """``_compile`` as it was before it folded coefficients free of t and x
-    and took buffers, every value a new array: the reference the compiled
-    evaluator must match bit for bit. Unbound atoms are not checked."""
+    """``_compile`` without its folded coefficients and its buffers, every
+    value a new array, and each coefficient's monomials summed in the same
+    printed order: the reference the compiled evaluator must match bit for
+    bit. Unbound atoms are not checked."""
+    order = grlex_key(("t", "x"))
     compiled = []
     for term in e.terms:
         num, den = (
-            [(float(c), dict(m).get("t", 0), dict(m).get("x", 0))
-             for m, c in poly.terms.items()]
+            [(float(poly.terms[m]), dict(m).get("t", 0), dict(m).get("x", 0))
+             for m in sorted(poly.terms, key=order, reverse=True)]
             for poly in (term.coeff.num, term.coeff.den)
         )
         compiled.append((num, den, not term.coeff.den.is_const(),
@@ -169,18 +173,26 @@ def test_compiled_evaluator_matches_the_allocating_one_bit_for_bit(terms, seed, 
     else:
         t, x = rng.uniform(-1.0, 1.0, (2, 9))
         t[:2], x[:2] = (-0.5, 0.0), (0.0, 0.5)
-    fn = _compile(e)
+    out, work = np.full((2, 9), 7.0)  # filled, so a read before a write shows
     with np.errstate(divide="ignore", invalid="ignore"):
         want, want_pole = _allocating_compile(e)(t, x, V)
-        calls = [fn(t, x, V)]
-        for work in (np.full(9, 7.0), None):  # filled, so a read before a write shows
-            out = np.full(9, 7.0)
-            values, pole = fn(t, x, V, out, work)
-            assert values is out
-            calls.append((values, pole))
-    for values, pole in calls:
-        assert np.broadcast_to(values, 9).tobytes() == np.broadcast_to(want, 9).tobytes()
-        assert np.array_equal(np.broadcast_to(pole, 9), np.broadcast_to(want_pole, 9))
+        values, pole = _compile(e)(t, x, V, out, work)
+    assert values is out
+    assert values.tobytes() == np.broadcast_to(want, 9).tobytes()
+    assert np.array_equal(np.broadcast_to(pole, 9), np.broadcast_to(want_pole, 9))
+
+
+def test_compiled_sums_do_not_depend_on_the_stored_monomial_order():
+    # 1e16*t - 1e16*x + 1 at t = x = 1 is 1.0 summed in printed order, but
+    # 0.0 from the constant first, since 1e16 + 1 rounds to 1e16
+    monomials = [((("t", 1),), 10**16), ((("x", 1),), -(10**16)), ((), 1)]
+    values = []
+    for stored in (monomials, monomials[::-1]):
+        coeff = CoeffFrac(Poly(dict(stored)))
+        assert list(coeff.num.terms) == [m for m, _ in stored]
+        t = x = V = np.ones(1)
+        values.append(_compile(Expr.from_coeff(coeff))(t, x, V, *np.empty((2, 1)))[0].tobytes())
+    assert values[0] == values[1] == np.ones(1).tobytes()
 
 
 def _interval_mul(a, b):
@@ -371,7 +383,7 @@ def _reference_solve(inst: Instance, initial, steps: int, boundary=None) -> np.n
     g = inst.grid
     dx = g.dx
     p, k, lam = float(inst.p), float(inst.k), float(inst.lam)
-    F, _ = numeric._source(inst)
+    F = _allocating_compile(substitute(inst.F, inst.param_bindings()))
     row = np.asarray(initial, dtype=float).copy()
 
     def rhs(r):
@@ -455,10 +467,10 @@ def test_solver_matches_the_allocating_reference_bit_for_bit(case):
 
 def _reference_residual(field: Field, inst: Instance) -> float:
     """``invariance_residual`` with a fresh array for every term, and the
-    source through the allocating call of the compiled evaluator."""
+    source through the allocating reference evaluator."""
     V = field.values
     p, k, lam = float(inst.p), float(inst.k), float(inst.lam)
-    F, _ = numeric._source(inst)
+    F = _allocating_compile(substitute(inst.F, inst.param_bindings()))
     mid = V[1:-1, 1:-1]
     vt = (V[2:, 1:-1] - V[:-2, 1:-1]) / (2 * field.dt)
     vx = (V[1:-1, 2:] - V[1:-1, :-2]) / (2 * field.dx)
