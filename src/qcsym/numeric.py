@@ -7,68 +7,21 @@ results into floating-point evaluations on lattices.
 """
 from __future__ import annotations
 
-import importlib.util
-import json
 import math
 import operator
-import sys
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 from .calculus import substitute
-from .determining import EvolutionEq, SymOperator, check_operator
-from .errors import (
-    EvalPoleError,
-    InstabilityError,
-    NumericError,
-    PositivityError,
-    TermLanguageError,
-    UnboundFunctionError,
-)
+from .determining import SymOperator, check_operator
+from .errors import EvalPoleError, InstabilityError, NumericError, PositivityError, UnboundFunctionError
 from .expr import Expr
-from .parser import parse
+from .instance import MAX_CELLS, Instance
 from .poly import grlex_key
-
-
-def _lazy_numpy():
-    """numpy, executed on the first attribute access rather than here, so
-    the symbolic commands never pay its import; the loaded module when there
-    is one, since executing numpy a second time makes it warn. This is the
-    ``importlib.util.LazyLoader`` recipe of the ``importlib`` docs."""
-    spec = importlib.util.find_spec("numpy")
-    if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-np = _lazy_numpy()
 
 _POLE_FLOOR = 1e-300
 _BLOCK = 1024  # sample points drawn and evaluated at once, bounding the memory
-_MAX_CELLS = 10**7  # largest nx * (steps + 1) lattice, and most sample points, allowed
-
-
-@dataclass(frozen=True)
-class Grid:
-    x0: float
-    x1: float
-    nx: int
-    t0: float
-    dt: float
-    steps: int
-
-    @property
-    def dx(self) -> float:
-        return (self.x1 - self.x0) / (self.nx - 1)
-
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.x0, self.x1, self.nx)
 
 
 @dataclass
@@ -149,159 +102,6 @@ class Field:
             x0, (x1 - x0) / max(len(xs) - 1, 1),
             values.reshape(len(ts), len(xs)),
         )
-
-
-def _entry(doc, key: str, where: str = ""):
-    """doc[key] of an instance document; a NumericError names a missing key."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise NumericError(f"instance has no {where + key!r} entry")
-    return doc[key]
-
-
-def _rational(doc: dict, key: str, alias: str | None = None, default=None) -> Fraction:
-    """doc[key], or doc[alias], of an instance document as an exact rational;
-    a NumericError names the key when it is missing and has no default, or
-    when its value is not a finite rational within the float range."""
-    if key not in doc and alias in doc:
-        key = alias
-    value = _entry(doc, key) if default is None else doc.get(key, default)
-    try:
-        exact = Fraction(str(value))
-        if abs(exact) <= sys.float_info.max:
-            return exact
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise NumericError(f"instance entry {key!r} is not a finite rational: {value!r}")
-
-
-def _number(doc: dict, key: str, where: str = "", default=None, integral: bool = False):
-    """doc[key] of an instance document as a finite float, or as an int when
-    ``integral``; a NumericError names the key when it is missing and has no
-    default, or when its value is not a JSON number of that kind."""
-    value = _entry(doc, key, where) if default is None else doc.get(key, default)
-    # an exact comparison, so NaN and ints beyond the float range fail too
-    if (isinstance(value, bool) or not isinstance(value, int if integral else (int, float))
-            or not (integral or abs(value) <= sys.float_info.max)):
-        kind = "an integer" if integral else "a finite number"
-        raise NumericError(f"instance entry {where + key!r} must be {kind}: {value!r}")
-    return value if integral else float(value)
-
-
-def _expression(doc: dict, key: str, where: str = "", default: str | None = None) -> Expr:
-    """doc[key] of an instance document parsed as an expression; a
-    NumericError names the key when it is missing and has no default, when
-    its value is not a string, or when the string does not parse."""
-    value = _entry(doc, key, where) if default is None else doc.get(key, default)
-    if not isinstance(value, str):
-        raise NumericError(f"instance entry {where + key!r} must be a string: {value!r}")
-    try:
-        return parse(value)
-    except TermLanguageError as exc:
-        raise NumericError(f"instance entry {where + key!r} does not parse: {exc}") from None
-
-
-# the optional number fields each type of initial row reads
-_INITIAL_FIELDS = {
-    "constant": ("value",),
-    "linear": ("slope", "offset"),
-    "gaussian": ("amplitude", "center", "width"),
-}
-
-
-def _check_initial(initial) -> None:
-    """A NumericError names the first entry of an instance's ``initial``
-    that ``initial_row`` could not turn into a finite row."""
-    if initial is not None and not isinstance(initial, dict):
-        raise NumericError(f"instance entry 'initial' must be an object or null: {initial!r}")
-    desc = initial or {}
-    kind = desc.get("type", "constant")
-    if not (isinstance(kind, str) and kind in _INITIAL_FIELDS):
-        raise NumericError(
-            f"instance entry 'initial.type' must be one of {sorted(_INITIAL_FIELDS)}: {kind!r}"
-        )
-    for field in _INITIAL_FIELDS[kind]:
-        value = _number(desc, field, "initial.", 1.0)
-        if field == "width" and value <= 0:
-            raise NumericError(
-                f"instance entry 'initial.width' must be a finite number above 0: {value!r}"
-            )
-
-
-@dataclass(frozen=True)
-class Instance:
-    """A fully concrete power-family instance plus a candidate operator."""
-
-    p: Fraction
-    k: Fraction
-    lam: Fraction
-    F: Expr
-    operator: SymOperator
-    grid: Grid
-    seed: int
-    initial: dict | None = None
-
-    @staticmethod
-    def from_json(data: dict) -> "Instance":
-        g = _entry(data, "grid")
-        grid = Grid(**{
-            key: _number(g, key, "grid.", integral=key in ("nx", "steps"))
-            for key in ("x0", "x1", "nx", "t0", "dt", "steps")
-        })
-        if grid.nx < 2:
-            raise NumericError("instance entry 'grid.nx' must be at least 2")
-        if not grid.x1 > grid.x0:
-            raise NumericError(
-                f"instance entry 'grid.x1' must be above 'grid.x0': {grid.x1!r} <= {grid.x0!r}"
-            )
-        if grid.dt <= 0:
-            raise NumericError(f"instance entry 'grid.dt' must be positive: {grid.dt!r}")
-        if grid.steps < 0:
-            raise NumericError("instance entry 'grid.steps' must be at least 0")
-        cells = grid.nx * (grid.steps + 1)
-        if cells > _MAX_CELLS:
-            raise NumericError(
-                f"instance entries 'grid.nx' * ('grid.steps' + 1) = {cells} "
-                f"exceed the {_MAX_CELLS} lattice cells allowed"
-            )
-        if data.get("family", "power") != "power":
-            raise NumericError(
-                f"instance entry 'family' must be 'power': {data['family']!r}"
-            )
-        seed = _number(data, "seed", default=0, integral=True)
-        if seed < 0:
-            raise NumericError(f"instance entry 'seed' must be at least 0: {seed!r}")
-        initial = data.get("initial")
-        _check_initial(initial)
-        op = data.get("operator", {"tau": "1", "xi": "0", "eta": "0"})
-        return Instance(
-            p=_rational(data, "p", "m", 0),
-            k=_rational(data, "k", "n", 1),
-            lam=_rational(data, "lambda"),
-            F=_expression(data, "F", default="0"),
-            operator=SymOperator(
-                *(_expression(op, name, "operator.") for name in ("tau", "xi", "eta"))
-            ),
-            grid=grid,
-            seed=seed,
-            initial=initial,
-        )
-
-    @staticmethod
-    def load(path) -> "Instance":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:  # not UTF-8 text, or not JSON
-                raise NumericError(f"instance file {str(path)!r} is not JSON: {exc}") from None
-            except RecursionError:
-                raise NumericError(f"instance file {str(path)!r} nests too deeply") from None
-        return Instance.from_json(doc)
-
-    def param_bindings(self) -> dict:
-        return {"p": self.p, "k": self.k, "lambda": self.lam}
-
-    def equation(self) -> EvolutionEq:
-        return EvolutionEq("power", {**self.param_bindings(), "F": self.F})
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +202,7 @@ def _power_of(v, e: float, out):
 
 def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> float:
     """Max absolute determining-equation residual over N seeded sample points,
-    N from 1 to ``_MAX_CELLS``.
+    N from 1 to ``MAX_CELLS``.
 
     Points are drawn uniformly from [0.1, 2]^3, a box clear of the V = 0
     and 2kt + A1 = 0 poles, at most ``_BLOCK`` at a time. A point where a
@@ -416,8 +216,8 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
     """
     if N < 1:
         raise ValueError("need at least one sample point")
-    if N > _MAX_CELLS:
-        raise ValueError(f"at most {_MAX_CELLS} sample points are allowed: {N}")
+    if N > MAX_CELLS:
+        raise ValueError(f"at most {MAX_CELLS} sample points are allowed: {N}")
     equations = check_operator(inst.equation(), op)
     compiled = [_compile(e) for e in equations]  # refuses unbound atoms first
     if not any(e.terms for e in equations):
@@ -466,27 +266,24 @@ def _needs_positive(e) -> bool:
 
 
 def initial_row(inst: Instance) -> np.ndarray:
-    """Build the initial data described by the instance file, whose fields
-    ``Instance.from_json`` has checked; a NumericError refuses a row that is
-    not finite. A Gaussian exponent that overflows to -inf gives its limit 0."""
-    xs = inst.grid.xs()
-    desc = inst.initial or {"type": "constant", "value": 1.0}
-    kind = desc.get("type", "constant")
+    """The initial row ``inst.initial`` describes on the grid's nx points; a
+    NumericError refuses a row that is not finite. A Gaussian exponent that
+    overflows to -inf gives its limit 0."""
+    g, desc = inst.grid, inst.initial
+    xs = np.linspace(g.x0, g.x1, g.nx)
     with np.errstate(over="ignore"):
-        if kind == "constant":
-            row = np.full_like(xs, float(desc.get("value", 1.0)))
-        elif kind == "linear":
-            row = float(desc.get("slope", 1.0)) * xs + float(desc.get("offset", 0.0))
+        if desc["type"] == "constant":
+            row = np.full_like(xs, desc["value"])
+        elif desc["type"] == "linear":
+            row = desc["slope"] * xs + desc["offset"]
         else:
-            c = float(desc.get("center", 0.5 * (xs[0] + xs[-1])))
-            w = float(desc.get("width", 1.0))
-            a = float(desc.get("amplitude", 1.0))
-            row = a * np.exp(-(((xs - c) / w) ** 2))
+            row = desc["amplitude"] * np.exp(-(((xs - desc["center"]) / desc["width"]) ** 2))
     if not np.isfinite(row).all():
         raise NumericError("instance entry 'initial' gives a row outside the float range")
     return row
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def solve_pde(
     inst: Instance,
     initial: np.ndarray,
@@ -499,7 +296,8 @@ def solve_pde(
     Runge-Kutta in t, Dirichlet boundaries held at the initial end values
     unless a boundary callable t -> (left, right) is supplied. A row that
     is not positive stops it when a power of V it takes (p, k or one in F)
-    is negative or not an integer.
+    is negative or not an integer. numpy's float warnings are off: a step
+    that leaves the float range gives a row the magnitude check refuses.
     """
     g = inst.grid
     dx = g.dx
@@ -605,8 +403,10 @@ def _drift(mid: np.ndarray, vx: np.ndarray, k: float, lam: float, out: np.ndarra
     return vx if lam == 1 else np.multiply(vx, lam, out=out)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def invariance_residual(field: Field, inst: Instance) -> float:
-    """Max |V_xx - V^p V_t + lam V^k V_x - F(V)| over interior lattice points.
+    """Max |V_xx - V^p V_t + lam V^k V_x - F(V)| over interior lattice points;
+    a NumericError refuses one that is not finite.
 
     Each cell takes ((vxx - vp*vt) + (lam*vk)*vx) - F(V) in that order, in
     three lattice buffers; vp = V^0, what ``_drift`` skips and an F without
@@ -628,14 +428,21 @@ def invariance_residual(field: Field, inst: Instance) -> float:
     np.multiply(mid, 2, out=res)  # vxx
     np.subtract(right, res, out=res)
     np.add(res, left, out=res)
-    np.divide(res, field.dx**2, out=res)
+    try:
+        dx2 = field.dx**2
+    except OverflowError:  # V_xx is 0 on so coarse a lattice, as in the solver
+        dx2 = math.inf
+    np.divide(res, dx2, out=res)
     np.subtract(res, a, out=res)
     np.subtract(right, left, out=a)  # vx
     np.divide(a, 2 * field.dx, out=a)
     np.add(res, _drift(mid, a, k, lam, b), out=res)
     if source_powers:
         np.subtract(res, F(0.0, 0.0, mid, a, b)[0], out=res)
-    return float(np.abs(res, out=res).max())
+    worst = float(np.abs(res, out=res).max())
+    if not math.isfinite(worst):
+        raise NumericError("the invariance residual is outside the float range")
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,15 @@ def test_bad_binding_key_is_refused(key):
         solve_linear_for(e, key)
 
 
+@pytest.mark.parametrize("text, key, error, message", [
+    ("f + p", "p", ValueError, "names a parameter"),
+    ("f^2 + g", "f", TermLanguageError, "does not appear linearly"),
+])
+def test_solve_linear_for_refuses_a_parameter_and_a_nonlinear_atom(text, key, error, message):
+    with pytest.raises(error, match=message):
+        solve_linear_for(parse(text), key)
+
+
 # a function key, a derivative key and a parameter; g, whose atoms may carry
 # a negative power, is bound to a single term so each of them inverts
 HOMOMORPHISM_BINDINGS = {

@@ -271,20 +271,19 @@ def test_split_of_a_huge_power_exits_2_promptly():
 
 
 # a fresh interpreter runs one command and reports its exit status and
-# whether numpy executed; numpy's own import loads numpy.linalg, while the
-# lazy numpy entry that importing qcsym.numeric makes does not
+# whether numpy is loaded; importing the cli loads none
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 from qcsym import cli
-assert "numpy" in sys.modules and "numpy.linalg" not in sys.modules
+assert "numpy" not in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
-print(code, "numpy.linalg" in sys.modules)
+print(code, "numpy" in sys.modules)
 """
 
 
 def _numpy_after(argv) -> tuple:
-    """(exit status, numpy executed) of one command in a fresh interpreter."""
+    """(exit status, numpy loaded) of one command in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argv)],
@@ -292,8 +291,8 @@ def _numpy_after(argv) -> tuple:
         env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stderr
-    code, executed = proc.stdout.split()
-    return int(code), executed == "True"
+    code, loaded = proc.stdout.split()
+    return int(code), loaded == "True"
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -306,9 +305,6 @@ def _numpy_after(argv) -> tuple:
     (["check-op", "--xi", "A", "--eta", "0"], 0),
     (["check-op", "--xi=x/(2*t+1)", "--eta=-V/(2*t+1)", "--equation", _FIXTURE], 0),
     (["check-op", "--xi", "A", "--eta", "0", "--equation", "missing.json"], 2),
-    # the instance admits its own operator, so the sampler's answer, 0.0,
-    # is known from the substituted equations before any point is drawn
-    (["check-op-numeric", "--equation", _FIXTURE], 0),
 ])
 def test_symbolic_commands_leave_numpy_unexecuted(argv, code):
     assert _numpy_after(argv) == (code, False)
@@ -317,6 +313,7 @@ def test_symbolic_commands_leave_numpy_unexecuted(argv, code):
 @pytest.mark.parametrize("argv", [
     ["transform", "--equation", _FIXTURE],
     ["verify-paper"],
+    ["check-op-numeric", "--equation", _FIXTURE],
 ])
 def test_float_commands_execute_numpy(argv):
     assert _numpy_after(argv) == (0, True)
@@ -605,6 +602,27 @@ def test_transform_initial_row_beyond_the_float_range(tmp_path, capsys, initial,
         assert err == ""
 
 
+@pytest.mark.parametrize("key, value, code, err", [
+    # V^-10 overflows on a row near 0 before the row turns negative
+    ("k", -10, 2, "error: V must stay positive for this instance\n"),
+    ("lambda", -1e308, 2, "error: solution magnitude exceeded 1e6\n"),
+    # V^p is infinite, so V_t is 0 and the residual takes inf * 0
+    ("p", -8729, 2, "error: the invariance residual is outside the float range\n"),
+    # dx^2 overflows: V_xx is 0 in the solver and in the residual
+    ("grid.x1", 1e308, 0, ""),
+], ids=["k", "lambda", "p", "grid.x1"])
+def test_transform_beyond_the_float_range_exits_cleanly(tmp_path, capsys, key, value, code, err):
+    # pytest turns numpy's RuntimeWarnings into errors
+    data = fixture_json("instance_scaling.json")
+    head, _, name = key.rpartition(".")
+    (data[head] if head else data)[name] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    got, out, got_err = run(capsys, "transform", "--equation", str(path))
+    assert (got, got_err) == (code, err)
+    assert bool(out) == (code == 0)
+
+
 @pytest.mark.parametrize("source", ["t*V", "V^2 + x"])
 def test_transform_source_of_t_or_x_is_usage_error(tmp_path, capsys, source):
     data = fixture_json("instance_scaling.json")
@@ -677,6 +695,14 @@ class _Literal(str):
     """A value written into an instance file as raw JSON text."""
 
 
+# every command that reads an instance file
+_INSTANCE_COMMANDS = [
+    ["transform"],
+    ["check-op-numeric"],
+    ["check-op", "--xi", "A", "--eta", "0"],
+]
+
+
 @pytest.mark.parametrize(
     "entry",
     # a bare key is deleted; a (key, value) pair sets a bad value
@@ -704,14 +730,7 @@ class _Literal(str):
         )
     ],
 )
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["transform"],
-        ["check-op-numeric"],
-        ["check-op", "--xi", "A", "--eta", "0"],
-    ],
-)
+@pytest.mark.parametrize("command", _INSTANCE_COMMANDS)
 def test_instance_missing_key_is_usage_error(tmp_path, capsys, entry, command):
     data = fixture_json("instance_scaling.json")
     path = tmp_path / "inst.json"
@@ -743,6 +762,22 @@ def test_instance_missing_key_is_usage_error(tmp_path, capsys, entry, command):
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("command", _INSTANCE_COMMANDS)
+def test_grid_wider_than_the_float_range_is_usage_error(tmp_path, capsys, command):
+    # each end is a finite number, but x1 - x0, and with it dx, overflows
+    data = fixture_json("instance_scaling.json")
+    data["grid"].update(x0=-1e308, x1=1e308)
+    data["initial"] = None
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *command, "--equation", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: instance entries 'grid.x1' - 'grid.x0' exceed the float range: "
+        "1e+308 - -1e+308\n"
+    )
+
+
 _FIXTURE_DATA = fixture_json("instance_scaling.json")
 # every entry of the fixture: top-level, or one level down in an object
 _ENTRIES = sorted(
@@ -765,17 +800,23 @@ _BAD_VALUES = st.one_of(
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(_ENTRIES), _BAD_VALUES)
-def test_instance_fuzz_exits_cleanly(tmp_path, capsys, key, value):
+@given(st.lists(st.tuples(st.sampled_from(_ENTRIES), _BAD_VALUES), min_size=1, max_size=2))
+def test_instance_fuzz_exits_cleanly(tmp_path, capsys, changes):
     data = fixture_json("instance_scaling.json")
-    head, _, name = key.rpartition(".")
-    (data[head] if head else data)[name] = value
+    data["grid"].update(nx=11, steps=10)  # dt stays in the bound; solved in milliseconds
+    for key, value in changes:
+        head, _, name = key.rpartition(".")
+        doc = data[head] if head else data
+        if isinstance(doc, dict):  # the first change may have replaced it
+            doc[name] = value
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(data))
     for command in (["check-op", "--xi", "A", "--eta", "0"],
-                    ["check-op-numeric", "--samples", "10"]):
+                    ["check-op-numeric", "--samples", "10"],
+                    ["transform"]):
         code, out, err = run(capsys, *command, "--equation", str(path))
         assert code in (0, 1, 2)
+        assert err.count("\n") <= 1
         if code == 2:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1

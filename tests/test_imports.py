@@ -1,7 +1,8 @@
 """The package's import rules: no qcsym module imports a private name of
 another or a name it never uses, every import from within the package sits
-at module level, numeric is the one module that imports numpy, and every
-module-level name is used somewhere in the package."""
+at module level but cli's of numeric, numeric is the one module that
+imports numpy, and every module-level name is used somewhere in the
+package."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -12,8 +13,14 @@ import qcsym
 
 MODULES = sorted(Path(qcsym.__file__).parent.glob("*.py"))
 
+# cli imports numeric, and with it numpy, inside the handlers and suite
+# steps that do float work, so the symbolic commands never load numpy
+_DEFERRED = {"cli.py": "from . import numeric"}
 
-def _violations(source: str) -> list:
+
+def _violations(source: str, deferred: str | None = None) -> list:
+    """Import-rule breaches in the source; ``deferred`` is the one import
+    statement it may make inside a function."""
     tree = ast.parse(source)
     local = {
         id(node)
@@ -34,7 +41,7 @@ def _violations(source: str) -> list:
             continue
         if node.level == 0 and (node.module or "").split(".")[0] != "qcsym":
             continue
-        if id(node) in local:
+        if id(node) in local and ast.unparse(node) != deferred:
             out.append(f"line {node.lineno}: import inside a function")
         out += [
             f"line {node.lineno}: private name {alias.name}"
@@ -51,7 +58,7 @@ def _violations(source: str) -> list:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_keeps_the_import_rule(path):
-    assert _violations(path.read_text()) == []
+    assert _violations(path.read_text(), _DEFERRED.get(path.name)) == []
 
 
 def test_rule_catches_both_kinds():
@@ -67,6 +74,20 @@ def test_rule_catches_both_kinds():
         "line 1: private name _hidden",
         "line 3: unused name diff",
         "line 5: import inside a function",
+    ]
+
+
+def test_rule_allows_only_the_deferred_import():
+    source = (
+        "def f():\n"
+        "    from . import numeric\n"
+        "    from . import classify, numeric as n\n"
+        "    return numeric, classify, n\n"
+    )
+    assert _violations(source, _DEFERRED["cli.py"]) == ["line 3: import inside a function"]
+    assert _violations(source) == [
+        "line 2: import inside a function",
+        "line 3: import inside a function",
     ]
 
 

@@ -4,8 +4,6 @@ import importlib.util
 import io
 import math
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,9 +22,9 @@ from qcsym.errors import (
     UnboundFunctionError,
 )
 from qcsym.expr import Expr
+from qcsym.instance import Instance
 from qcsym.numeric import (
     Field,
-    Instance,
     ScalingFlow,
     _compile,
     group_transform,
@@ -458,7 +456,7 @@ _SOLVER_CASES = ["fixture", "p2-k1/2", "k0", "many-terms", "constant-first", "la
 def test_solver_matches_the_allocating_reference_bit_for_bit(case):
     # both run on this CPU, so numpy's SIMD bits are the same on either side
     inst, steps, boundary = _solver_cases()[case]
-    initial = initial_row(inst) if boundary is None else inst.grid.xs()
+    initial = initial_row(inst)
     field = solve_pde(inst, initial, steps, boundary=boundary)
     want = _reference_solve(inst, initial, steps, boundary)
     assert field.values.shape == (steps + 1, inst.grid.nx)
@@ -487,7 +485,7 @@ def test_residual_matches_the_allocating_reference_bit_for_bit(case):
     # the fixture's solution to with the true and a wrong V weight
     flows = {"moved": (ScalingFlow(), 0.1), "wrong-weight": (ScalingFlow(v_weight=2.0), 0.2)}
     inst, steps, boundary = _solver_cases()["fixture" if case in flows else case]
-    initial = initial_row(inst) if boundary is None else inst.grid.xs()
+    initial = initial_row(inst)
     field = solve_pde(inst, initial, steps, boundary=boundary)
     if case in flows:
         field = group_transform(field, *flows[case], inst)
@@ -793,49 +791,3 @@ def test_blowup_detected():
     )
     with pytest.raises(InstabilityError):
         solve_pde(inst, np.full(21, 10.0), 60)
-
-
-# ---------------------------------------------------------------------------
-# loading numpy
-
-_LOADED_FIRST = """
-import sys
-import numpy
-from qcsym import numeric
-assert numeric.np is sys.modules["numpy"] is numpy
-"""
-
-# importing numeric leaves numpy unexecuted: numpy's own import loads
-# numpy.linalg; the first attribute access executes it once, in place
-_NUMERIC_FIRST = """
-import sys
-from qcsym import numeric
-assert "numpy.linalg" not in sys.modules
-import numpy
-assert numeric.np is sys.modules["numpy"] is numpy
-numpy.zeros(1)
-assert "numpy.linalg" in sys.modules and numeric.np is sys.modules["numpy"]
-"""
-
-_MISSING = """
-import sys
-sys.modules["numpy"] = None
-try:
-    import qcsym.numeric
-except ModuleNotFoundError:
-    pass
-else:
-    raise AssertionError("qcsym.numeric imported without numpy")
-"""
-
-
-@pytest.mark.parametrize("script", [_LOADED_FIRST, _NUMERIC_FIRST, _MISSING],
-                         ids=["numpy-first", "numeric-first", "numpy-missing"])
-def test_numeric_loads_numpy_once_and_without_warning(script):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", script],
-        capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
