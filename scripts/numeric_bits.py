@@ -8,10 +8,11 @@ seeded Gaussian variants of it and on an instance with p = 1, k = 2,
 lambda = 3/2 and the source 1 - V^(-1), whose solver and residual take the
 branches the fixture never does (a division by V^p, a power for the
 convection, a multiply by lambda, a constant summed before a negative power);
-and `qcsym check-op-numeric --json --samples 1`
-at seeds 0-9 on a copy of the fixture whose operator's eta has a term with a
-ten-monomial coefficient added (the fixture's own operator admits the
-equation and draws no point). With one sample, each printed residual is the
+on an instance with k = 1, lambda = 100/7 and the source V^2 - exp(-V), which
+adds an exponential after a power in the source; and
+`qcsym check-op-numeric --json --samples 1` at seeds 0-9 on a copy of the
+fixture whose operator's eta has a term with a ten-monomial coefficient added
+(the fixture's own operator admits the equation and draws no point). With one sample, each printed residual is the
 largest equation value at one point, so these runs guard the sampler's bits
 across checkouts down to the order it sums a coefficient's monomials in; a
 max over many points would hide a change in the low bits.
@@ -39,9 +40,18 @@ BRANCHES = {
     "initial": {"type": "linear", "slope": 0.5, "offset": 1.0},
 }
 
+# the fixture's convection power times a lambda, and an exponential source term
+EXPONENTIAL = {
+    "family": "power", "p": 0, "k": 1, "lambda": "100/7", "F": "V^2 - exp(-V)",
+    "operator": {"tau": "1", "xi": "0", "eta": "0"},
+    "grid": {"x0": 0.0, "x1": 1.0, "nx": 21, "t0": 0.0, "dt": 0.0004, "steps": 50},
+    "initial": {"type": "linear", "slope": 0.5, "offset": 1.0},
+}
+
 
 def instances(workdir: Path) -> list:
-    """The fixture, Gaussian initial rows drawn with seeds 1-3, then BRANCHES."""
+    """The fixture, Gaussian initial rows drawn with seeds 1-3, BRANCHES and
+    EXPONENTIAL."""
     paths = [FIXTURE]
     for seed in (1, 2, 3):
         rng = random.Random(seed)
@@ -50,8 +60,9 @@ def instances(workdir: Path) -> list:
                           "center": rng.uniform(4.0, 6.0), "width": rng.uniform(1.5, 2.5)}
         paths.append(workdir / f"gaussian_{seed}.json")
         paths[-1].write_text(json.dumps(doc))
-    paths.append(workdir / "branches.json")
-    paths[-1].write_text(json.dumps(BRANCHES))
+    for name, doc in (("branches", BRANCHES), ("exponential", EXPONENTIAL)):
+        paths.append(workdir / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
     return paths
 
 

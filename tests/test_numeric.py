@@ -442,6 +442,13 @@ def _solver_cases():
         # lam = 1 skips its multiply, at a power of V and without one
         ("lam1-k3", 0, 3, 1, "V^2", _LINEAR),
         ("lam1-k0", 0, 0, 1, "V^2", _BUMP),
+        # the fixture's convection power with a lambda to multiply by
+        ("k1", 0, 1, "100/7", "V^2", _LINEAR),
+        # the divisor V^p through a square root and through a reciprocal
+        ("p1/2", "1/2", 1, "100/7", "V^2", _LINEAR),
+        ("p-1", -1, 1, "100/7", "V^2", _LINEAR),
+        # an exponential term after a power term
+        ("exp-source", 0, 1, "100/7", "V^2 - exp(-V)", _LINEAR),
     ]:
         inst = simple_instance(p=p, k=k, lam=lam, F=F, initial=initial)
         cases[name] = (inst, inst.grid.steps, None)
@@ -449,7 +456,7 @@ def _solver_cases():
 
 
 _SOLVER_CASES = ["fixture", "p2-k1/2", "k0", "many-terms", "constant-first", "lam1-k3",
-                 "lam1-k0", "study", "steps-0"]
+                 "lam1-k0", "k1", "p1/2", "p-1", "exp-source", "study", "steps-0"]
 
 
 @pytest.mark.parametrize("case", _SOLVER_CASES)
