@@ -125,7 +125,9 @@ def _compile(e: Expr):
     shape (0-d for scalars); it writes the values into ``out`` and returns
     (out, pole). pole marks the points where a denominator that is not
     constant lies below ``_POLE_FLOOR``, and is False when every denominator
-    is constant.
+    is constant. ``evaluate.calls`` returns, for the same arguments, the
+    ``(function, arguments)`` list that ``evaluate`` runs, and pole; for a
+    t,x-free expression the list can run again on new values of V.
 
     The float order is decided here: each coefficient's numerator and
     denominator are summed from 0.0 in the order ``poly_text`` prints them
@@ -162,8 +164,8 @@ def _compile(e: Expr):
              float(term.vpow.c0), float(term.expc.c0))
         )
 
-    def evaluate(t, x, V, out, work):
-        total, pole = 0.0, False
+    def calls(t, x, V, out, work):
+        steps, total, pole = [], 0.0, False
         for value, num, den, den_varies, a, b in compiled:
             if value is None:
                 d = _poly_value(den, t, x)
@@ -172,32 +174,51 @@ def _compile(e: Expr):
                 value = _poly_value(num, t, x) / d
             buf = work if total is out else out
             if a:
-                value = np.multiply(value, _power_of(V, a, buf), out=buf)
+                power = _power(steps, V, a, buf)
+                steps.append((np.multiply, (value, power, buf)))
+                value = buf
             if b:
-                value = np.multiply(value, np.exp(b * V), out=buf)
+                exp = np.empty_like(buf)
+                steps += [(np.multiply, (b, V, exp)), (np.exp, (exp, exp)),
+                          (np.multiply, (value, exp, buf))]
+                value = buf
             if isinstance(value, float) and total is not out:
                 total = total + value
             else:
-                total = np.add(total, value, out=out)
+                steps.append((np.add, (total, value, out)))
+                total = out
         if total is not out:  # no term varies
-            out[...] = total
+            steps.append((np.copyto, (out, total)))
+        return steps, pole
+
+    def evaluate(t, x, V, out, work):
+        steps, pole = calls(t, x, V, out, work)
+        _run(steps)
         return out, pole
 
+    evaluate.calls = calls
     return evaluate
 
 
-def _power_of(v, e: float, out):
-    """``v**e`` in ``out``, or ``v`` itself at e = 1; e is a float other
-    than 0. ``v**e`` calls ``np.power`` except where numpy's ``**`` hands
-    e = 1/2, and in some versions 2 and -1, to sqrt, square and reciprocal;
-    there the in-place ``**=`` takes the same path, so the bits match
+def _run(calls: list) -> None:
+    for fn, args in calls:
+        fn(*args)
+
+
+def _power(calls: list, v, e: float, out):
+    """Append to ``calls`` the calls that leave ``v**e`` in ``out`` and
+    return ``out``, or return ``v`` itself at e = 1; e is a float other than
+    0. ``v**e`` calls ``np.power`` except where numpy's ``**`` hands e = 1/2,
+    and in some versions 2 and -1, to sqrt, square and reciprocal; there a
+    copy and the in-place ``**=`` take the same path, so the bits match
     ``v**e`` on any CPU."""
     if e == 1:
         return v
     if e in (0.5, 2, -1):
-        out[...] = v
-        return operator.ipow(out, e)
-    return np.power(v, e, out=out)
+        calls += [(np.copyto, (out, v)), (operator.ipow, (out, e))]
+    else:
+        calls.append((np.power, (v, e, out)))
+    return out
 
 
 def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> float:
@@ -253,7 +274,7 @@ def sample_residuals(inst: Instance, op: SymOperator, N: int, seed: int) -> floa
 def _source(inst: Instance):
     """The instance's source bound to its parameters: the compiled function
     and the V powers of its terms. It does not depend on t or x, so callers
-    evaluate ``F(0.0, 0.0, V, out, work)[0]``."""
+    build its calls with ``F.calls(0.0, 0.0, V, out, work)[0]``."""
     bound = substitute(inst.F, inst.param_bindings())
     if any(term.coeff.gens() & {"t", "x"} for term in bound.terms):
         raise UnboundFunctionError("source term must be a concrete function of V")
@@ -296,8 +317,10 @@ def solve_pde(
     Runge-Kutta in t, Dirichlet boundaries held at the initial end values
     unless a boundary callable t -> (left, right) is supplied. A row that
     is not positive stops it when a power of V it takes (p, k or one in F)
-    is negative or not an integer. numpy's float warnings are off: a step
-    that leaves the float range gives a row the magnitude check refuses.
+    is negative or not an integer, as does a nan from a stage that left
+    V > 0. numpy's float warnings are off: a step that leaves the float
+    range gives a row the magnitude check refuses. Each stage runs a list
+    of ufunc calls built once, over buffers allocated once.
     """
     g = inst.grid
     dx = g.dx
@@ -312,51 +335,81 @@ def solve_pde(
 
     magnitude = np.empty(g.nx)
 
-    def check_row(r: np.ndarray):
+    def check_row(r: np.ndarray, before=None, time=None):
+        # a nan replays the step from ``before`` at ``time`` to name its cause
         if needs_positive and (r <= 0).any():
             raise PositivityError("V must stay positive for this instance")
         # a nan, or an infinity, fails the comparison as well
         if not np.abs(r, out=magnitude).max() <= 1e6:
+            if needs_positive and before is not None and np.isnan(r).any():
+                np.copyto(base, before)
+                if advance(time, watch=True):
+                    raise PositivityError(
+                        "a Runge-Kutta stage left V > 0, the domain of this "
+                        "instance's powers of V, so the new row holds a nan"
+                    )
             raise InstabilityError("solution magnitude exceeded 1e6")
 
     def stability_bound(r: np.ndarray) -> float:
         vp = r**p if p else np.ones_like(r)
         return 0.4 * dx * dx * float(np.min(vp))
 
-    # every buffer is allocated once; rhs writes only the interior of its
-    # output, so the k's keep their zero ends
+    # every buffer is allocated once; a stage writes only the interior of
+    # its k, so the k's keep their zero ends. ``base`` holds the row a step
+    # starts from, then the row it ends at
+    base, stage = np.empty((2, g.nx))
     k1, k2, k3, k4 = np.zeros((4, g.nx))
-    inner1, inner2, inner3, inner4 = (kk[1:-1] for kk in (k1, k2, k3, k4))
-    stage = np.empty(g.nx)
-    stencil = stage[:-2], stage[1:-1], stage[2:]
     vxx, vx, conv, vp, source, work = np.empty((6, g.nx - 2))
     dx2, two_dx = dx * dx, 2 * dx
+    half, sixth = g.dt / 2, g.dt / 6
 
-    def rhs(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray, inner: np.ndarray):
-        """inner = (((hi - 2*mid) + lo)/dx^2 + (lam*mid^k)*vx - F(mid)) / mid^p,
-        cell by cell in that order, where vx = (hi - lo)/(2*dx); what
+    def rhs(r: np.ndarray, kk: np.ndarray) -> list:
+        """The calls for kk = (((hi - 2*mid) + lo)/dx^2 + (lam*mid^k)*vx -
+        F(mid)) / mid^p on the interior, cell by cell in that order, where
+        lo, mid, hi is the stencil of r and vx = (hi - lo)/(2*dx); what
         ``_drift`` skips, an F without terms and division by mid^0 are
         skipped, since each leaves every bit as it is."""
-        np.multiply(mid, 2, out=vxx)
-        np.subtract(hi, vxx, out=vxx)
-        np.add(vxx, lo, out=vxx)
-        np.divide(vxx, dx2, out=vxx)
-        np.subtract(hi, lo, out=vx)
-        np.divide(vx, two_dx, out=vx)
-        np.add(vxx, _drift(mid, vx, k, lam, conv), out=inner)
+        lo, mid, hi, inner = r[:-2], r[1:-1], r[2:], kk[1:-1]
+        calls = [
+            (np.multiply, (mid, 2, vxx)), (np.subtract, (hi, vxx, vxx)),
+            (np.add, (vxx, lo, vxx)), (np.divide, (vxx, dx2, vxx)),
+            (np.subtract, (hi, lo, vx)), (np.divide, (vx, two_dx, vx)),
+        ]
+        drift = _drift(calls, mid, vx, k, lam, conv)
+        calls.append((np.add, (vxx, drift, inner)))
         if source_powers:
-            np.subtract(inner, F(0.0, 0.0, mid, source, work)[0], out=inner)
+            calls += F.calls(0.0, 0.0, mid, source, work)[0]
+            calls.append((np.subtract, (inner, source, inner)))
         if p:
-            np.divide(inner, _power_of(mid, p, vp), out=inner)
+            power = _power(calls, mid, p, vp)
+            calls.append((np.divide, (inner, power, inner)))
+        return calls
+
+    # stage 1 reads base and the others read stage; the first three end
+    # with stage = base + scale*kk, the boundary values aside, and the last
+    # with base + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), summed in that order in k2
+    stages = [(_held(rhs(r, kk) + [(np.multiply, (kk, scale, stage)),
+                                   (np.add, (stage, base, stage))]), scale)
+              for r, kk, scale in ((base, k1, half), (stage, k2, half), (stage, k3, g.dt))]
+    last = _held(rhs(stage, k4) + [
+        (np.multiply, (k2, 2, k2)), (np.add, (k2, k1, k2)), (np.multiply, (k3, 2, k3)),
+        (np.add, (k2, k3, k2)), (np.add, (k2, k4, k2)), (np.multiply, (k2, sixth, k2)),
+        (np.add, (base, k2, base)),
+    ])
+
+    def advance(time: float, watch: bool = False) -> bool:
+        """One step from base at ``time`` into base, the boundary values
+        aside; with ``watch``, stop at a stage not positive inside, if any."""
+        for calls, scale in stages:
+            _run(calls)
+            stage[0], stage[-1] = bc(time + scale)
+            if watch and (stage[1:-1] <= 0).any():
+                return True
+        _run(last)
+        return False
 
     ends = (float(initial[0]), float(initial[-1]))
     bc = (lambda time: ends) if boundary is None else boundary
-
-    def to_stage(base: np.ndarray, scale: float, kk: np.ndarray, time: float):
-        """stage = base + scale*kk, with the boundary values at ``time``."""
-        np.multiply(kk, scale, out=stage)
-        np.add(stage, base, out=stage)
-        stage[0], stage[-1] = bc(time)
 
     check_row(row)
     if inst.grid.dt > stability_bound(row) * (1 + 1e-12):
@@ -365,42 +418,43 @@ def solve_pde(
         )
     values = np.empty((steps + 1, g.nx))
     values[0] = row
+    base[...] = row
     t = g.t0
-    half, sixth = g.dt / 2, g.dt / 6
     for i in range(steps):
-        row = values[i]
-        rhs(row[:-2], row[1:-1], row[2:], inner1)
-        to_stage(row, half, k1, t + half)
-        rhs(*stencil, inner2)
-        to_stage(row, half, k2, t + half)
-        rhs(*stencil, inner3)
-        to_stage(row, g.dt, k3, t + g.dt)
-        rhs(*stencil, inner4)
-        # row + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), summed in that order in k2
-        k2 *= 2
-        k2 += k1
-        k3 *= 2
-        k2 += k3
-        k2 += k4
-        k2 *= sixth
-        t += g.dt
-        new = values[i + 1]
-        np.add(row, k2, out=new)
-        new[0], new[-1] = bc(t)
-        check_row(new)
+        advance(t)
+        start, t = t, t + g.dt
+        base[0], base[-1] = bc(t)
+        check_row(base, values[i], start)
+        values[i + 1] = base
     return Field(g.t0, g.dt, g.x0, dx, values)
 
 
-def _drift(mid: np.ndarray, vx: np.ndarray, k: float, lam: float, out: np.ndarray):
-    """(lam * mid**k) * vx cell by cell, in ``out`` or, at k = 0 and lam = 1,
-    ``vx`` itself: mid**0 = 1 and x * 1.0 = x leave every bit as it is, so
-    those factors are skipped."""
+def _held(calls: list) -> list:
+    """``calls`` with each number a ufunc takes held in a 0-d float array,
+    which gives the same bits; a ufunc converts a Python number on every
+    call, and on 200 cells that makes the call 40-75% slower."""
+    return [(fn, tuple(np.array(float(a)) if isinstance(fn, np.ufunc)
+                       and isinstance(a, (int, float)) else a for a in args))
+            for fn, args in calls]
+
+
+def _drift(calls: list, mid: np.ndarray, vx: np.ndarray, k: float, lam: float,
+           out: np.ndarray) -> np.ndarray:
+    """Append to ``calls`` the calls for (lam * mid**k) * vx cell by cell in
+    ``out`` and return ``out``, or return ``vx`` itself at k = 0 and lam = 1:
+    mid**0 = 1 and x * 1.0 = x leave every bit as it is, so those factors
+    are skipped."""
     if k:
-        factor = _power_of(mid, k, out)
+        factor = _power(calls, mid, k, out)
         if lam != 1:
-            factor = np.multiply(factor, lam, out=out)
-        return np.multiply(factor, vx, out=out)
-    return vx if lam == 1 else np.multiply(vx, lam, out=out)
+            calls.append((np.multiply, (factor, lam, out)))
+            factor = out
+        calls.append((np.multiply, (factor, vx, out)))
+        return out
+    if lam == 1:
+        return vx
+    calls.append((np.multiply, (vx, lam, out)))
+    return out
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -421,24 +475,26 @@ def invariance_residual(field: Field, inst: Instance) -> float:
     F, source_powers = _source(inst)
     left, mid, right = V[1:-1, :-2], V[1:-1, 1:-1], V[1:-1, 2:]
     res, a, b = np.empty((3,) + mid.shape)
-    np.subtract(V[2:, 1:-1], V[:-2, 1:-1], out=a)  # vt
-    np.divide(a, 2 * field.dt, out=a)
-    if p:
-        np.multiply(_power_of(mid, p, b), a, out=a)
-    np.multiply(mid, 2, out=res)  # vxx
-    np.subtract(right, res, out=res)
-    np.add(res, left, out=res)
     try:
         dx2 = field.dx**2
     except OverflowError:  # V_xx is 0 on so coarse a lattice, as in the solver
         dx2 = math.inf
-    np.divide(res, dx2, out=res)
-    np.subtract(res, a, out=res)
-    np.subtract(right, left, out=a)  # vx
-    np.divide(a, 2 * field.dx, out=a)
-    np.add(res, _drift(mid, a, k, lam, b), out=res)
+    # vt, times vp; vxx minus that; then vx
+    calls = [(np.subtract, (V[2:, 1:-1], V[:-2, 1:-1], a)), (np.divide, (a, 2 * field.dt, a))]
+    if p:
+        power = _power(calls, mid, p, b)
+        calls.append((np.multiply, (power, a, a)))
+    calls += [
+        (np.multiply, (mid, 2, res)), (np.subtract, (right, res, res)),
+        (np.add, (res, left, res)), (np.divide, (res, dx2, res)), (np.subtract, (res, a, res)),
+        (np.subtract, (right, left, a)), (np.divide, (a, 2 * field.dx, a)),
+    ]
+    drift = _drift(calls, mid, a, k, lam, b)
+    calls.append((np.add, (res, drift, res)))
     if source_powers:
-        np.subtract(res, F(0.0, 0.0, mid, a, b)[0], out=res)
+        calls += F.calls(0.0, 0.0, mid, a, b)[0]
+        calls.append((np.subtract, (res, a, res)))
+    _run(calls)
     worst = float(np.abs(res, out=res).max())
     if not math.isfinite(worst):
         raise NumericError("the invariance residual is outside the float range")
@@ -483,7 +539,9 @@ def group_transform(
 
     The lattice is carried along exactly (the flow is affine in each
     coordinate, so the image of a uniform lattice is uniform) and the
-    values are scaled by exp(-w*eps); no interpolation error enters.
+    values are scaled by exp(-w*eps); no interpolation error enters. A
+    NumericError refuses an epsilon that carries the lattice, the scale or
+    a value out of the float range.
     """
     if not math.isfinite(epsilon):
         raise NumericError(f"epsilon must be a finite number: {epsilon!r}")
@@ -498,13 +556,18 @@ def group_transform(
         scale = math.exp(-generator.v_weight * epsilon)
         in_range = (math.isfinite(t0) and math.isfinite(x0) and 0 < dt < math.inf
                     and 0 < dx < math.inf and scale > 0)
+        if in_range:
+            with np.errstate(over="ignore"):
+                values = scale * field.values
+            # only a scale above 1 can carry a finite value past the float range
+            in_range = scale <= 1 or bool(np.isfinite(values).all())
     except OverflowError:
         in_range = False
     if not in_range:
         raise NumericError(
             f"epsilon = {epsilon!r} carries the field out of floating-point range"
         )
-    return Field(t0=t0, dt=dt, x0=x0, dx=dx, values=scale * field.values)
+    return Field(t0=t0, dt=dt, x0=x0, dx=dx, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,8 @@ MAX_POWER = 32
 # capped powers, as in ((t+x+1)^32)^32, nor multiplying them, as in
 # (a+f+g+h)^9*(a+f+g+h+1)^9, nor dividing by a negative power, as in
 # (t+x+p+1)^16/(t+x+p+2)^(-16), can ask for hundreds of thousands of monomials.
+# Adding coefficients over different denominators multiplies them, so a sum
+# such as 1/(t+x+p+1)^8+1/(t+x+p+2)^8+1/(t+x+p+3)^8 is capped as well.
 MAX_EXPANSION = 2048
 
 # the field variable V, which the identifier V stands for
@@ -103,6 +105,20 @@ def _quotient_pieces(e: Expr, d) -> int:
     # and denominators by its numerator
     return sum(len(t.coeff.num.terms) * len(d.den.terms)
                + len(t.coeff.den.terms) * len(d.num.terms) for t in e.terms)
+
+
+def _sum_pieces(lhs: Expr, rhs: Expr) -> int:
+    # like terms a/b and c/d add to (a*d + c*b)/(b*d): |a||d| + |c||b| pieces
+    like = {t._sig: t.coeff for t in lhs.terms}
+    size = _pieces(lhs)
+    for t in rhs.terms:
+        c, d = t.coeff, like.get(t._sig)
+        if d is None:
+            size += len(c.num.terms) * len(c.den.terms)
+        else:
+            size += (len(d.num.terms) * len(c.den.terms) + len(c.num.terms) * len(d.den.terms)
+                     - len(d.num.terms) * len(d.den.terms))
+    return size
 
 
 def _cap(what: str, size: int, pos: int) -> None:
@@ -146,10 +162,9 @@ class _Parser:
                 lhs = self.apply_power(lhs, rhs, tok.pos)
             else:
                 rhs = self.parse(bp)
-                if tok.value == "+":
-                    lhs = lhs + rhs
-                elif tok.value == "-":
-                    lhs = lhs - rhs
+                if tok.value in "+-":
+                    _cap("sum", _sum_pieces(lhs, rhs), tok.pos)
+                    lhs = lhs + rhs if tok.value == "+" else lhs - rhs
                 elif tok.value == "*":
                     _cap("product", _pieces(lhs) * _pieces(rhs), tok.pos)
                     lhs = lhs * rhs

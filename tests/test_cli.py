@@ -244,6 +244,20 @@ def test_check_op_numeric_overflow_exits_2(tmp_path, capsys):
         assert "float range" in err
 
 
+def test_transform_that_overflows_the_values_exits_2(tmp_path, capsys):
+    # the lattice and the scale exp(705) are in range, but the scale times
+    # the Gaussian's peak 1e5 is not; numpy's overflow warning is an error
+    # in this suite, so a warning would fail the test before the exit status
+    data = fixture_json("instance_scaling.json")
+    data.update(k=0, F="0")
+    data["initial"]["amplitude"] = 1e5
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "transform", "--equation", str(path), "--eps", "-705")
+    assert (code, out) == (2, "")
+    assert err == "error: epsilon = -705.0 carries the field out of floating-point range\n"
+
+
 def test_split_of_a_huge_power_exits_2_promptly():
     src = str(Path(__file__).resolve().parents[1] / "src")
     for text, cap in (
@@ -259,6 +273,10 @@ def test_split_of_a_huge_power_exits_2_promptly():
          f"cap of {MAX_EXPANSION} expanded products"),
         # dividing by a negative power multiplies: 969 * 969 products again
         ("(t+x+p+1)^16/(t+x+p+2)^(-16)", f"cap of {MAX_EXPANSION} expanded products"),
+        # adding over different denominators multiplies them: the third term
+        # already asks for 165 * 165 + 969 numerator products
+        ("+".join(f"1/(t+x+p+{i})^8" for i in range(1, 9)),
+         f"cap of {MAX_EXPANSION} expanded products"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "qcsym.cli", "split", text],

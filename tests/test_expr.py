@@ -1,9 +1,13 @@
 """Canonical expression algebra, parser and printer."""
+import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcsym import parser
 from qcsym.errors import ParseError, UnknownSymbolError
 from qcsym.expr import AFF_ONE, AffineExponent, Expr, Term, expr_text
 from qcsym.parser import MAX_EXPANSION, MAX_POWER, parse, parse_affine
@@ -91,6 +95,48 @@ def test_integer_powers_are_capped():
     assert (len(quotient.num.terms), len(quotient.den.terms)) == (969, 969)
     assert parse("0^0") == parse("1")
     assert parse("V^99999") == Expr.vpower(AffineExponent.const(99999))
+
+
+def test_sums_are_capped():
+    # like terms a/b and c/d add to (a*d + c*b)/(b*d), so eight terms over
+    # (t+x+p+i)^8, 165 monomials each, would grow past any cap; the third
+    # term already asks for 165 * 165 + 969 products and is refused at once
+    text = "+".join(f"1/(t+x+p+{i})^8" for i in range(1, 9))
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"sum of 28194 pieces exceeds the cap of {MAX_EXPANSION}"):
+        parse(text)
+    assert time.perf_counter() - start < 1.0
+    assert len(parse("1/(t+x+p+1)^8+1/(t+x+p+2)^8").terms[0].coeff.den.terms) == 969
+    # over one denominator, and for unlike terms, the pieces just add up
+    half = "(t+x)^31*(p+k)^31"
+    assert len(parse(f"{half} - (t+x)^31*(n+m)^31").terms[0].coeff.num.terms) == 2048
+    assert len(parse(f"{half} + V*(t+x)^31*(n+m)^31").terms) == 2
+    for text in (f"{half} - (t+x)^31*(n+m)^31 + 1", f"{half} + V*(t+x)^31*(n+m)^31 + V"):
+        with pytest.raises(ParseError, match="sum of 2049 pieces"):
+            parse(text)
+
+
+def _fixture_strings(doc):
+    if isinstance(doc, str):
+        yield doc
+    elif isinstance(doc, (dict, list)):
+        for item in doc.values() if isinstance(doc, dict) else doc:
+            yield from _fixture_strings(item)
+
+
+def test_no_fixture_text_meets_a_cap():
+    # constraints such as k!=0, names such as power and table dashes are
+    # refused for what they are, but no text is refused for its size
+    fixtures = Path(parser.__file__).parent / "fixtures"
+    texts = [path.read_text().strip() for path in fixtures.glob("*.txt")]
+    for path in fixtures.glob("*.json"):
+        texts.extend(_fixture_strings(json.loads(path.read_text())))
+    assert len(texts) > 150
+    for text in texts:
+        try:
+            parse(text)
+        except ParseError as exc:
+            assert "cap of" not in str(exc), text
 
 
 def test_division_restricted():

@@ -551,6 +551,21 @@ def test_solver_guards_keep_their_order_and_messages():
         solve_pde(blowup, np.full(21, 10.0), 60)
 
 
+def test_a_stage_that_leaves_positive_v_is_named_for_a_nan_row():
+    # V^k at this fractional k is nan where a Runge-Kutta stage is not
+    # positive; the first new row is nan inside and 0.00193 at its ends, so
+    # it exceeds no magnitude and is positive wherever it is a number
+    data = fixture_json("instance_scaling.json")
+    data["k"] = -90.18722286884986
+    data["grid"].update(nx=11, steps=10)
+    inst = Instance.from_json(data)
+    with pytest.raises(PositivityError, match=(
+        "^a Runge-Kutta stage left V > 0, the domain of this instance's powers "
+        "of V, so the new row holds a nan$"
+    )):
+        solve_pde(inst, initial_row(inst), 10)
+
+
 def _convergence_study():
     """scripts/convergence_study.py, loaded by path as the README runs it."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
