@@ -108,16 +108,18 @@ def _quotient_pieces(e: Expr, d) -> int:
 
 
 def _sum_pieces(lhs: Expr, rhs: Expr) -> int:
-    # like terms a/b and c/d add to (a*d + c*b)/(b*d): |a||d| + |c||b| pieces
-    like = {t._sig: t.coeff for t in lhs.terms}
+    # like terms a/b and c/d add to (a*d + c*b)/(b*d): |a||d| + |c||b|
+    # pieces in place of the |a||b| that _pieces(lhs) counts
+    like = {t.signature: t.coeff for t in lhs.terms}
     size = _pieces(lhs)
     for t in rhs.terms:
-        c, d = t.coeff, like.get(t._sig)
-        if d is None:
-            size += len(c.num.terms) * len(c.den.terms)
+        c, d = len(t.coeff.num.terms), len(t.coeff.den.terms)
+        other = like.get(t.signature)
+        if other is None:
+            size += c * d
         else:
-            size += (len(d.num.terms) * len(c.den.terms) + len(c.num.terms) * len(d.den.terms)
-                     - len(d.num.terms) * len(d.den.terms))
+            a, b = len(other.num.terms), len(other.den.terms)
+            size += a * d + c * b - a * b
     return size
 
 
