@@ -9,7 +9,9 @@ lambda = 3/2 and the source 1 - V^(-1), whose solver and residual take the
 branches the fixture never does (a division by V^p, a power for the
 convection, a multiply by lambda, a constant summed before a negative power);
 on an instance with k = 1, lambda = 100/7 and the source V^2 - exp(-V), which
-adds an exponential after a power in the source; and
+adds an exponential after a power in the source; on one with the source
+20000*V^(-1) - 20000*V^(-11/10) + 1/7*V^3, far larger than V, whose row bits
+change with the order the source's terms are summed in; and
 `qcsym check-op-numeric --json --samples 1` at seeds 0-9 on a copy of the
 fixture whose operator's eta has a term with a ten-monomial coefficient added
 (the fixture's own operator admits the equation and draws no point). With one sample, each printed residual is the
@@ -48,10 +50,13 @@ EXPONENTIAL = {
     "initial": {"type": "linear", "slope": 0.5, "offset": 1.0},
 }
 
+# a source far larger than V, so a one-ulp change in its sum shows in the row
+BIG_SOURCE = dict(EXPONENTIAL, F="20000*V^(-1) - 20000*V^(-11/10) + 1/7*V^3")
+
 
 def instances(workdir: Path) -> list:
-    """The fixture, Gaussian initial rows drawn with seeds 1-3, BRANCHES and
-    EXPONENTIAL."""
+    """The fixture, Gaussian initial rows drawn with seeds 1-3, BRANCHES,
+    EXPONENTIAL and BIG_SOURCE."""
     paths = [FIXTURE]
     for seed in (1, 2, 3):
         rng = random.Random(seed)
@@ -60,7 +65,8 @@ def instances(workdir: Path) -> list:
                           "center": rng.uniform(4.0, 6.0), "width": rng.uniform(1.5, 2.5)}
         paths.append(workdir / f"gaussian_{seed}.json")
         paths[-1].write_text(json.dumps(doc))
-    for name, doc in (("branches", BRANCHES), ("exponential", EXPONENTIAL)):
+    for name, doc in (("branches", BRANCHES), ("exponential", EXPONENTIAL),
+                      ("big_source", BIG_SOURCE)):
         paths.append(workdir / f"{name}.json")
         paths[-1].write_text(json.dumps(doc))
     return paths

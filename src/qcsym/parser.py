@@ -9,8 +9,9 @@ Division is restricted to invertible single-term expressions.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .errors import DivisionError, ParseError, UnknownSymbolError
 from .expr import AFF_ONE, FUNCTIONS, PARAMETERS, AffineExponent, Expr, FnAtom
@@ -74,6 +75,7 @@ def _tokenize(text: str):
 
 
 _BINARY_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
+_NODES = {"+": "sum", "-": "sum", "*": "product", "/": "quotient"}
 _UNARY_BP = 25
 
 # The largest integer power of a base other than V. Expanding a power of a
@@ -81,46 +83,87 @@ _UNARY_BP = 25
 # characters such as 9^9^9 would ask for more work than any run can finish.
 MAX_POWER = 32
 
-# The most products a product or an integer power may expand to. A piece is
-# a term's numerator monomial over one of its denominator monomials. A
-# product of bases of a and b pieces has up to a * b products and the n-th
-# power of a base of m pieces up to comb(m + n - 1, n), so neither nesting
-# capped powers, as in ((t+x+1)^32)^32, nor multiplying them, as in
-# (a+f+g+h)^9*(a+f+g+h+1)^9, nor dividing by a negative power, as in
-# (t+x+p+1)^16/(t+x+p+2)^(-16), can ask for hundreds of thousands of monomials.
-# Adding coefficients over different denominators multiplies them, so a sum
-# such as 1/(t+x+p+1)^8+1/(t+x+p+2)^8+1/(t+x+p+3)^8 is capped as well.
+# The most pieces one operator node may build. A node's pieces are the
+# numerator monomials of the terms it builds, plus their denominator
+# monomials where a denominator is not constant. _bound counts them before
+# the node is built, so neither nesting capped powers, as in
+# ((t+x+1)^32)^32, nor multiplying, dividing or adding them, as in
+# (t^32-1)*(x^32-1)/((t-1)*(x-1)) or 1/(t+x+p+1)^16+1/(t+x+p+2)^16, can
+# ask for hundreds of thousands of monomials.
 MAX_EXPANSION = 2048
 
 # the field variable V, which the identifier V stands for
 _V = Expr.vpower(AFF_ONE)
 
 
-def _pieces(e: Expr) -> int:
-    return sum(len(t.coeff.num.terms) * len(t.coeff.den.terms) for t in e.terms)
+def _degree(p) -> Counter:
+    """Each generator's degree in p, and under None its total degree."""
+    out = {}
+    for m in p.terms:
+        for v, e in m + ((None, sum(e for _, e in m)),):
+            if e > out.get(v, 0):
+                out[v] = e
+    return Counter(out)
 
 
-def _quotient_pieces(e: Expr, d) -> int:
-    # dividing by the coefficient d multiplies numerators by its denominator
-    # and denominators by its numerator
-    return sum(len(t.coeff.num.terms) * len(d.den.terms)
-               + len(t.coeff.den.terms) * len(d.num.terms) for t in e.terms)
+def _count(deg: Counter, n: int = 1) -> int:
+    """The most monomials the n-th power of a polynomial of these degrees
+    has: the box of its generators' degrees or the simplex of its total
+    degree, the smaller."""
+    gens = [n * d for v, d in deg.items() if v is not None]
+    return min(prod(d + 1 for d in gens), comb(n * deg[None] + len(gens), len(gens)))
 
 
-def _sum_pieces(lhs: Expr, rhs: Expr) -> int:
-    # like terms a/b and c/d add to (a*d + c*b)/(b*d): |a||d| + |c||b|
-    # pieces in place of the |a||b| that _pieces(lhs) counts
-    like = {t.signature: t.coeff for t in lhs.terms}
-    size = _pieces(lhs)
-    for t in rhs.terms:
-        c, d = len(t.coeff.num.terms), len(t.coeff.den.terms)
-        other = like.get(t.signature)
-        if other is None:
-            size += c * d
-        else:
-            a, b = len(other.num.terms), len(other.den.terms)
-            size += a * d + c * b - a * b
-    return size
+def _over_one(terms) -> tuple:
+    """Degrees of the numerator and the denominator of terms brought over
+    one denominator, the product of their distinct denominators."""
+    dens = {t.coeff.den: _degree(t.coeff.den) for t in terms}
+    den = sum(dens.values(), Counter())
+    num = Counter()
+    for t in terms:
+        num |= _degree(t.coeff.num) + (den - dens[t.coeff.den])
+    return num, den
+
+
+def _size(num: Counter, den: Counter, n: int = 1) -> int:
+    return _count(num, n) + (_count(den, n) if den else 0)
+
+
+def _term_size(t) -> int:
+    return len(t.coeff.num.terms) + (0 if t.coeff.den.is_const() else len(t.coeff.den.terms))
+
+
+def _bound(op: str, lhs: Expr, rhs) -> int:
+    """The most pieces lhs op rhs builds, given a quotient's inverted
+    divisor, or a power's exponent n >= 0 of an inverted base. Where every
+    denominator is constant nothing cancels, so monomial counts bound the
+    result; elsewhere a gcd can grow a numerator, as in (t^32-1)/(t-1), so
+    each numerator and denominator is bounded by its degrees."""
+    if op in "+-":
+        # a term without a like partner passes through as it is
+        like = {t.signature: t for t in lhs.terms}
+        size = 0
+        for t in rhs.terms:
+            pair = (like.pop(t.signature), t) if t.signature in like else (t,)
+            if len(pair) == 1 or all(u.coeff.den.is_const() for u in pair):
+                size += sum(map(_term_size, pair))
+            else:
+                size += _size(*_over_one(pair))
+        return size + sum(map(_term_size, like.values()))
+    terms = lhs.terms + (() if op == "^" else rhs.terms)
+    if all(t.coeff.den.is_const() for t in terms):
+        m = sum(map(_term_size, lhs.terms))
+        if op == "^":
+            return comb(m + rhs - 1, rhs) if rhs else 1
+        return m * sum(map(_term_size, rhs.terms))
+    # like products of a power's terms, or of two multi-term factors' pairs,
+    # meet over a common denominator; a product by one term merges none
+    if op == "^":
+        return comb(len(lhs.terms) + rhs - 1, rhs) * _size(*_over_one(lhs.terms), rhs)
+    merge = len(lhs.terms) > 1 and len(rhs.terms) > 1
+    left, right = ([_over_one(e.terms)] * len(e.terms) if merge
+                   else [_over_one((t,)) for t in e.terms] for e in (lhs, rhs))
+    return sum(_size(n1 + n2, d1 + d2) for n1, d1 in left for n2, d2 in right)
 
 
 def _cap(what: str, size: int, pos: int) -> None:
@@ -129,6 +172,13 @@ def _cap(what: str, size: int, pos: int) -> None:
             f"{what} of {size} pieces exceeds the cap of "
             f"{MAX_EXPANSION} expanded products", pos
         )
+
+
+def _inverse(e: Expr, pos: int) -> Expr:
+    try:
+        return e.invert()
+    except DivisionError as exc:
+        raise ParseError(str(exc), pos) from None
 
 
 class _Parser:
@@ -162,21 +212,17 @@ class _Parser:
             if tok.value == "^":
                 rhs = self.parse(bp - 1)  # right associative
                 lhs = self.apply_power(lhs, rhs, tok.pos)
+                continue
+            rhs = self.parse(bp)
+            if tok.value == "/":
+                rhs = _inverse(rhs, tok.pos)
+            _cap(_NODES[tok.value], _bound(tok.value, lhs, rhs), tok.pos)
+            if tok.value == "+":
+                lhs = lhs + rhs
+            elif tok.value == "-":
+                lhs = lhs - rhs
             else:
-                rhs = self.parse(bp)
-                if tok.value in "+-":
-                    _cap("sum", _sum_pieces(lhs, rhs), tok.pos)
-                    lhs = lhs + rhs if tok.value == "+" else lhs - rhs
-                elif tok.value == "*":
-                    _cap("product", _pieces(lhs) * _pieces(rhs), tok.pos)
-                    lhs = lhs * rhs
-                else:
-                    if len(rhs.terms) == 1:
-                        _cap("quotient", _quotient_pieces(lhs, rhs.terms[0].coeff), tok.pos)
-                    try:
-                        lhs = lhs / rhs
-                    except DivisionError as exc:
-                        raise ParseError(str(exc), tok.pos) from None
+                lhs = lhs * rhs
         return lhs
 
     def parse_prefix(self) -> Expr:
@@ -230,16 +276,10 @@ class _Parser:
             raise ParseError(
                 f"power {n} exceeds the cap of {MAX_POWER} on integer powers", pos
             )
-        pieces = _pieces(base)
-        if n and comb(pieces + abs(n) - 1, abs(n)) > MAX_EXPANSION:
-            raise ParseError(
-                f"power {n} of a base of {pieces} pieces exceeds the cap of "
-                f"{MAX_EXPANSION} expanded products", pos
-            )
-        try:
-            return base ** n
-        except (DivisionError, ValueError) as exc:
-            raise ParseError(str(exc), pos) from None
+        if n < 0:
+            base, n = _inverse(base, pos), -n
+        _cap("power", _bound("^", base, n), pos)
+        return base ** n
 
     def _as_exp_argument(self, inner: Expr, pos: int) -> AffineExponent:
         # the argument must be (affine) * V

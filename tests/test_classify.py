@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcsym import classify
 from qcsym.calculus import Constraint, collect, solve_linear_for, split, substitute
 from qcsym.classify import (
     CASE_B_ASSUMPTIONS,
@@ -21,7 +22,9 @@ from qcsym.classify import (
     six_power_cases,
     solve_eta_case_b,
 )
-from qcsym.errors import AmbiguousGradingError, PoleError, TableError, TermLanguageError
+from qcsym.errors import (
+    AmbiguousGradingError, PoleError, TableError, TermLanguageError, VerificationError,
+)
 from qcsym.expr import Expr
 from qcsym.parser import parse, parse_affine
 
@@ -304,3 +307,10 @@ def test_case_b_triple_does_not_trivialize_eq4():
         {"xi": parse("a*V + f"), "eta": solve_eta_case_b(), "F": extract_F()},
     )
     assert not residual.is_zero()
+
+
+def test_euler_form_refuses_an_equation_not_of_euler_type():
+    # F_V = -F^2: the coefficient of F is no multiple of F/V
+    with pytest.raises(VerificationError, match="not of Euler type") as err:
+        classify._euler_form(parse("F_V + F^2"))
+    assert err.value.step == "euler-form"

@@ -1,4 +1,5 @@
 """Command-line interface: commands, exit codes, determinism."""
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qcsym import classify, determining, numeric, parser
+from qcsym import classify, cli, determining, numeric, parser
 from qcsym.calculus import eq_normalize, substitute
 from qcsym.classify import fixture_json
 from qcsym.cli import main, verify_paper
@@ -274,9 +275,20 @@ def test_split_of_a_huge_power_exits_2_promptly():
         # dividing by a negative power multiplies: 969 * 969 products again
         ("(t+x+p+1)^16/(t+x+p+2)^(-16)", f"cap of {MAX_EXPANSION} expanded products"),
         # adding over different denominators multiplies them: the third term
-        # already asks for 165 * 165 + 969 numerator products
+        # already asks for a denominator of degree 24 in t, x and p
         ("+".join(f"1/(t+x+p+{i})^8" for i in range(1, 9)),
          f"cap of {MAX_EXPANSION} expanded products"),
+        # where a gcd can cancel, degrees bound the numerators and the
+        # denominators: each of these ran for 1.4 s to over 600 s
+        ("(1/(t+x+p+k+1)^2 + V/(t+x+p+k+2)^2 + V^2/(t+x+p+k+3)^2 + V^3/(t+x+p+k+4)^2)^2",
+         f"cap of {MAX_EXPANSION} expanded products"),
+        ("(t^32-1)*(x^32-1)*(p^32-1)/((t-1)*(x-1)*(p-1))",
+         f"cap of {MAX_EXPANSION} expanded products"),
+        ("(t^32-1)*(x^32-1)*(p^32-1)*(k^32-1)/((t-1)*(x-1)*(p-1)*(k-1))",
+         f"cap of {MAX_EXPANSION} expanded products"),
+        ("(((((1)^(-8))/(f))/(((p)*(k))+((p)^16)))-((p)-(((p)*(2))^32)))^16",
+         f"cap of {MAX_EXPANSION} expanded products"),
+        ("1/(t+x+p+1)^16+1/(t+x+p+2)^16", f"cap of {MAX_EXPANSION} expanded products"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "qcsym.cli", "split", text],
@@ -286,6 +298,39 @@ def test_split_of_a_huge_power_exits_2_promptly():
         assert (proc.returncode, proc.stdout) == (2, ""), text
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert cap in proc.stderr
+
+
+# texts of up to 120 characters over the grammar's tokens: sums, products,
+# quotients and powers of random expression trees, with exponents up to 32
+# either way, and strings of the same tokens in any order
+_LEAVES = st.sampled_from(["t", "x", "p", "k", "n", "lambda", "V", "a", "f", "F_V", "a_x",
+                           "exp(p*V)", "0", "1", "2", "9"])
+_EXPONENTS = st.integers(-32, 32).map(lambda n: f"({n})" if n < 0 else str(n))
+_TREES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda n: f"({n[0]}){n[1]}({n[2]})"),
+    st.tuples(inner, _EXPONENTS).map(lambda n: f"({n[0]})^{n[1]}"),
+), max_leaves=16)
+_LONG_TEXTS = st.one_of(
+    st.lists(st.tuples(st.sampled_from("+-*/"), _TREES), min_size=1, max_size=6)
+    .map(lambda parts: "".join(f"{op}({tree})" for op, tree in parts)[1:]),
+    st.lists(st.one_of(_LEAVES, _EXPONENTS, st.sampled_from(list("+-*/^()"))), max_size=40)
+    .map("".join),
+).filter(lambda text: len(text) <= 120)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_LONG_TEXTS)
+def test_split_text_fuzz_exits_cleanly(capsys, text):
+    # no bound on the time: a node within every size cap may still meet a
+    # slow gcd
+    code, out, err = run(capsys, "split", "--", text)
+    assert code in (0, 1, 2), text
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (text, err)
+        assert err.endswith("\n"), (text, err)
+    else:
+        assert err == "", (text, err)
 
 
 # a fresh interpreter runs one command and reports its exit status and
@@ -598,6 +643,48 @@ def test_suite_step_fails_when_its_chain_raises(monkeypatch):
     for step_id in ("chain-k1-p2", "cubic-source-split"):
         assert by_id[step_id]["status"] == "fail"
         assert by_id[step_id]["detail"] == "step 'reduce-eq3' failed: stubbed"
+
+
+def _fewer_equations(eq):
+    system = determining.generate_determining_system(eq)
+    return dataclasses.replace(system, equations=system.equations[:3])
+
+
+def _trimmed_tables(field):
+    """A stub of the tables: each table without the first of its field."""
+    real = classify.coincidence_tables_k_eq_p_minus_1
+    return lambda: tuple(dataclasses.replace(t, **{field: getattr(t, field)[1:]})
+                         for t in real())
+
+
+# each failure return of a suite step that no fixture reaches: the name the
+# step calls, a stub for it, and the detail the step reports
+_STEP_FAILURES = [
+    ("determining-systems", cli, "generate_determining_system", _fewer_equations,
+     "power: expected 4 equations"),
+    ("eta-general-solution", classify, "solve_eta_case_b", lambda: parse("0"),
+     "closed form differs"),
+    ("source-term-extraction", classify, "extract_F", lambda: parse("0"),
+     "closed form differs"),
+    ("coincidence-tables", classify, "coincidence_tables_k_eq_p_minus_1",
+     _trimmed_tables("columns"), "table_leading.json: column mismatch"),
+    ("coincidence-tables", classify, "coincidence_tables_k_eq_p_minus_1",
+     _trimmed_tables("values"), "table_leading.json: value mismatch"),
+    ("sampled-residuals", numeric, "sample_residuals", lambda *args: 1.0,
+     "max residual 1.000e+00"),
+]
+
+
+@pytest.mark.parametrize("step_id, module, name, stub, detail", _STEP_FAILURES,
+                         ids=[f"{row[0]}: {row[-1]}" for row in _STEP_FAILURES])
+def test_suite_step_reports_its_failure(monkeypatch, step_id, module, name, stub, detail):
+    # the cached derivations run first, so no stub reaches their caches
+    classify.extract_F()
+    monkeypatch.setattr(module, name, stub)
+    report, ok = verify_paper(keep_going=True)
+    by_id = {step["id"]: step for step in report}
+    assert not ok
+    assert (by_id[step_id]["status"], by_id[step_id]["detail"]) == ("fail", detail)
 
 
 @pytest.mark.parametrize("initial, code", [

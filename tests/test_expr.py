@@ -5,10 +5,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcsym import parser
-from qcsym.errors import ParseError, UnknownSymbolError
+from qcsym.errors import DivisionError, ParseError, UnknownSymbolError
 from qcsym.expr import AFF_ONE, AffineExponent, Expr, Term, expr_text
 from qcsym.parser import MAX_EXPANSION, MAX_POWER, parse, parse_affine
 from qcsym.poly import F_ONE
@@ -99,11 +99,12 @@ def test_integer_powers_are_capped():
 
 def test_sums_are_capped():
     # like terms a/b and c/d add to (a*d + c*b)/(b*d), so eight terms over
-    # (t+x+p+i)^8, 165 monomials each, would grow past any cap; the third
-    # term already asks for 165 * 165 + 969 products and is refused at once
+    # (t+x+p+i)^8 would grow past any cap; the third term already asks for
+    # a numerator of degree 16 and a denominator of degree 24 in t, x and p,
+    # comb(19, 3) + comb(27, 3) monomials, and is refused at once
     text = "+".join(f"1/(t+x+p+{i})^8" for i in range(1, 9))
     start = time.perf_counter()
-    with pytest.raises(ParseError, match=f"sum of 28194 pieces exceeds the cap of {MAX_EXPANSION}"):
+    with pytest.raises(ParseError, match=f"sum of 3894 pieces exceeds the cap of {MAX_EXPANSION}"):
         parse(text)
     assert time.perf_counter() - start < 1.0
     assert len(parse("1/(t+x+p+1)^8+1/(t+x+p+2)^8").terms[0].coeff.den.terms) == 969
@@ -114,6 +115,71 @@ def test_sums_are_capped():
     for text in (f"{half} - (t+x)^31*(n+m)^31 + 1", f"{half} + V*(t+x)^31*(n+m)^31 + V"):
         with pytest.raises(ParseError, match="sum of 2049 pieces"):
             parse(text)
+
+
+# Texts whose last node cancels by a gcd or meets over different
+# denominators. Each once ran for seconds to minutes; the power and sum ones
+# are within every old cap.
+_CANCELLING_TEXTS = [
+    # like products meet over four different denominators
+    "(1/(t+x+p+k+1)^2 + V/(t+x+p+k+2)^2 + V^2/(t+x+p+k+3)^2 + V^3/(t+x+p+k+4)^2)^2",
+    # a quotient of 8 monomials by 8 that cancels to 32,768
+    "(t^32-1)*(x^32-1)*(p^32-1)/((t-1)*(x-1)*(p-1))",
+    "(t^32-1)*(x^32-1)*(p^32-1)*(k^32-1)/((t-1)*(x-1)*(p-1)*(k-1))",
+    "(((((1)^(-8))/(f))/(((p)*(k))+((p)^16)))-((p)-(((p)*(2))^32)))^16",
+    # the common denominator alone has 6545 monomials
+    "1/(t+x+p+1)^16+1/(t+x+p+2)^16",
+]
+
+
+@pytest.mark.parametrize("text", _CANCELLING_TEXTS)
+def test_cancelling_nodes_are_capped_by_degrees(text):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"exceeds the cap of {MAX_EXPANSION} expanded products"):
+        parse(text)
+    assert time.perf_counter() - start < 1.0
+
+
+# operands with numerators and denominators that cancel, share a factor or
+# meet over different denominators, and plain ones
+_LEAVES = ["t^3-1", "1/(t^2-1)", "(t-1)/(t+1)", "V/(t+2)", "a*V+f", "t+x", "2*p",
+           "1/3", "V", "x/(t*p)", "(x+1)^2/(t-1)", "f/(p+1) + V^2"]
+_OPERANDS = st.recursive(
+    st.sampled_from(_LEAVES),
+    lambda inner: st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+        lambda node: f"({node[0]}){node[1]}({node[2]})"),
+    max_leaves=3,
+)
+
+
+def _built_size(e: Expr) -> int:
+    return sum(map(parser._term_size, e.terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPERANDS, st.sampled_from("+-*/^"), _OPERANDS, st.integers(-3, 3))
+# the nodes of the cancelling texts above, at a size that builds quickly
+@example("1/(t+x+1)^2 + V/(t+x+2)^2 + V^2/(t+x+3)^2", "^", "1", 2)
+@example("(t^8-1)*(x^8-1)", "/", "(t-1)*(x-1)", 0)
+@example("1/f/(p*k+p^4) - (p-(2*p)^4)", "^", "1", 3)
+@example("1/(t+x+p+1)^4", "+", "1/(t+x+p+2)^4", 0)
+@example("(t^3-1)/(t+1)", "*", "(t+1)/(t-1)", 0)
+# like products of two pairs meet over a denominator of degree 4
+@example("1/(t+x+p+1) + V/(t+x+p+2)", "*", "V/(t+x+p+3) + 1/(t+x+p+4)", 0)
+def test_no_node_builds_more_than_its_bound(a, op, b, n):
+    try:
+        lhs, rhs = parse(a), parse(b)
+        if op == "^":
+            lhs, rhs = (lhs.invert(), -n) if n < 0 else (lhs, n)
+            built = lhs ** rhs
+        elif op == "/":
+            rhs = rhs.invert()
+            built = lhs * rhs
+        else:
+            built = lhs + rhs if op == "+" else lhs - rhs if op == "-" else lhs * rhs
+    except (DivisionError, ParseError):
+        return  # a sum or a derived atom is no divisor
+    assert _built_size(built) <= parser._bound(op, lhs, rhs)
 
 
 def _fixture_strings(doc):

@@ -449,6 +449,9 @@ def _solver_cases():
         ("p-1", -1, 1, "100/7", "V^2", _LINEAR),
         # an exponential term after a power term
         ("exp-source", 0, 1, "100/7", "V^2 - exp(-V)", _LINEAR),
+        # a source far larger than V: a one-ulp change in its sum, as from
+        # another summation order, still moves the row's bits
+        ("big-source", 0, 1, "100/7", "20000*V^(-1) - 20000*V^(-11/10) + 1/7*V^3", _LINEAR),
     ]:
         inst = simple_instance(p=p, k=k, lam=lam, F=F, initial=initial)
         cases[name] = (inst, inst.grid.steps, None)
@@ -456,7 +459,7 @@ def _solver_cases():
 
 
 _SOLVER_CASES = ["fixture", "p2-k1/2", "k0", "many-terms", "constant-first", "lam1-k3",
-                 "lam1-k0", "k1", "p1/2", "p-1", "exp-source", "study", "steps-0"]
+                 "lam1-k0", "k1", "p1/2", "p-1", "exp-source", "big-source", "study", "steps-0"]
 
 
 @pytest.mark.parametrize("case", _SOLVER_CASES)
