@@ -83,13 +83,13 @@ _UNARY_BP = 25
 # characters such as 9^9^9 would ask for more work than any run can finish.
 MAX_POWER = 32
 
-# The most pieces one operator node may build. A node's pieces are the
-# numerator monomials of the terms it builds, plus their denominator
-# monomials where a denominator is not constant. _bound counts them before
-# the node is built, so neither nesting capped powers, as in
-# ((t+x+1)^32)^32, nor multiplying, dividing or adding them, as in
-# (t^32-1)*(x^32-1)/((t-1)*(x-1)) or 1/(t+x+p+1)^16+1/(t+x+p+2)^16, can
-# ask for hundreds of thousands of monomials.
+# The most pieces one operator node may build: the monomial products it
+# multiplies out or, where a gcd can cancel, the monomials its degrees
+# allow, and for a power the 64-bit words of its largest coefficient.
+# _bound counts them before the node is built, so no nesting, as in
+# ((t+x+1)^32)^32 or (((9^32)^32)^32)^32, and no product, quotient or sum,
+# as in (t^32-1)*(x^32-1)/((t-1)*(x-1)) or 1/(t+x+p+1)^16+1/(t+x+p+2)^16,
+# can ask for hundreds of thousands of monomials or digits.
 MAX_EXPANSION = 2048
 
 # the field variable V, which the identifier V stands for
@@ -107,9 +107,9 @@ def _degree(p) -> Counter:
 
 
 def _count(deg: Counter, n: int = 1) -> int:
-    """The most monomials the n-th power of a polynomial of these degrees
-    has: the box of its generators' degrees or the simplex of its total
-    degree, the smaller."""
+    """The most monomials the n-th power of a polynomial of these degrees,
+    or of a factor of it, has: the box of its generators' degrees or the
+    simplex of its total degree, the smaller."""
     gens = [n * d for v, d in deg.items() if v is not None]
     return min(prod(d + 1 for d in gens), comb(n * deg[None] + len(gens), len(gens)))
 
@@ -133,37 +133,83 @@ def _term_size(t) -> int:
     return len(t.coeff.num.terms) + (0 if t.coeff.den.is_const() else len(t.coeff.den.terms))
 
 
+def _plain(p, q) -> bool:
+    """Whether p and q plainly keep their monomial counts when freed of
+    their gcd: one is a monomial, whose factors are monomials, or they have
+    no common factor. Such a factor is a polynomial in their shared
+    generators alone, so it divides each coefficient of p, and of q, as a
+    polynomial in the other generators; a constant coefficient rules it out."""
+    shared = p.gens() & q.gens()
+    if not shared or len(p.terms) == 1 or len(q.terms) == 1:
+        return True
+    for r in (p, q):
+        rest = Counter(tuple(x for x in m if x[0] not in shared) for m in r.terms)
+        if any(rest[m] == 1 for m in r.terms if not any(v in shared for v, _ in m)):
+            return True
+    return False
+
+
+def _bits(c) -> int:
+    if type(c) is int:
+        return c.bit_length()
+    return c.numerator.bit_length() + c.denominator.bit_length()
+
+
+def _pair(t1, t2) -> int:
+    """Monomial products of t1 * t2, each numerator first freed of its gcd
+    with the other denominator. Where they may share a factor, degrees
+    bound the cofactors, which can outgrow them as (t^32-1)/(t-1) does."""
+    (n1, d1), (n2, d2) = (t1.coeff.num, t1.coeff.den), (t2.coeff.num, t2.coeff.den)
+    (a, d), (b, c) = ((len(n.terms), len(d.terms)) if _plain(n, d)
+                      else (_count(_degree(n)), _count(_degree(d)))
+                      for n, d in ((n1, d2), (n2, d1)))
+    return a * b + (0 if d1.is_const() and d2.is_const() else c * d)
+
+
 def _bound(op: str, lhs: Expr, rhs) -> int:
     """The most pieces lhs op rhs builds, given a quotient's inverted
-    divisor, or a power's exponent n >= 0 of an inverted base. Where every
-    denominator is constant nothing cancels, so monomial counts bound the
-    result; elsewhere a gcd can grow a numerator, as in (t^32-1)/(t-1), so
-    each numerator and denominator is bounded by its degrees."""
+    divisor, or a power's exponent n >= 0 of an inverted base."""
+    if op != "^" and all(t.coeff.den.is_const() for e in (lhs, rhs) for t in e.terms):
+        # over constant denominators nothing cancels
+        m, n = (sum(len(t.coeff.num.terms) for t in e.terms) for e in (lhs, rhs))
+        return m + n if op in "+-" else m * n
     if op in "+-":
         # a term without a like partner passes through as it is
         like = {t.signature: t for t in lhs.terms}
         size = 0
         for t in rhs.terms:
-            pair = (like.pop(t.signature), t) if t.signature in like else (t,)
-            if len(pair) == 1 or all(u.coeff.den.is_const() for u in pair):
-                size += sum(map(_term_size, pair))
-            else:
-                size += _size(*_over_one(pair))
+            u = like.pop(t.signature, None)
+            if u is None:
+                size += _term_size(t)
+            elif not _plain(u.coeff.den, t.coeff.den):
+                size += _size(*_over_one((u, t)))
+            else:  # (a*d + c*b)/(b*d), reduced at most by a monomial
+                (a, b), (c, d) = ((len(x.coeff.num.terms), x.coeff.den) for x in (u, t))
+                size += (a * len(d.terms) + c * len(b.terms)
+                         + (0 if b.is_const() and d.is_const() else len(b.terms) * len(d.terms)))
         return size + sum(map(_term_size, like.values()))
-    terms = lhs.terms + (() if op == "^" else rhs.terms)
-    if all(t.coeff.den.is_const() for t in terms):
-        m = sum(map(_term_size, lhs.terms))
-        if op == "^":
-            return comb(m + rhs - 1, rhs) if rhs else 1
-        return m * sum(map(_term_size, rhs.terms))
-    # like products of a power's terms, or of two multi-term factors' pairs,
-    # meet over a common denominator; a product by one term merges none
     if op == "^":
-        return comb(len(lhs.terms) + rhs - 1, rhs) * _size(*_over_one(lhs.terms), rhs)
-    merge = len(lhs.terms) > 1 and len(rhs.terms) > 1
-    left, right = ([_over_one(e.terms)] * len(e.terms) if merge
-                   else [_over_one((t,)) for t in e.terms] for e in (lhs, rhs))
-    return sum(_size(n1 + n2, d1 + d2) for n1, d1 in left for n2, d2 in right)
+        if rhs == 0:
+            return 1
+        # powering multiplies a coefficient's digits: n times the base's
+        # largest coefficient counts once per 64 bits
+        words = (rhs * max((_bits(c) for t in lhs.terms for p in (t.coeff.num, t.coeff.den)
+                            for c in p.terms.values()), default=0) + 63) >> 6
+        if len(lhs.terms) > 1 and not all(t.coeff.den.is_const() for t in lhs.terms):
+            # like products of the terms meet over a common denominator
+            powers = comb(len(lhs.terms) + rhs - 1, rhs)
+            return max(words, powers * _size(*_over_one(lhs.terms), rhs))
+        # over constant denominators, or of one reduced fraction, a power
+        # cancels nothing
+        sizes = (sum(len(t.coeff.num.terms) for t in lhs.terms),
+                 sum(len(t.coeff.den.terms) for t in lhs.terms if not t.coeff.den.is_const()))
+        return max(words, sum(comb(m + rhs - 1, rhs) for m in sizes if m))
+    common = 0
+    if len(lhs.terms) > 1 and len(rhs.terms) > 1:
+        # like products of two pairs meet over a common denominator
+        (n1, d1), (n2, d2) = _over_one(lhs.terms), _over_one(rhs.terms)
+        common = _size(n1 + n2, d1 + d2)
+    return sum(max(_pair(t1, t2), common) for t1 in lhs.terms for t2 in rhs.terms)
 
 
 def _cap(what: str, size: int, pos: int) -> None:

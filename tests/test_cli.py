@@ -289,6 +289,12 @@ def test_split_of_a_huge_power_exits_2_promptly():
         ("(((((1)^(-8))/(f))/(((p)*(k))+((p)^16)))-((p)-(((p)*(2))^32)))^16",
          f"cap of {MAX_EXPANSION} expanded products"),
         ("1/(t+x+p+1)^16+1/(t+x+p+2)^16", f"cap of {MAX_EXPANSION} expanded products"),
+        # multiplying two denominators of 993 monomials took 4 s; each power
+        # of a 33-monomial denominator is refused by its multinomial count
+        ("((t+1)^(-32))^31*((t+2)^(-32))^31", f"cap of {MAX_EXPANSION} expanded products"),
+        # powering multiplies digits: the fourth power asks for a coefficient
+        # of 51,937 64-bit words, and the fifth never finished
+        ("((((9^32)^32)^32)^32)^32", f"cap of {MAX_EXPANSION} expanded products"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "qcsym.cli", "split", text],

@@ -80,9 +80,16 @@ def test_integer_powers_are_capped():
     # a power of a capped power is refused by the size of its expansion:
     # (t+x+1)^32 has 561 monomials, and its 32nd power would have 525,825
     assert len(parse("(t+x+1)^32").terms[0].coeff.num.terms) == 561
-    for text in ("((t+x+1)^32)^32", "((t+x+1)^(-32))^32", "(t+x+p+k+n)^(-13)"):
+    for text in ("((t+x+1)^32)^32", "((t+x+1)^(-32))^32", "(t+x+p+k+n)^(-13)",
+                 "((t+1)^32)^32", "((t+1)^(-32))^32"):
         with pytest.raises(ParseError, match=f"cap of {MAX_EXPANSION} expanded"):
             parse(text)
+    # powering multiplies a coefficient's digits, so a power also counts
+    # the 64-bit words of the largest coefficient it can build: 9^32768 has
+    # 1624, and its 32nd power would have 51,937
+    assert parse("((9^32)^32)^32") == Expr.const(9 ** 32768)
+    with pytest.raises(ParseError, match="power of 51937 pieces"):
+        parse("(((9^32)^32)^32)^32")
     # so is a product of capped powers: 1024 * 2 products pass, 1024 * 3 do not
     assert len(parse("(t+x)^31*(p+k)^31*(n+m)").terms[0].coeff.num.terms) == 2048
     with pytest.raises(ParseError, match=f"cap of {MAX_EXPANSION} expanded"):
@@ -93,6 +100,22 @@ def test_integer_powers_are_capped():
         parse("(t+x+p+1)^16/(t+x+p+2)^(-16)")
     quotient = parse("(t+x+p+1)^16/(t+x+p+2)^16").terms[0].coeff
     assert (len(quotient.num.terms), len(quotient.den.terms)) == (969, 969)
+    # a numerator and a denominator that share no generator have no gcd, so
+    # their products are counted as they are: 64 * 1 + 1 * 1, 256 * 1 + 1 * 2
+    # and 256 * 2 + 1 * 1 + 1 * 2; (x+m+p)^32 has a constant coefficient in
+    # p, so it shares no factor with (x+m+3)^32, and 561 * 1 + 1 * 561 count
+    for text, sizes in (("(t+x)^7*(p+k)^7/n", (64, 1)), ("(t+x)^15*(p+k)^15/(n+1)", (256, 2)),
+                        ("(t+x)^15*(p+k)^15 + 1/(n+1)", (513, 2)),
+                        ("(x+m+3)^32/(x+m+p)^32", (561, 561))):
+        coeff = parse(text).terms[0].coeff
+        assert (len(coeff.num.terms), len(coeff.den.terms)) == sizes, text
+    # two denominators of 165 monomials multiply to 165 * 165 products; a
+    # power of a denominator of 33 counts comb(33 + 30, 31), so two of 993,
+    # which took 4 s to multiply, are never built
+    for text, size in (("1/(t+x+p+1)^8/(t+x+p+2)^8", 27226),
+                       ("((t+1)^(-32))^31*((t+2)^(-32))^31", 916312070471295268)):
+        with pytest.raises(ParseError, match=f" of {size} pieces exceeds the cap"):
+            parse(text)
     assert parse("0^0") == parse("1")
     assert parse("V^99999") == Expr.vpower(AffineExponent.const(99999))
 
@@ -141,9 +164,11 @@ def test_cancelling_nodes_are_capped_by_degrees(text):
 
 
 # operands with numerators and denominators that cancel, share a factor or
-# meet over different denominators, and plain ones
+# a generator, meet over different denominators or share nothing, and
+# plain ones, some with coefficients of more than 64 bits
 _LEAVES = ["t^3-1", "1/(t^2-1)", "(t-1)/(t+1)", "V/(t+2)", "a*V+f", "t+x", "2*p",
-           "1/3", "V", "x/(t*p)", "(x+1)^2/(t-1)", "f/(p+1) + V^2"]
+           "1/3", "V", "x/(t*p)", "(x+1)^2/(t-1)", "f/(p+1) + V^2", "1/n", "(t+x)^2",
+           "1/(n+1)", "(2*t+1)/3", "9^32*t + 1/5^30", "(t+1)^3/(x+1)", "1/(t+x+1)^2"]
 _OPERANDS = st.recursive(
     st.sampled_from(_LEAVES),
     lambda inner: st.tuples(inner, st.sampled_from("+-*/"), inner).map(
@@ -153,7 +178,9 @@ _OPERANDS = st.recursive(
 
 
 def _built_size(e: Expr) -> int:
-    return sum(map(parser._term_size, e.terms))
+    """Numerator monomials plus non-constant denominator monomials."""
+    return sum(len(t.coeff.num.terms) + (0 if t.coeff.den.is_const() else len(t.coeff.den.terms))
+               for t in e.terms)
 
 
 @settings(max_examples=300, deadline=None)
@@ -164,8 +191,19 @@ def _built_size(e: Expr) -> int:
 @example("1/f/(p*k+p^4) - (p-(2*p)^4)", "^", "1", 3)
 @example("1/(t+x+p+1)^4", "+", "1/(t+x+p+2)^4", 0)
 @example("(t^3-1)/(t+1)", "*", "(t+1)/(t-1)", 0)
+# like terms over one denominator add to (t^9-1)/(t-1), nine monomials
+@example("t^9/(t-1)", "-", "1/(t-1)", 0)
 # like products of two pairs meet over a denominator of degree 4
 @example("1/(t+x+p+1) + V/(t+x+p+2)", "*", "V/(t+x+p+3) + 1/(t+x+p+4)", 0)
+# x*t^9+x has no constant coefficient in x, and cancels to nine monomials
+@example("x*t^9+x", "/", "t+1", 0)
+# a monomial's factors are monomials
+@example("t^3+t", "/", "t^2*x", 0)
+@example("1/t^2", "+", "x/(t*(t+1))", 0)
+# a numerator and a denominator that share no generator cancel nothing
+@example("(t+x)^3*(p+k)^2", "/", "n+1", 0)
+@example("(t+x)^3*(p+k)^2", "+", "1/(n+1)", 0)
+@example("1/(t+1)^2", "^", "1", 3)
 def test_no_node_builds_more_than_its_bound(a, op, b, n):
     try:
         lhs, rhs = parse(a), parse(b)
