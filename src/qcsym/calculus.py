@@ -171,10 +171,8 @@ def _replace_atom(a: FnAtom, binding, derived: dict) -> Expr:
     if binding is None or any(i < b for i, b in zip(indices, binding[0])):
         return Expr.atom(a)
     rep = _derivative(a.name, indices, binding, derived)
-    if a.power > 0:
-        return rep ** a.power
     try:
-        return rep.invert() ** (-a.power)
+        return rep ** a.power
     except DivisionError as exc:
         raise DivisionError(
             f"substitution makes {a.base_text()}^({a.power}) "
@@ -364,7 +362,8 @@ def split(e: Expr, assumptions=()) -> EquationSystem:
 
 
 def collect_in(e: Expr, gen: str) -> dict:
-    """Collect by the power of a lattice generator (t or x) in coefficients.
+    """Collect by the power of a coefficient generator (t, x, or Vx while a
+    determining system is derived).
 
     Denominators must be free of the generator.  Returns degree -> Expr with
     generator-free coefficients, in descending degree order.
@@ -434,13 +433,7 @@ def eq_normalize(e: Expr) -> Expr:
 
 def equal_up_to_unit(e1: Expr, e2: Expr) -> bool:
     """True when e1 = u * e2 for a nonzero coefficient-field unit u."""
-    if e1.is_zero() or e2.is_zero():
-        return e1.is_zero() and e2.is_zero()
-    t1, t2 = e1.lead(), e2.lead()
-    if t1.signature != t2.signature:
-        return False
-    u = t1.coeff / t2.coeff
-    return (e1 - e2.scale(u)).is_zero()
+    return eq_normalize(e1) == eq_normalize(e2)
 
 
 def solve_linear_for(e: Expr, atom_key: str) -> Expr:

@@ -9,6 +9,7 @@ zero-residual or canonical-equality assertion.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -18,6 +19,7 @@ from .calculus import (
     EquationSystem,
     collect,
     collect_in,
+    eq_normalize,
     equal_up_to_unit,
     euler_ode_solve,
     excluded_by,
@@ -290,19 +292,11 @@ class StepResult:
 
 
 def _match_system(system: EquationSystem, fixture_eqs) -> bool:
-    """Each fixture equation must match exactly one split equation up to a unit."""
-    remaining = list(system.equations)
-    for text in fixture_eqs:
-        want = parse(text)
-        hit = None
-        for i, eq in enumerate(remaining):
-            if equal_up_to_unit(eq, want):
-                hit = i
-                break
-        if hit is None:
-            return False
-        del remaining[hit]
-    return not remaining
+    """The split equations are the fixture's up to a unit each, with
+    multiplicity."""
+    return Counter(map(eq_normalize, system.equations)) == Counter(
+        eq_normalize(parse(text)) for text in fixture_eqs
+    )
 
 
 def _euler_form(e: Expr) -> tuple:

@@ -4,6 +4,7 @@ where float work runs, so the symbolic commands never load numpy."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -135,15 +136,19 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_coincide(args) -> int:
+    # every text is parsed, and its error reported, before the flags are
+    # checked against each other
     forbidden = _parse_constraints(args.forbidden)
-    if args.exponents:
-        exponents = [
-            _parsed("--exponents", t, parse_affine) for t in args.exponents.split(",")
-        ]
-        targets = (
-            [_parsed("--target", t, parse_affine) for t in args.target] if args.target else None
-        )
+    exponents = None if args.exponents is None else [
+        _parsed("--exponents", t, parse_affine) for t in args.exponents.split(",")
+    ]
+    targets = (
+        [_parsed("--target", t, parse_affine) for t in args.target] if args.target else None
+    )
+    if exponents is not None:
         cases = classify.enumerate_special_cases(exponents, targets, forbidden)
+    elif args.target is not None or args.forbidden is not None:
+        raise ValueError("--target and --forbidden apply only with --exponents")
     else:
         cases = classify.fifteen_power_cases()
     payload = [str(c) for c in cases]
@@ -325,18 +330,9 @@ def _suite_steps(seed: int, corrupt: str | None):
 
     # Each derivation chain runs once per suite. Its own step reports the
     # whole chain; a later step reports the verdict of one check inside it.
-    # A chain that raised raises its error again for both.
-    verdicts = {}
-
-    def chain_steps(chain):
-        if chain not in verdicts:
-            try:
-                verdicts[chain] = chain()
-            except (TermLanguageError, NumericError) as exc:
-                verdicts[chain] = exc
-        if isinstance(verdicts[chain], Exception):
-            raise verdicts[chain]
-        return verdicts[chain]
+    # A chain that raises is not cached: it runs again for the later step and
+    # raises the same error there.
+    chain_steps = functools.cache(lambda chain: chain())
 
     def whole_chain(chain):
         def step():

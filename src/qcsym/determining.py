@@ -2,42 +2,25 @@
 
 For an evolution equation V_xx = F0(V) V_t + F1(V) V_x + F2(V) and the
 operator Q = d/dt + xi(t,x,V) d/dx + eta(t,x,V) d/dV, the second
-prolongation of Q applied to the equation is written as a polynomial in V_x
-with expression coefficients, a list indexed by the power of V_x. The total
-derivative D_x c = c_x + c_V V_x builds eta^x and the part of eta^xx free of
+prolongation of Q applied to the equation is built as one expression in
+which V_x is a coefficient generator. The part of the total derivative D_x
+free of V_xx, c_x + V_x c_V, builds eta^x and the part of eta^xx free of
 V_xx; V_xx in the rest of eta^xx is replaced through the equation. The
 condition is gathered as rest + c_t V_t, and V_t = eta - xi V_x, the
 invariant-surface condition, is substituted once at the end. What remains is
-a cubic in V_x; its four coefficients are the determining system. It is
-derived once per family; a concrete equation is a set of bindings into it.
+a cubic in V_x; collected by its powers, its four coefficients are the
+determining system. It is derived once per family; a concrete equation is a
+set of bindings into it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
 
-from .calculus import EquationSystem, diff, eq_normalize, substitute
+from .calculus import EquationSystem, collect_in, diff, eq_normalize, substitute
 from .errors import DivisionError, OperatorFormError
 from .expr import Expr
 from .parser import parse
-
-
-def _add(*polys: list) -> list:
-    """Sum polynomials in V_x given as coefficient lists, lowest power first."""
-    out = [Expr.zero()] * max(map(len, polys))
-    for poly in polys:
-        for d, c in enumerate(poly):
-            out[d] = out[d] + c
-    return out
-
-
-def _mul(p: list, q: list) -> list:
-    """Product of two polynomials in V_x given as coefficient lists."""
-    out = [Expr.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,37 +109,39 @@ def generate_determining_system(eq: EvolutionEq) -> EquationSystem:
     return _derive(eq.family)
 
 
+# V_x, a coefficient generator while the condition is built
+_VX = Expr.generator("Vx")
+
+
+def _dx(c: Expr) -> Expr:
+    """The part of the total derivative D_x c free of V_xx: c_x + V_x c_V."""
+    return diff(c, "x") + _VX * diff(c, "V")
+
+
 @cache  # one entry per family
 def _derive(family: str) -> EquationSystem:
     xi, eta, F0, F1, F2 = map(parse, ("xi", "eta", *_FAMILIES[family], "F"))
     dF0, dF1, dF2 = (diff(f, "V") for f in (F0, F1, F2))
+    xi_t, xi_V, eta_t, eta_V = diff(xi, "t"), diff(xi, "V"), diff(eta, "t"), diff(eta, "V")
 
-    xi_t, xi_x, xi_V = (diff(xi, v) for v in "txV")
-    eta_t, eta_x, eta_V = (diff(eta, v) for v in "txV")
-
-    # eta^x = D_x eta - V_x D_x xi
-    prolong_x = [eta_x, eta_V - xi_x, -xi_V]
-    # eta^xx = D_x eta^x - V_xx D_x xi: the part free of V_xx, and the
-    # coefficient of V_xx
-    free = _add([diff(c, "x") for c in prolong_x],
-                [Expr.zero()] + [diff(c, "V") for c in prolong_x])
-    at_vxx = [prolong_x[1] - xi_x, prolong_x[2].scale(2) - xi_V]
+    # eta^x = D_x eta - V_x D_x xi; eta^xx = D_x eta^x - V_xx D_x xi, of
+    # which _dx(eta^x) is the part free of V_xx and at_vxx the coefficient
+    # of V_xx
+    prolong_x = _dx(eta) - _VX * _dx(xi)
+    at_vxx = eta_V - diff(xi, "x").scale(2) - _VX * xi_V.scale(3)
 
     # eta^xx - F0' eta V_t - F0 eta^t - F1' eta V_x - F1 eta^x - F2' eta with
     # V_xx = F0 V_t + F1 V_x + F2, as rest + c_t V_t
-    rest = _add(
-        free,
-        _mul(at_vxx, [F2, F1]),
-        _mul([F0], [-eta_t, xi_t]),
-        [Expr.zero(), -(dF1 * eta)],
-        _mul([-F1], prolong_x),
-        [-(dF2 * eta)],
+    rest = (
+        _dx(prolong_x) + at_vxx * (F2 + F1 * _VX) - F0 * (eta_t - _VX * xi_t)
+        - dF1 * eta * _VX - F1 * prolong_x - dF2 * eta
     )
-    c_t = _add(_mul(at_vxx, [F0]), [-(dF0 * eta)], _mul([F0], [-eta_V, xi_V]))
-    coeffs = _add(rest, _mul(c_t, [eta, -xi]))
+    c_t = at_vxx * F0 - dF0 * eta - F0 * (eta_V - _VX * xi_V)
+    powers = collect_in(rest + c_t * (eta - xi * _VX), "Vx")
+    degrees = range(3, -1, -1)
     return EquationSystem(
-        equations=tuple(eq_normalize(c) for c in reversed(coeffs)),
-        grading=tuple(f"Vx^{d}" for d in reversed(range(len(coeffs)))),
+        equations=tuple(eq_normalize(powers.get(d, Expr.zero())) for d in degrees),
+        grading=tuple(f"Vx^{d}" for d in degrees),
     )
 
 

@@ -297,6 +297,9 @@ def test_equal_up_to_unit():
     e1 = parse("2*f*f_x + f_t")
     assert equal_up_to_unit(e1, parse("-lambda*(2*f*f_x + f_t)"))
     assert not equal_up_to_unit(e1, parse("2*f*f_x"))
+    assert equal_up_to_unit(parse("(t+1)/(x+2)") * e1, e1)
+    assert equal_up_to_unit(e1, -e1)
+    assert not equal_up_to_unit(e1, parse("2*f*f_x - f_t"))
     assert equal_up_to_unit(Expr.zero(), Expr.zero())
     assert not equal_up_to_unit(e1, Expr.zero())
 

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qcsym import classify
-from qcsym.calculus import Constraint, collect, solve_linear_for, split, substitute
+from qcsym.calculus import (
+    Constraint, EquationSystem, collect, solve_linear_for, split, substitute,
+)
 from qcsym.classify import (
     CASE_B_ASSUMPTIONS,
     case_c_chain_k1_p2,
@@ -244,6 +246,22 @@ def test_chain_k1_p2_all_steps_pass():
 def test_chain_reports_deterministic():
     for chain in (case_c_chain_p0, case_c_chain_k1_p2):
         assert [s.to_json() for s in chain()] == [s.to_json() for s in chain()]
+
+
+def test_match_system_counts_each_equation():
+    # each fixture equation matches one split equation up to a unit, so a
+    # repeated, a missing or an extra equation does not match
+    texts = fixture_json("chain_p0.json")["system_p0"]
+    e0, e1, e2 = (parse(t) for t in texts)
+
+    def matches(*equations):
+        system = EquationSystem(equations, tuple(range(len(equations))))
+        return classify._match_system(system, texts)
+
+    assert matches(e2, -e1, parse("(t+1)/(x+2)") * e0)
+    assert not matches(e0, e0, e1)
+    assert not matches(e0, e1)
+    assert not matches(e0, e1, e2, parse("f"))
 
 
 def test_chain_p0_g_zero_branch():

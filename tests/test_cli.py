@@ -153,12 +153,27 @@ def test_relation_without_operator_is_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["coincide", "--target", "2p+3"],
+        ["coincide", "--forbidden", "k=0"],
+        ["coincide", "--forbidden", ""],
+    ],
+)
+def test_coincide_flag_without_exponents_is_usage_error(argv, capsys):
+    assert run(capsys, *argv) == (
+        2, "", "error: --target and --forbidden apply only with --exponents\n"
+    )
+
+
+@pytest.mark.parametrize(
     ("argv", "flag"),
     [
         (["table", "--case", "k=", "--target", "p"], "--case 'k='"),
         (["coincide", "--forbidden", "k="], "--forbidden 'k='"),
         (["check-op", "--xi", "", "--eta", "0"], "--xi ''"),
         (["split", ""], "expression ''"),
+        (["coincide", "--exponents", ""], "--exponents ''"),
     ],
 )
 def test_parse_error_names_the_flag(argv, flag, capsys):

@@ -329,6 +329,14 @@ def test_a_denominator_the_test_prime_divides():
     b = x + t
     assert poly_gcd(a, b) == P_ONE
     assert poly_gcd(a * (x + one), b * (x + one)) == x + one
+    # _coprime cannot prove this pair coprime either: GCDHEU finds their gcd
+    # constant and gives back the inputs themselves, which CoeffFrac.__mul__
+    # tests with `is`
+    a = t * x + Poly.const(Fraction(1, poly._PRIME))
+    assert not poly._coprime(a, b)
+    for found in (poly._heuristic_gcd(a, b), poly._gcd_cofactors(a, b)):
+        g, qa, qb = found
+        assert g == P_ONE and qa is a and qb is b
 
 
 @settings(max_examples=100, deadline=None)
