@@ -16,9 +16,11 @@ are proved coprime without gcd work: they share no generator, one is a
 monomial, or _coprime finds the gcd of degree 0 in each shared generator
 modulo a prime, with the other generators at fixed points. A shared factor
 is found with its cofactors by GCDHEU on integer images (each generator a
-power of one integer), proved by multiplying back, so nothing is divided;
-the pseudo-remainder chain answers only what GCDHEU gives up on. A pair
-with nothing to cancel comes back as the same two objects.
+power of one integer), proved by multiplying back, so nothing is divided.
+The primitive pseudo-remainder chain (Collins 1967), on Poly itself,
+answers only what GCDHEU gives up on; it first takes each input's content
+in the generators the other lacks. A pair with nothing to cancel comes
+back as the same two objects.
 
 A Poly promises no order of its stored monomials: equality and hashes
 ignore it, poly_text prints in descending graded lex order, and numeric
@@ -53,11 +55,7 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
         return a
     out = dict(a)
     for name, e in b:
-        new = out.get(name, 0) + e
-        if new:
-            out[name] = new
-        else:
-            del out[name]
+        out[name] = out.get(name, 0) + e
     return tuple(sorted(out.items()))
 
 
@@ -218,8 +216,6 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         """self times the rational c, an int or a Fraction."""
-        if not c:
-            return Poly()
         return Poly({m: co * c for m, co in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
@@ -325,77 +321,6 @@ P_ZERO = Poly()
 P_ONE = Poly.const(1)
 
 
-def _from_univar(coeffs: dict, v: str) -> Poly:
-    out = Poly()
-    for e, c in coeffs.items():
-        out = out + c * (Poly.var(v, e) if e else P_ONE)
-    return out
-
-
-def _gcd_list(polys) -> Poly:
-    g = P_ZERO
-    for p in polys:
-        g = poly_gcd(g, p)
-        if g.is_const() and not g.is_zero():
-            return P_ONE
-    return g
-
-
-def _strip_numeric_content(f: dict) -> dict:
-    """Divide all coefficient polys by their shared rational content."""
-    if not f:
-        return f
-    num, den = 0, 1
-    for p in f.values():
-        c = p.content()
-        num = _int_gcd(num, c.numerator)
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    scale = Fraction(num, den)
-    if scale in (0, 1):
-        return f
-    inv = 1 / scale
-    return {e: p.scale(inv) for e, p in f.items()}
-
-
-def _prem(f: dict, g: dict, v: str) -> dict:
-    """Pseudo-remainder of univariate views (degree -> Poly coefficients).
-
-    The result is only needed up to a positive rational factor, so the
-    numeric content is stripped every round to stop coefficient blow-up.
-    """
-    dg = max(g)
-    lg = g[dg]
-    r = dict(f)
-    while r and max(r) >= dg:
-        dr = max(r)
-        lr = r[dr]
-        # r <- lg*r - lr * g * v^(dr-dg)
-        new: dict = {}
-        for e, c in r.items():
-            new[e] = c * lg
-        for e, c in g.items():
-            shift = e + dr - dg
-            new[shift] = new.get(shift, P_ZERO) - lr * c
-        r = _strip_numeric_content(
-            {e: c for e, c in new.items() if not c.is_zero()}
-        )
-    return r
-
-
-def _primitive(f: dict) -> tuple:
-    """(content, primitive part) of a univariate view f.
-
-    The content is the normalised gcd of f's coefficients; the primitive
-    part is f divided by it and by the coefficients' shared rational content.
-    """
-    if not f:
-        return P_ZERO, f
-    cont = _gcd_list(f.values())
-    if cont != P_ONE:
-        f = {e: poly_divexact(c, cont) for e, c in f.items()}
-    return cont, _strip_numeric_content(f)
-
-
 def _normalize_gcd(p: Poly) -> Poly:
     if p.is_zero():
         return p
@@ -409,30 +334,68 @@ def _normalize_gcd(p: Poly) -> Poly:
     return p.scale(Fraction(1) / c)
 
 
+def _primitive(f: Poly, v: str) -> tuple:
+    """(content, primitive part) of a nonzero f as a polynomial in v.
+
+    The content is the normalised gcd of f's coefficients in v; the
+    primitive part is f divided by it and by f's rational content.
+    """
+    cont = P_ZERO
+    for c in f.coeffs_in(v).values():
+        cont = poly_gcd(cont, c)
+        if cont == P_ONE:
+            break
+    if cont != P_ONE:
+        f = poly_divexact(f, cont)
+    return cont, f.scale(1 / f.content())
+
+
+def _prem(f: Poly, g: Poly, v: str) -> Poly:
+    """Pseudo-remainder of f by g in v.
+
+    The result is only needed up to a positive rational factor, so the
+    rational content is divided out every round to stop coefficient blow-up.
+    """
+    dg = g.degree(v)
+    lg = g.coeffs_in(v)[dg]
+    while f and f.degree(v) >= dg:
+        df = f.degree(v)
+        shift = Poly.var(v, df - dg) if df > dg else P_ONE
+        f = lg * f - f.coeffs_in(v)[df] * g * shift
+        f = f.scale(1 / f.content())
+    return f
+
+
 def _prs_gcd(a: Poly, b: Poly) -> Poly:
     """poly_gcd by the pseudo-remainder chain, for when the heuristic gives up.
 
-    After the shared monomial content, it recurses on one generator v both
-    inputs have: the gcd of the two v-contents times the primitive part of
-    the last nonzero pseudo-remainder.
+    After the shared monomial content, each input is replaced by its content
+    in every generator the other lacks, which a common factor is free of.
+    Then it recurses on one generator v both inputs have: the gcd of the two
+    v-contents times the primitive part of the last nonzero pseudo-remainder.
     """
     ma, mb = a.mono_content(), b.mono_content()
     mc = mono_gcd(ma, mb)
     a = a.div_mono(ma)
     b = b.div_mono(mb)
     shared = Poly({mc: 1}) if mc else P_ONE
+    ga, gb = a.gens(), b.gens()
+    for u in sorted(ga - gb):
+        a = _primitive(a, u)[0]
+    for u in sorted(gb - ga):
+        b = _primitive(b, u)[0]
     live = sorted(a.gens() & b.gens())
     if not live:
         return _normalize_gcd(shared)
     v = min(live, key=lambda g: min(a.degree(g), b.degree(g)))
-    cf, fu = _primitive(a.coeffs_in(v))
-    cg, gu = _primitive(b.coeffs_in(v))
-    if max(fu) < max(gu):
-        fu, gu = gu, fu
-    while gu:
-        fu, gu = gu, _primitive(_prem(fu, gu, v))[1]
-    core = _from_univar(fu, v)
-    return _normalize_gcd(shared * poly_gcd(cf, cg) * core)
+    ca, f = _primitive(a, v)
+    cb, g = _primitive(b, v)
+    if f.degree(v) < g.degree(v):
+        f, g = g, f
+    while g:
+        r = _prem(f, g, v)
+        f, g = g, _primitive(r, v)[1] if r else r
+    return _normalize_gcd(shared * poly_gcd(ca, cb) * f)
 
 
 # _coprime reads gcd degrees modulo this prime, 2^61 - 1
@@ -708,9 +671,6 @@ class CoeffFrac:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_const(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
 
     def const_value(self) -> Fraction:
         return self.num.const_value() / self.den.const_value()

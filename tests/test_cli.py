@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qcsym import classify, cli, determining, numeric, parser
@@ -339,6 +339,10 @@ _LONG_TEXTS = st.one_of(
 ).filter(lambda text: len(text) <= 120)
 
 
+# GCDHEU gives up on a pair of 113 and 312 monomials in this text whose gcd
+# is (x-1)^3; the pseudo-remainder chain is quick on it only because it first
+# takes the first one's content in p, which the second lacks: (x-1)^3 itself
+@example("((x-1)^(-8))-(((((t+1)^(-8))*((p)/(x)))^3)/((((x-1)^3)/(p))*(((x)/(1))-((x-1)+(t)))))")
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_LONG_TEXTS)

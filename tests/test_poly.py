@@ -240,14 +240,30 @@ def _slow_inputs():
 _VANISHING_LEADS = (P("t") - Poly.const(2)) * (P("p") - Poly.const(2)) + Poly.const(1)
 
 
+def _one_sided_pairs():
+    """Pairs in which an input has a generator the other lacks, whose
+    content in it may or may not carry the common factor."""
+    t, x, p, k, lam, one = P("t"), P("x"), P("p"), P("k"), P("lambda"), Poly.const(1)
+    return [
+        ((x - one) ** 3 * (p * t + one), (x - one) ** 2 * (t + x)),
+        ((t + one) * ((x + one) * p + one), (t + one) * (t - x)),
+        ((p + one) * (lam * t + one), (p + one) * (k + t)),
+    ]
+
+
 @example(((P("x") + Poly.const(1)) * _VANISHING_LEADS, (P("x") - Poly.const(1)) * _VANISHING_LEADS))
 @example(_slow_inputs()[0])
 @example(_slow_inputs()[1])
+@example(_one_sided_pairs()[0])
+@example(_one_sided_pairs()[1])
+@example(_one_sided_pairs()[2])
 @settings(max_examples=250, deadline=None)
 @given(st.one_of(_SHARED, _ONE_SIDED, _UNIVARIATE, _PRODUCTS))
 def test_gcd_matches_sympy(pair):
-    # against sympy's gcd; _cancel hands back its inputs themselves when
-    # nothing cancels, and the exact quotients when something does
+    # against sympy's gcd, by the kernel and by the pseudo-remainder chain
+    # alone, which the kernel reaches only where GCDHEU gives up; _cancel
+    # hands back its inputs themselves when nothing cancels, and the exact
+    # quotients when something does
     sympy = pytest.importorskip("sympy")
     a, b = pair
     got = poly_gcd(a, b)
@@ -259,6 +275,8 @@ def test_gcd_matches_sympy(pair):
     assert unit.is_Rational and unit != 0, (a, b, got, want)
     if a.is_zero() or b.is_zero():
         return
+    chain = sympy.cancel(_to_sympy(sympy, poly._prs_gcd(a, b)) / want)
+    assert chain.is_Rational and chain != 0, (a, b, want)
     num, den = poly._cancel(a, b)
     if got == P_ONE or b.is_const():
         assert num is a and den is b
