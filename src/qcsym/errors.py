@@ -15,6 +15,10 @@ class UnknownSymbolError(ParseError):
     pass
 
 
+class WorkLimitError(TermLanguageError):
+    """A parse spent its work budget; parse reports it as a ParseError."""
+
+
 class DivisionError(TermLanguageError):
     """Division by something outside the invertible fragment of the language."""
 

@@ -11,10 +11,11 @@ is immutable; all operations return new canonical values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DivisionError
-from .poly import CoeffFrac, F_ONE, Poly, grlex_key
+from .poly import CoeffFrac, F_ONE, Poly, charge, grlex_key
 
 EXPONENT_PARAMS = ("p", "k", "n")
 
@@ -411,6 +412,8 @@ class Expr:
     def __mul__(self, other: "Expr") -> "Expr":
         if not self.terms or not other.terms:
             return E_ZERO
+        # a term product merged into the sum costs about 25 monomial products
+        charge(25 * len(self.terms) * len(other.terms))
         out = []
         for t1 in self.terms:
             for t2 in other.terms:
@@ -494,15 +497,24 @@ def _bracket(text: str, ops: str) -> str:
     return text
 
 
+def number_text(c) -> str:
+    """The text of a rational c, an int or a Fraction, of any size: str()
+    refuses an int of more than 4300 digits, and Decimal prints it."""
+    if c.denominator != 1:
+        return f"{number_text(c.numerator)}/{number_text(c.denominator)}"
+    c = c.numerator
+    return str(c) if c.bit_length() < 14000 else str(Decimal(c))
+
+
 def affine_text(a: AffineExponent) -> str:
     parts = []
     for c, name in ((a.cp, "p"), (a.ck, "k"), (a.cn, "n")):
         if not c:
             continue
-        body = name if abs(c) == 1 else f"{abs(c)}*{name}"
+        body = name if abs(c) == 1 else f"{number_text(abs(c))}*{name}"
         parts.append(("-" if c < 0 else "+", body))
     if a.c0 or not parts:
-        parts.append(("-" if a.c0 < 0 else "+", str(abs(a.c0))))
+        parts.append(("-" if a.c0 < 0 else "+", number_text(abs(a.c0))))
     return _signed_sum(parts)
 
 
@@ -516,7 +528,7 @@ def poly_text(p: Poly) -> str:
         for name, e in m:
             factors.append(name if e == 1 else f"{name}^{e}")
         if abs(c) != 1 or not factors:
-            factors.insert(0, str(abs(c)))
+            factors.insert(0, number_text(abs(c)))
         parts.append(("-" if c < 0 else "+", "*".join(factors)))
     return _signed_sum(parts)
 
@@ -531,7 +543,7 @@ def coeff_text(c: CoeffFrac) -> str:
 def _vpow_text(e: AffineExponent) -> str:
     bare = _BARE.get(e.key())
     if bare is None and e.is_const() and e.c0.denominator == 1 and e.c0 >= 0:
-        bare = str(e.c0)
+        bare = number_text(e.c0)
     if bare is None:
         return f"V^({affine_text(e)})"
     return f"V^{bare}" if bare else "V"

@@ -9,16 +9,17 @@ Division is restricted to invertible single-term expressions.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import namedtuple
+from decimal import Decimal
 from functools import lru_cache
-from math import comb, prod
 
-from .errors import DivisionError, ParseError, UnknownSymbolError
-from .expr import AFF_ONE, FUNCTIONS, PARAMETERS, AffineExponent, Expr, FnAtom
+from .errors import DivisionError, ParseError, UnknownSymbolError, WorkLimitError
+from .expr import AFF_ONE, FUNCTIONS, PARAMETERS, AffineExponent, Expr, FnAtom, number_text
+from .poly import arm_meter, charge
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*(?:_[txV]+)?)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
 
 _SUFFIX_RE = re.compile(r"^(?P<base>[A-Za-z][A-Za-z0-9]*)(?:_(?P<suffix>[txV]+))?$")
@@ -43,39 +44,20 @@ def function_atom(name: str) -> FnAtom | None:
     )
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
+_Token = namedtuple("_Token", "kind value pos")
 
 
 def _tokenize(text: str):
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = pos + len(text[pos:]) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", bad)
-        if m.group("num") is not None:
-            out.append(_Token("num", int(m.group("num")), m.start()))
-        elif m.group("ident") is not None:
-            out.append(_Token("ident", m.group("ident"), m.start()))
-        else:
-            out.append(_Token("op", m.group("op"), m.start()))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group('bad')!r}", m.start("bad"))
+        out.append(_Token(m.lastgroup, m.group(m.lastgroup), m.start()))
     out.append(_Token("end", None, len(text)))
     return out
 
 
 _BINARY_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
-_NODES = {"+": "sum", "-": "sum", "*": "product", "/": "quotient"}
 _UNARY_BP = 25
 
 # The largest integer power of a base other than V. Expanding a power of a
@@ -83,141 +65,15 @@ _UNARY_BP = 25
 # characters such as 9^9^9 would ask for more work than any run can finish.
 MAX_POWER = 32
 
-# The most pieces one operator node may build: the monomial products it
-# multiplies out or, where a gcd can cancel, the monomials its degrees
-# allow, and for a power the 64-bit words of its largest coefficient.
-# _bound counts them before the node is built, so no nesting, as in
-# ((t+x+1)^32)^32 or (((9^32)^32)^32)^32, and no product, quotient or sum,
-# as in (t^32-1)*(x^32-1)/((t-1)*(x-1)) or 1/(t+x+p+1)^16+1/(t+x+p+2)^16,
-# can ask for hundreds of thousands of monomials or digits.
-MAX_EXPANSION = 2048
+# The work one parse may do, in monomial products, about 0.25 s. poly's
+# meter charges each product of polynomials and of expressions, and the gcd
+# kernel's images, before the work is done, so whatever a text nests, as in
+# ((t+x+1)^32)^32, (((9^32)^32)^32)^32 or 1/(t+x+p+1)^16+1/(t+x+p+2)^16,
+# it stops within the budget.
+WORK_BUDGET = 150_000
 
 # the field variable V, which the identifier V stands for
 _V = Expr.vpower(AFF_ONE)
-
-
-def _degree(p) -> Counter:
-    """Each generator's degree in p, and under None its total degree."""
-    out = {}
-    for m in p.terms:
-        for v, e in m + ((None, sum(e for _, e in m)),):
-            if e > out.get(v, 0):
-                out[v] = e
-    return Counter(out)
-
-
-def _count(deg: Counter, n: int = 1) -> int:
-    """The most monomials the n-th power of a polynomial of these degrees,
-    or of a factor of it, has: the box of its generators' degrees or the
-    simplex of its total degree, the smaller."""
-    gens = [n * d for v, d in deg.items() if v is not None]
-    return min(prod(d + 1 for d in gens), comb(n * deg[None] + len(gens), len(gens)))
-
-
-def _over_one(terms) -> tuple:
-    """Degrees of the numerator and the denominator of terms brought over
-    one denominator, the product of their distinct denominators."""
-    dens = {t.coeff.den: _degree(t.coeff.den) for t in terms}
-    den = sum(dens.values(), Counter())
-    num = Counter()
-    for t in terms:
-        num |= _degree(t.coeff.num) + (den - dens[t.coeff.den])
-    return num, den
-
-
-def _size(num: Counter, den: Counter, n: int = 1) -> int:
-    return _count(num, n) + (_count(den, n) if den else 0)
-
-
-def _term_size(t) -> int:
-    return len(t.coeff.num.terms) + (0 if t.coeff.den.is_const() else len(t.coeff.den.terms))
-
-
-def _plain(p, q) -> bool:
-    """Whether p and q plainly keep their monomial counts when freed of
-    their gcd: one is a monomial, whose factors are monomials, or they have
-    no common factor. Such a factor is a polynomial in their shared
-    generators alone, so it divides each coefficient of p, and of q, as a
-    polynomial in the other generators; a constant coefficient rules it out."""
-    shared = p.gens() & q.gens()
-    if not shared or len(p.terms) == 1 or len(q.terms) == 1:
-        return True
-    for r in (p, q):
-        rest = Counter(tuple(x for x in m if x[0] not in shared) for m in r.terms)
-        if any(rest[m] == 1 for m in r.terms if not any(v in shared for v, _ in m)):
-            return True
-    return False
-
-
-def _bits(c) -> int:
-    if type(c) is int:
-        return c.bit_length()
-    return c.numerator.bit_length() + c.denominator.bit_length()
-
-
-def _pair(t1, t2) -> int:
-    """Monomial products of t1 * t2, each numerator first freed of its gcd
-    with the other denominator. Where they may share a factor, degrees
-    bound the cofactors, which can outgrow them as (t^32-1)/(t-1) does."""
-    (n1, d1), (n2, d2) = (t1.coeff.num, t1.coeff.den), (t2.coeff.num, t2.coeff.den)
-    (a, d), (b, c) = ((len(n.terms), len(d.terms)) if _plain(n, d)
-                      else (_count(_degree(n)), _count(_degree(d)))
-                      for n, d in ((n1, d2), (n2, d1)))
-    return a * b + (0 if d1.is_const() and d2.is_const() else c * d)
-
-
-def _bound(op: str, lhs: Expr, rhs) -> int:
-    """The most pieces lhs op rhs builds, given a quotient's inverted
-    divisor, or a power's exponent n >= 0 of an inverted base."""
-    if op != "^" and all(t.coeff.den.is_const() for e in (lhs, rhs) for t in e.terms):
-        # over constant denominators nothing cancels
-        m, n = (sum(len(t.coeff.num.terms) for t in e.terms) for e in (lhs, rhs))
-        return m + n if op in "+-" else m * n
-    if op in "+-":
-        # a term without a like partner passes through as it is
-        like = {t.signature: t for t in lhs.terms}
-        size = 0
-        for t in rhs.terms:
-            u = like.pop(t.signature, None)
-            if u is None:
-                size += _term_size(t)
-            elif not _plain(u.coeff.den, t.coeff.den):
-                size += _size(*_over_one((u, t)))
-            else:  # (a*d + c*b)/(b*d), reduced at most by a monomial
-                (a, b), (c, d) = ((len(x.coeff.num.terms), x.coeff.den) for x in (u, t))
-                size += (a * len(d.terms) + c * len(b.terms)
-                         + (0 if b.is_const() and d.is_const() else len(b.terms) * len(d.terms)))
-        return size + sum(map(_term_size, like.values()))
-    if op == "^":
-        if rhs == 0:
-            return 1
-        # powering multiplies a coefficient's digits: n times the base's
-        # largest coefficient counts once per 64 bits
-        words = (rhs * max((_bits(c) for t in lhs.terms for p in (t.coeff.num, t.coeff.den)
-                            for c in p.terms.values()), default=0) + 63) >> 6
-        if len(lhs.terms) > 1 and not all(t.coeff.den.is_const() for t in lhs.terms):
-            # like products of the terms meet over a common denominator
-            powers = comb(len(lhs.terms) + rhs - 1, rhs)
-            return max(words, powers * _size(*_over_one(lhs.terms), rhs))
-        # over constant denominators, or of one reduced fraction, a power
-        # cancels nothing
-        sizes = (sum(len(t.coeff.num.terms) for t in lhs.terms),
-                 sum(len(t.coeff.den.terms) for t in lhs.terms if not t.coeff.den.is_const()))
-        return max(words, sum(comb(m + rhs - 1, rhs) for m in sizes if m))
-    common = 0
-    if len(lhs.terms) > 1 and len(rhs.terms) > 1:
-        # like products of two pairs meet over a common denominator
-        (n1, d1), (n2, d2) = _over_one(lhs.terms), _over_one(rhs.terms)
-        common = _size(n1 + n2, d1 + d2)
-    return sum(max(_pair(t1, t2), common) for t1 in lhs.terms for t2 in rhs.terms)
-
-
-def _cap(what: str, size: int, pos: int) -> None:
-    if size > MAX_EXPANSION:
-        raise ParseError(
-            f"{what} of {size} pieces exceeds the cap of "
-            f"{MAX_EXPANSION} expanded products", pos
-        )
 
 
 def _inverse(e: Expr, pos: int) -> Expr:
@@ -231,6 +87,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.at = 0  # the position of the work being done
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -255,26 +112,26 @@ class _Parser:
             if bp <= min_bp:
                 break
             self.advance()
+            rhs = self.parse(bp - 1 if tok.value == "^" else bp)  # ^ is right associative
+            self.at = tok.pos
             if tok.value == "^":
-                rhs = self.parse(bp - 1)  # right associative
                 lhs = self.apply_power(lhs, rhs, tok.pos)
-                continue
-            rhs = self.parse(bp)
-            if tok.value == "/":
-                rhs = _inverse(rhs, tok.pos)
-            _cap(_NODES[tok.value], _bound(tok.value, lhs, rhs), tok.pos)
-            if tok.value == "+":
+            elif tok.value == "+":
                 lhs = lhs + rhs
             elif tok.value == "-":
                 lhs = lhs - rhs
             else:
-                lhs = lhs * rhs
+                lhs = lhs * (_inverse(rhs, tok.pos) if tok.value == "/" else rhs)
         return lhs
 
     def parse_prefix(self) -> Expr:
         tok = self.advance()
         if tok.kind == "num":
-            return Expr.const(tok.value)
+            # int() refuses more than 4300 digits, as reading them takes time
+            # quadratic in their count; Decimal reads any count, at that charge
+            self.at = tok.pos
+            charge(len(tok.value) ** 2 >> 15)
+            return Expr.const(int(Decimal(tok.value)))
         if tok.kind == "op" and tok.value == "-":
             return -self.parse(_UNARY_BP)
         if tok.kind == "op" and tok.value == "+":
@@ -295,6 +152,7 @@ class _Parser:
                 self.advance()
                 inner = self.parse(0)
                 self.expect_op(")")
+                self.at = tok.pos
                 return Expr.exp_atom(self._as_exp_argument(inner, tok.pos))
             raise ParseError("exp must be called as exp(...)", tok.pos)
         if name == "V":
@@ -320,11 +178,10 @@ class _Parser:
         n = _as_integer(exponent, pos)
         if abs(n) > MAX_POWER:
             raise ParseError(
-                f"power {n} exceeds the cap of {MAX_POWER} on integer powers", pos
+                f"power {number_text(n)} exceeds the cap of {MAX_POWER} on integer powers", pos
             )
         if n < 0:
             base, n = _inverse(base, pos), -n
-        _cap("power", _bound("^", base, n), pos)
         return base ** n
 
     def _as_exp_argument(self, inner: Expr, pos: int) -> AffineExponent:
@@ -363,10 +220,16 @@ def parse(text: str) -> Expr:
     are not cached.
     """
     parser = _Parser(_tokenize(text))
+    arm_meter(WORK_BUDGET)
     try:
         out = parser.parse(0)
     except RecursionError:
         raise ParseError("nests too deeply", parser.tokens[parser.i - 1].pos) from None
+    except WorkLimitError:
+        msg = f"the text asks for more work than the budget of {WORK_BUDGET} monomial products"
+        raise ParseError(msg, parser.at) from None
+    finally:
+        arm_meter(None)
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError("unexpected trailing input", tok.pos)

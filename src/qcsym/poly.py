@@ -17,10 +17,13 @@ monomial, or _coprime finds the gcd of degree 0 in each shared generator
 modulo a prime, with the other generators at fixed points. A shared factor
 is found with its cofactors by GCDHEU on integer images (each generator a
 power of one integer), proved by multiplying back, so nothing is divided.
-The primitive pseudo-remainder chain (Collins 1967), on Poly itself,
-answers only what GCDHEU gives up on; it first takes each input's content
-in the generators the other lacks. A pair with nothing to cancel comes
-back as the same two objects.
+GCDHEU runs only where _coprime proves nothing, on each input over its
+monomial content, which would survive into the images; the shared part is
+multiplied back. The primitive pseudo-remainder chain (Collins 1967), on
+Poly itself, answers only what GCDHEU gives up on; it first takes each
+input's content in the generators the other lacks. A pair with nothing to
+cancel comes back as the same two objects. The parser's work meter lives
+here too (arm_meter, charge); off, it costs a site one test of a global.
 
 A Poly promises no order of its stored monomials: equality and hashes
 ignore it, poly_text prints in descending graded lex order, and numeric
@@ -37,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd, prod
 
-from .errors import PoleError
+from .errors import PoleError, WorkLimitError
 
 Mono = tuple  # ((name, exp), ...) sorted by name, all exps > 0
 
@@ -98,6 +101,32 @@ def mono_split(m: Mono, v: str) -> tuple:
         if name == v:
             return e, m[:i] + m[i + 1:]
     return 0, m
+
+
+# The work the running parse may still do, in monomial products, or None
+# while no parse runs. parser.parse arms it for its own body; the package
+# runs on one thread, so one value serves.
+_work = None
+
+
+def arm_meter(units: int | None) -> None:
+    """Let the work charged from now on add up to units; None turns it off."""
+    global _work
+    _work = units
+
+
+def charge(units: int) -> None:
+    """Take units from the armed meter before the work; WorkLimitError when spent."""
+    global _work
+    if _work is not None:
+        _work -= units
+        if _work < 0:
+            raise WorkLimitError("the work budget is spent")
+
+
+def _bits(p: "Poly") -> int:
+    return sum(c.bit_length() if type(c) is int else c.numerator.bit_length()
+               + c.denominator.bit_length() for c in p.terms.values())
 
 
 def grlex_key(gens):
@@ -195,6 +224,12 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
             return Poly()
+        if _work is not None:
+            # a monomial product costs about 1.6 us; a pair of 64-bit
+            # coefficient words costs 1.2 ns to multiply but about 64 times
+            # that to print and read back, and is charged so, which keeps
+            # every coefficient a parse admits printable and readable
+            charge(len(self.terms) * len(other.terms) + (_bits(self) * _bits(other) >> 16))
         # a constant factor scales the other's coefficients; the unit 1
         # returns the other itself
         if other.is_const():
@@ -369,16 +404,11 @@ def _prem(f: Poly, g: Poly, v: str) -> Poly:
 def _prs_gcd(a: Poly, b: Poly) -> Poly:
     """poly_gcd by the pseudo-remainder chain, for when the heuristic gives up.
 
-    After the shared monomial content, each input is replaced by its content
-    in every generator the other lacks, which a common factor is free of.
-    Then it recurses on one generator v both inputs have: the gcd of the two
-    v-contents times the primitive part of the last nonzero pseudo-remainder.
+    Each input is first replaced by its content in every generator the
+    other lacks, which a common factor is free of. Then it recurses on one
+    generator v both inputs have: the gcd of the two v-contents times the
+    primitive part of the last nonzero pseudo-remainder.
     """
-    ma, mb = a.mono_content(), b.mono_content()
-    mc = mono_gcd(ma, mb)
-    a = a.div_mono(ma)
-    b = b.div_mono(mb)
-    shared = Poly({mc: 1}) if mc else P_ONE
     ga, gb = a.gens(), b.gens()
     for u in sorted(ga - gb):
         a = _primitive(a, u)[0]
@@ -386,7 +416,7 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
         b = _primitive(b, u)[0]
     live = sorted(a.gens() & b.gens())
     if not live:
-        return _normalize_gcd(shared)
+        return P_ONE
     v = min(live, key=lambda g: min(a.degree(g), b.degree(g)))
     ca, f = _primitive(a, v)
     cb, g = _primitive(b, v)
@@ -395,7 +425,7 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
     while g:
         r = _prem(f, g, v)
         f, g = g, _primitive(r, v)[1] if r else r
-    return _normalize_gcd(shared * poly_gcd(ca, cb) * f)
+    return _normalize_gcd(poly_gcd(ca, cb) * f)
 
 
 # _coprime reads gcd degrees modulo this prime, 2^61 - 1
@@ -425,7 +455,7 @@ def _image(p: Poly, v: str, point: dict) -> list:
 
 def _gcd_degree(f: list, g: list) -> int:
     """The degree of gcd(f, g) over the integers modulo _PRIME, for
-    coefficient lists as _image gives them; f must not be zero."""
+    coefficient lists as _image gives them, not both zero."""
     f = f[:]
     g = g[:]
     while g and not g[-1]:
@@ -463,10 +493,9 @@ def _coprime(a: Poly, b: Poly) -> bool:
             fb = _image(b, v, point)
         except ValueError:  # a denominator the prime divides has no image
             return False
-        if not fa[-1]:
-            if not fb[-1]:
-                return False
-            fa, fb = fb, fa
+        if not fa[-1] and not fb[-1]:
+            return False
+        charge(len(fa) * len(fb) >> 3)  # a remainder step costs about a tenth of a unit
         if _gcd_degree(fa, fb):
             return False
     return True
@@ -536,7 +565,11 @@ def _heuristic_gcd(a: Poly, b: Poly) -> tuple | None:
     pa, ka, ua = integral(a)
     pb, kb, ub = integral(b)
     xi = 2 * min(max(map(abs, ka.values())), max(map(abs, kb.values()))) + 29
+    length = max(max(ka), max(kb)) + 1  # the images' digits in base xi
     for _ in range(4):
+        # building the images, their gcd and reading back three of them in
+        # base xi take time quadratic in the images' bits
+        charge(length * (length * xi.bit_length() >> 6) >> 5)
         va = sum(c * xi ** j for j, c in ka.items())
         vb = sum(c * xi ** j for j, c in kb.items())
         gamma = _int_gcd(va, vb)
@@ -561,8 +594,8 @@ def _gcd_cofactors(a: Poly, b: Poly) -> tuple:
 
     When g is 1 the cofactors are a and b themselves. Inputs with no
     shared generator, a monomial, equal inputs and inputs _coprime proves
-    coprime take no gcd work; GCDHEU answers the rest, and the
-    pseudo-remainder chain only what it gives up on.
+    coprime take no gcd work; GCDHEU answers the rest over their monomial
+    contents, and the pseudo-remainder chain only what it gives up on.
     """
     ga, gb = a.gens(), b.gens()
     if ga.isdisjoint(gb):  # a common factor needs a generator both have
@@ -578,13 +611,20 @@ def _gcd_cofactors(a: Poly, b: Poly) -> tuple:
         return g, unit, unit
     if _coprime(a, b):
         return P_ONE, a, b
-    found = _heuristic_gcd(a, b)
+    # GCDHEU's images keep a monomial content, so that different ones make
+    # it give up: the shared part is multiplied back afterwards
+    ma, mb = a.mono_content(), b.mono_content()
+    m = mono_gcd(ma, mb)
+    pa, pb = a.div_mono(ma), b.div_mono(mb)
+    found = _heuristic_gcd(pa, pb)
     if found is None:
-        g = _prs_gcd(a, b)
-        if g == P_ONE:
-            return P_ONE, a, b
-        found = g, poly_divexact(a, g), poly_divexact(b, g)
-    return found
+        g = _prs_gcd(pa, pb)
+        found = g, poly_divexact(pa, g), poly_divexact(pb, g)
+    g, qa, qb = found
+    if g == P_ONE and not m:
+        return P_ONE, a, b
+    return (Poly({m: 1}) * g, Poly({mono_div(ma, m): 1}) * qa,
+            Poly({mono_div(mb, m): 1}) * qb)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -16,7 +16,8 @@ from qcsym.classify import fixture_json
 from qcsym.cli import main, verify_paper
 from qcsym.determining import EvolutionEq, SymOperator, check_operator, normalize_operator
 from qcsym.errors import VerificationError
-from qcsym.parser import MAX_EXPANSION, MAX_POWER, PARSE_CACHE_SIZE, parse
+from qcsym.expr import Expr
+from qcsym.parser import MAX_POWER, PARSE_CACHE_SIZE, WORK_BUDGET, parse
 
 
 _FIXTURE = str(Path(classify.__file__).parent / "fixtures" / "instance_scaling.json")
@@ -274,51 +275,64 @@ def test_transform_that_overflows_the_values_exits_2(tmp_path, capsys):
     assert err == "error: epsilon = -705.0 carries the field out of floating-point range\n"
 
 
-def test_split_of_a_huge_power_exits_2_promptly():
+def _split(text: str) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "qcsym.cli", "split", text],
+        capture_output=True, text=True, timeout=20,
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+    )
+
+
+def test_split_of_a_huge_power_exits_2_promptly():
+    spent = f"more work than the budget of {WORK_BUDGET} monomial products"
     for text, cap in (
         # 9^9^9 asks for 9^387420489; the power cap refuses it before any work
         ("9^9^9", f"cap of {MAX_POWER} on integer powers"),
         # each power is within MAX_POWER, but the outer one asks for
-        # (t+x+1)^1024, 525,825 monomials; the expansion cap refuses it
-        ("((t+x+1)^32)^32", f"cap of {MAX_EXPANSION} expanded products"),
-        # each factor is within both caps, but their product asks for
-        # 220 * 715 and 969 * 969 products; the expansion cap refuses it
-        ("(a+f+g+h)^9*(a+f+g+h+1)^9", f"cap of {MAX_EXPANSION} expanded products"),
-        ("(t+x+p+1)^16*(t+x+p+2)^16*(t+x+p+3)^16",
-         f"cap of {MAX_EXPANSION} expanded products"),
+        # (t+x+1)^1024, 525,825 monomials; squaring (t+x+1)^32 alone would
+        # multiply 561 * 561 monomials, past the work budget
+        ("((t+x+1)^32)^32", spent),
+        # each factor is within MAX_POWER, but their product asks for
+        # 220 * 715 term products and 969 * 969 monomial products
+        ("(a+f+g+h)^9*(a+f+g+h+1)^9", spent),
+        ("(t+x+p+1)^16*(t+x+p+2)^16*(t+x+p+3)^16", spent),
         # dividing by a negative power multiplies: 969 * 969 products again
-        ("(t+x+p+1)^16/(t+x+p+2)^(-16)", f"cap of {MAX_EXPANSION} expanded products"),
+        ("(t+x+p+1)^16/(t+x+p+2)^(-16)", spent),
         # adding over different denominators multiplies them: the third term
-        # already asks for a denominator of degree 24 in t, x and p
-        ("+".join(f"1/(t+x+p+{i})^8" for i in range(1, 9)),
-         f"cap of {MAX_EXPANSION} expanded products"),
-        # where a gcd can cancel, degrees bound the numerators and the
-        # denominators: each of these ran for 1.4 s to over 600 s
+        # already asks for 969 * 165 products
+        ("+".join(f"1/(t+x+p+{i})^8" for i in range(1, 9)), spent),
+        # where a gcd cancels, GCDHEU's images or the multiplication back of
+        # its cofactors ask for the work: each of these ran for 1.4 s to
+        # over 600 s
         ("(1/(t+x+p+k+1)^2 + V/(t+x+p+k+2)^2 + V^2/(t+x+p+k+3)^2 + V^3/(t+x+p+k+4)^2)^2",
-         f"cap of {MAX_EXPANSION} expanded products"),
-        ("(t^32-1)*(x^32-1)*(p^32-1)/((t-1)*(x-1)*(p-1))",
-         f"cap of {MAX_EXPANSION} expanded products"),
-        ("(t^32-1)*(x^32-1)*(p^32-1)*(k^32-1)/((t-1)*(x-1)*(p-1)*(k-1))",
-         f"cap of {MAX_EXPANSION} expanded products"),
-        ("(((((1)^(-8))/(f))/(((p)*(k))+((p)^16)))-((p)-(((p)*(2))^32)))^16",
-         f"cap of {MAX_EXPANSION} expanded products"),
-        ("1/(t+x+p+1)^16+1/(t+x+p+2)^16", f"cap of {MAX_EXPANSION} expanded products"),
-        # multiplying two denominators of 993 monomials took 4 s; each power
-        # of a 33-monomial denominator is refused by its multinomial count
-        ("((t+1)^(-32))^31*((t+2)^(-32))^31", f"cap of {MAX_EXPANSION} expanded products"),
+         spent),
+        ("(t^32-1)*(x^32-1)*(p^32-1)/((t-1)*(x-1)*(p-1))", spent),
+        ("(t^32-1)*(x^32-1)*(p^32-1)*(k^32-1)/((t-1)*(x-1)*(p-1)*(k-1))", spent),
+        ("(((((1)^(-8))/(f))/(((p)*(k))+((p)^16)))-((p)-(((p)*(2))^32)))^16", spent),
+        ("1/(t+x+p+1)^16+1/(t+x+p+2)^16", spent),
+        # multiplying two denominators of 993 monomials took 4 s
+        ("((t+1)^(-32))^31*((t+2)^(-32))^31", spent),
         # powering multiplies digits: the fourth power asks for a coefficient
         # of 51,937 64-bit words, and the fifth never finished
-        ("((((9^32)^32)^32)^32)^32", f"cap of {MAX_EXPANSION} expanded products"),
+        ("(((9^32)^32)^32)^32", spent),
+        ("((((9^32)^32)^32)^32)^32", spent),
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "qcsym.cli", "split", text],
-            capture_output=True, text=True, timeout=20,
-            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
-        )
+        proc = _split(text)
         assert (proc.returncode, proc.stdout) == (2, ""), text
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert cap in proc.stderr
+
+
+def test_split_prints_a_coefficient_of_more_than_4300_digits():
+    # str() refuses such an int; the printer writes it out, and the parser
+    # reads it back
+    for text, value in (("((9^32)^32)^32", 9 ** 32768),
+                        ("(9^32)^32*(9^32)^32*(9^32)^32*(9^32)^32*(9^32)^32", 9 ** 5120)):
+        proc = _split(text)
+        assert (proc.returncode, proc.stderr) == (0, ""), text
+        printed = proc.stdout.split(":")[-1].strip()
+        assert parse(printed) == Expr.const(value), text
 
 
 # texts of up to 120 characters over the grammar's tokens: sums, products,
@@ -340,15 +354,14 @@ _LONG_TEXTS = st.one_of(
 
 
 # GCDHEU gives up on a pair of 113 and 312 monomials in this text whose gcd
-# is (x-1)^3; the pseudo-remainder chain is quick on it only because it first
-# takes the first one's content in p, which the second lacks: (x-1)^3 itself
+# is (x-1)^3 and the pseudo-remainder chain answers; with the budget lifted
+# the text parses in about 0.6 s, and the budget refuses it
 @example("((x-1)^(-8))-(((((t+1)^(-8))*((p)/(x)))^3)/((((x-1)^3)/(p))*(((x)/(1))-((x-1)+(t)))))")
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_LONG_TEXTS)
 def test_split_text_fuzz_exits_cleanly(capsys, text):
-    # no bound on the time: a node within every size cap may still meet a
-    # slow gcd
+    # no bound on the time is asserted here; the work budget gives one
     code, out, err = run(capsys, "split", "--", text)
     assert code in (0, 1, 2), text
     if code == 2:

@@ -251,6 +251,13 @@ def _one_sided_pairs():
     ]
 
 
+# different monomial contents, p*c and x*c, which GCDHEU sees only after
+# they are divided out
+_SHIFTED = (P("p") - Poly.const(2)) * (P("x") + Poly.const(1))
+
+
+@example((P("p") * _SHIFTED, P("x") * _SHIFTED))
+@example((P("p") * P("t") ** 2 * _SHIFTED, P("x") * P("t") * _SHIFTED))
 @example(((P("x") + Poly.const(1)) * _VANISHING_LEADS, (P("x") - Poly.const(1)) * _VANISHING_LEADS))
 @example(_slow_inputs()[0])
 @example(_slow_inputs()[1])
@@ -326,6 +333,51 @@ def test_gcd_falls_back_to_the_pseudo_remainder_chain(monkeypatch):
     num, den = poly._cancel(a, b)
     assert num == poly_divexact(a, k1)
     assert den == poly_divexact(b, k1)
+
+
+def test_different_monomial_contents_need_no_pseudo_remainder_chain(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("the pseudo-remainder chain ran")
+
+    monkeypatch.setattr(poly, "_prs_gcd", refuse)
+    for a, b in ((P("p") * _SHIFTED, P("x") * _SHIFTED),
+                 (P("p") * P("t") ** 2 * _SHIFTED, P("x") * P("t") * _SHIFTED)):
+        g, qa, qb = poly._gcd_cofactors(a, b)
+        assert g * qa == a and g * qb == b
+        assert g == _SHIFTED * (P("t") if a.degree("t") else P_ONE)
+
+
+def _screened(u):
+    """u - point(u), which vanishes where _coprime puts u."""
+    return P(u) - Poly.const(poly._point(u))
+
+
+def _lead_pair(gens, rest, b, c, c0, kind):
+    """A pair whose first input's leading coefficient in v vanishes at
+    _coprime's point (rest, from _POLYS, has degree 2 in v at most), times
+    no shared factor, a drawn one, or one whose leading coefficients in u
+    and in v both vanish there."""
+    u, v = gens[:2]
+    shared = [P_ONE, c, _screened(u) * _screened(v) + Poly.const(c0)][kind]
+    return (_screened(u) * P(v) ** 3 + rest) * shared, b * shared
+
+
+_LEADS = st.builds(_lead_pair, st.permutations(_GENS), _POLYS, _POLYS, _FACTORS,
+                   st.integers(1, 3), st.sampled_from((0, 1, 2)))
+
+
+# a shared factor whose leading coefficients in t and in x both vanish
+@example(tuple(f * (_screened("t") * _screened("x") + Poly.const(1))
+               for f in (_screened("t") * P("x") ** 3 + P("p"), P("t") + P("p"))))
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_LEADS, _LEADS.map(lambda pair: pair[::-1]), _SHARED))
+def test_coprime_proves_only_coprime_pairs(pair):
+    sympy = pytest.importorskip("sympy")
+    a, b = pair
+    if a.is_zero() or b.is_zero() or not poly._coprime(a, b):
+        return
+    gcd = sympy.gcd(_to_sympy(sympy, a), _to_sympy(sympy, b))
+    assert sympy.Poly(gcd, *sympy.symbols(_GENS)).is_ground, (a, b, gcd)
 
 
 def test_a_leading_coefficient_that_vanishes_at_the_point_proves_nothing():
